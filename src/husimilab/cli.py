@@ -2,8 +2,9 @@
 
 Subcommands: simulate (one run), sweep (coupled preset or explicit
 lists), transform (state snapshot -> Husimi/Wigner files), residues
-(snapshots -> residue report), fock-check (operator-inequality suite),
-report (aggregate run directories into rate tables).
+(one state snapshot -> residue report with the consistency defect),
+fock-check (operator-inequality suite), report (aggregate run directories
+into rate tables).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from husimilab import meanfield as mf  # noqa: F401  (families via configs)
 from husimilab import phasespace as ps
 from husimilab import residues as rsd
 from husimilab import snapshots as io
-from husimilab.grid import bump_test_function
 
 
 def _load_config(path, seed=None) -> harness.RunConfig:
@@ -75,30 +75,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    states = [io.read_state(p, L=args.box) for p in args.states]
-    grid = states[len(states) // 2].grid
+    state = io.read_state(args.state, L=args.box)
+    grid = state.grid
     frame = harness.build_frame(grid, args.frame)
     potential = harness.build_potential(grid, {"kind": args.potential,
                                                "amplitudes": args.amplitude})
-    lattice = ps.natural_lattice(grid)
-    phi_q = bump_test_function(lattice.qs, 0.0, args.phi_q_radius, 3)
-    phi_p = bump_test_function(lattice.ps, 0.0, args.phi_p_radius, 3)
-    mid = states[len(states) // 2]
-    kern = mb.gamma1(mid)
-    pair_k = rsd.kinetic_residue_pairing(kern, frame, lattice, phi_q, phi_p)
-    pair_s = pair_m = 0.0
-    if grid.N >= 2:
-        fields = rsd.interaction_residue_fields(mid, frame, potential)
-        pair_s = rsd.pair_against_p_divergence(fields.semiclassical, phi_q,
-                                               phi_p, lattice)
-        pair_m = rsd.pair_against_p_divergence(fields.meanfield, phi_q,
-                                               phi_p, lattice)
-    defect = None
-    if len(states) == 3:
-        defect = rsd.reformulation_consistency(states, frame, potential,
-                                               phi_q, phi_p)["defect"]
-    rep = rsd.ResidueReport(pair_k, pair_s, pair_m, defect, grid.hbar,
-                            grid.N, mid.time)
+    _, rep = rsd.snapshot_residues(
+        state, frame, potential,
+        {"center": 0.0, "radius": args.phi_q_radius, "s": 3},
+        {"center": 0.0, "radius": args.phi_p_radius, "s": 3})
     io.write_report(args.out, rep.to_dict())
     print(json.dumps(rep.to_dict(), indent=2))
     return 0
@@ -153,9 +138,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("residues", help="snapshots to a residue report")
-    p.add_argument("states", nargs="+",
-                   help="one snapshot, or three consecutive for consistency")
+    p = sub.add_parser("residues", help="state snapshot to a residue "
+                       "report with the consistency defect")
+    p.add_argument("state", help="N-body state snapshot (.husi)")
     p.add_argument("--box", type=float, required=True)
     p.add_argument("--frame", default="gaussian")
     p.add_argument("--potential", default="cosine")

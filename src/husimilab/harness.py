@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from husimilab import manybody as mb
 from husimilab import phasespace as ps
 from husimilab import residues as rs
 from husimilab import snapshots as io
-from husimilab.grid import GridError, Potential, bump_test_function, make_grid
+from husimilab.grid import GridError, Potential, make_grid
 
 
 @dataclass
@@ -38,14 +38,10 @@ class RunConfig:
     orbital_family: str = "hermite"
     horizon: float = 0.2
     dt: float = 0.002
-    fd_dt: float = 0.002
     phi_q: dict = field(default_factory=lambda: {"center": 0.0, "radius": 3.5,
                                                  "s": 3})
     phi_p: dict = field(default_factory=lambda: {"center": 0.0, "radius": 2.0,
                                                  "s": 3})
-    alpha1s: tuple = (0.55, 0.65, 0.75, 0.85, 0.95)
-    alpha2s: tuple = (0.55, 0.65, 0.75, 0.85, 0.95)
-    s_values: tuple = (1, 2, 3)
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -53,10 +49,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        for key in ("alpha1s", "alpha2s", "s_values"):
-            if key in data:
-                data[key] = tuple(data[key])
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise GridError(f"unknown config keys {unknown}; "
+                            "remove them from the config")
         return cls(**data)
 
 
@@ -119,8 +115,6 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     orbitals = build_orbitals(grid, cfg.orbital_family, rng)
     state0 = mb.build_slater(grid, orbitals)
     lattice = ps.natural_lattice(grid)
-    phi_q = bump_test_function(lattice.qs, **cfg.phi_q)
-    phi_p = bump_test_function(lattice.ps, **cfg.phi_p)
     rows: list[dict] = []
 
     # ---- N-body propagation and conservation ------------------------------
@@ -140,9 +134,10 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     io.write_state(out / "state_initial.husi", state0)
     io.write_state(out / "state_final.husi", end)
 
-    # ---- Husimi invariants --------------------------------------------------
-    kern_mid = mb.gamma1(mid)
-    husimi_mid = ps.husimi1(kern_mid, frame, lattice)
+    # ---- one residue pass at mid: Husimi invariants, residues, identity -----
+    snap, report = rs.snapshot_residues(mid, frame, potential, cfg.phi_q,
+                                        cfg.phi_p)
+    husimi_mid = snap.husimi
     min_m = float(husimi_mid.values.min())
     max_m = float(husimi_mid.values.max())
     mass_defect = abs(husimi_mid.canonical_mass() - cfg.N)
@@ -151,32 +146,13 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
             mid.time)
     _record(rows, "husimi_mass_defect", mass_defect, 1e-4,
             mass_defect < 1e-4, cfg, mid.time)
+    defect_rel = report.consistency_defect_rel
+    _record(rows, "consistency_defect_rel", defect_rel, 1e-12,
+            defect_rel < 1e-12, cfg, mid.time)
     io.write_field(out / "husimi_mid.husi", husimi_mid.values, 1, grid,
                    mid.time)
     io.field_csv(out / "husimi_mid.csv", lattice.qs, lattice.ps,
                  husimi_mid.values)
-
-    # ---- residues -----------------------------------------------------------
-    pair_k = rs.kinetic_residue_pairing(kern_mid, frame, lattice, phi_q, phi_p)
-    agg = rs.kinetic_l54_aggregate(kern_mid, frame, lattice)
-    pair_s = pair_m = 0.0
-    if cfg.N >= 2:
-        fields = rs.interaction_residue_fields(mid, frame, potential)
-        pair_s = rs.pair_against_p_divergence(fields.semiclassical, phi_q,
-                                              phi_p, lattice)
-        pair_m = rs.pair_against_p_divergence(fields.meanfield, phi_q,
-                                              phi_p, lattice)
-    consistency = None
-    fd = cfg.fd_dt
-    sub = 50
-    minus = mb.propagate(mid, potential, -fd / sub, sub)
-    plus = mb.propagate(mid, potential, fd / sub, sub)
-    consistency = rs.reformulation_consistency([minus, mid, plus], frame,
-                                               potential, phi_q, phi_p)
-    report = rs.ResidueReport(pair_k, pair_s, pair_m, consistency["defect"],
-                              cfg.hbar, cfg.N, mid.time,
-                              {"phi_q": cfg.phi_q, "phi_p": cfg.phi_p},
-                              {"l54_aggregate": agg})
     io.write_report(out / "residues.json", report.to_dict())
 
     # ---- effective dynamics -------------------------------------------------
@@ -200,7 +176,8 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
             hf_end.time)
     io.write_orbitals(out / "hf_orbitals.husi", hf_end.orbitals, grid,
                       hf_end.time)
-    hs_gap, tr_gap = mf.norm_gaps(mb.gamma1(end), hf_end.omega_kernel())
+    kern_end = mb.gamma1(end)
+    hs_gap, tr_gap = mf.norm_gaps(kern_end, hf_end.omega_kernel())
 
     husimi0 = ps.husimi1(mb.gamma1(state0), frame, lattice)
     vl = mf.vlasov_from_husimi(husimi0, grid)
@@ -217,14 +194,14 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     _record(rows, "vlasov_energy_drift_rate", v_e_drift / horizon, 1e-4,
             v_e_drift / horizon < 1e-4, cfg, v_end.time)
 
-    husimi_end = ps.husimi1(mb.gamma1(end), frame, lattice)
+    husimi_end = ps.husimi1(kern_end, frame, lattice)
     l1, w1, renorm = mf.husimi_vlasov_distance(husimi_end.values,
                                                v_end.values, lattice)
 
     # ---- moments and localization -------------------------------------------
     mom = ps.moment_growth_check([husimi0, husimi_mid, husimi_end],
                                  [0.0, mid.time, end.time])
-    loc = ps.localized_number_check(kern_mid, radius=1.0)
+    loc = ps.localized_number_check(snap.kernel, radius=1.0)
     comm = mf.commutator_norms(hf0.omega(), grid,
                                [0.5, 1.0, 2.0])
 
@@ -232,9 +209,11 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
         "config": cfg.to_dict(),
         "config_hash": io.config_hash(cfg.to_dict()),
         "records": rows,
-        "pairings": {"kinetic": pair_k, "semiclassical": pair_s,
-                     "meanfield": pair_m, "l54_aggregate": agg},
-        "consistency_defect": consistency["defect"],
+        "pairings": {"kinetic": report.pairing_kinetic,
+                     "semiclassical": report.pairing_semiclassical,
+                     "meanfield": report.pairing_meanfield,
+                     "l54_aggregate": report.l54_aggregate},
+        "consistency_defect": report.consistency_defect,
         "norm_gaps": {"hs": hs_gap, "trace": tr_gap,
                       "trace_over_sqrtN": tr_gap / np.sqrt(cfg.N)},
         "husimi_vlasov": {"l1": l1, "w1_proxy": w1, "renormalized": renorm},

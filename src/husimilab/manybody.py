@@ -122,16 +122,18 @@ def pair_potential_table(grid: GridSpec, potential: Potential) -> np.ndarray:
     return W
 
 
+def _axis_k2(grid: GridSpec) -> list[np.ndarray]:
+    """|k|^2 of each N-body axis (FFT order), shaped to broadcast on the
+    amplitudes; their sum is the N-body k^2 table."""
+    k2 = grid.wavenumbers() ** 2
+    naxes = grid.d * grid.N
+    return [k2.reshape([grid.M if b == a else 1 for b in range(naxes)])
+            for a in range(naxes)]
+
+
 def _kinetic_phases(grid: GridSpec, dt: float) -> np.ndarray:
     """exp(-i dt hbar sum_j |k_j|^2 / 2) on the N-body wavenumber lattice."""
-    k = grid.wavenumbers()
-    naxes = grid.d * grid.N
-    k2 = np.zeros((grid.M,) * naxes)
-    for a in range(naxes):
-        shape = [1] * naxes
-        shape[a] = grid.M
-        k2 = k2 + (k ** 2).reshape(shape)
-    return np.exp(-0.5j * dt * grid.hbar * k2)
+    return np.exp(-0.5j * dt * grid.hbar * sum(_axis_k2(grid)))
 
 
 def cfl_hint(grid: GridSpec, dt: float) -> dict:
@@ -157,6 +159,20 @@ def propagate(state: ManyBodyState, potential: Potential, dt: float,
             if not np.all(np.isfinite(psi)):
                 raise PropagationError(f"non-finite amplitudes at step {n + 1}")
     return ManyBodyState(state.grid, psi, state.time + dt * steps)
+
+
+def time_derivative(state: ManyBodyState,
+                    potential: Potential) -> np.ndarray:
+    """dpsi/dt = H psi / (i hbar), the generator of `propagate`.
+
+    H = -(hbar^2 / 2) Laplacian (spectral) + W (`pair_potential_table`),
+    so the result is exact on the lattice, not a difference quotient.
+    """
+    g = state.grid
+    kinetic = np.fft.ifftn(0.5 * g.hbar ** 2 * sum(_axis_k2(g))
+                           * np.fft.fftn(state.psi))
+    W = pair_potential_table(g, potential)
+    return (kinetic + W * state.psi) / (1j * g.hbar)
 
 
 def propagate_trajectory(state: ManyBodyState, potential: Potential,
@@ -271,18 +287,11 @@ class Gamma2View:
 def kinetic_energy(state: ManyBodyState) -> float:
     """(hbar^2 / 2) sum_j ||grad_j psi||^2 under the lattice quadrature."""
     g = state.grid
-    psi_hat = np.fft.fftn(state.psi)
-    k = g.wavenumbers()
-    naxes = g.d * g.N
-    k2 = np.zeros((g.M,) * naxes)
-    for a in range(naxes):
-        shape = [1] * naxes
-        shape[a] = g.M
-        k2 = k2 + (k ** 2).reshape(shape)
+    power = np.abs(np.fft.fftn(state.psi)) ** 2
     # Parseval: sum |psi_hat|^2 / M^(naxes) * weight^N = ||psi||^2
-    norm_factor = g.weight ** g.N / g.M ** naxes
+    norm_factor = g.weight ** g.N / g.M ** (g.d * g.N)
     return float(0.5 * g.hbar ** 2
-                 * np.sum(k2 * np.abs(psi_hat) ** 2) * norm_factor)
+                 * np.sum(sum(_axis_k2(g)) * power) * norm_factor)
 
 
 def interaction_energy(state: ManyBodyState, potential: Potential) -> float:
@@ -298,16 +307,10 @@ def total_energy(state: ManyBodyState, potential: Potential) -> float:
 def momentum_first_moment(state: ManyBodyState) -> float:
     """(1/N) sum_j hbar ||grad_j psi||, a per-particle momentum scale."""
     g = state.grid
-    psi_hat = np.fft.fftn(state.psi)
-    k = g.wavenumbers()
-    naxes = g.d * g.N
-    norm_factor = g.weight ** g.N / g.M ** naxes
-    total = 0.0
-    for a in range(naxes):
-        shape = [1] * naxes
-        shape[a] = g.M
-        grad2 = np.sum((k ** 2).reshape(shape) * np.abs(psi_hat) ** 2)
-        total += g.hbar * np.sqrt(grad2 * norm_factor)
+    power = np.abs(np.fft.fftn(state.psi)) ** 2
+    norm_factor = g.weight ** g.N / g.M ** (g.d * g.N)
+    total = sum(g.hbar * np.sqrt(np.sum(k2 * power) * norm_factor)
+                for k2 in _axis_k2(g))
     return total / g.N
 
 

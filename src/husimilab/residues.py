@@ -21,8 +21,17 @@ gradient int_0^1 V'(s u1 + (1-s) w1 - w2) ds (fixed-order Gauss-Legendre,
 spectrally exact for band-limited V), and D(q,w2) is V' smeared by the
 squared window at scale sqrt(hbar).  The inner (q2, p2) coherent pair has
 already been collapsed through the exact lattice completeness relation.
-All (q,p) fields are evaluated through the same two-FFT machinery as the
-Husimi transform, organized mode-by-mode in the potential's spectrum.
+For N = 1 there is no pair interaction and the bracket on the right is
+absent.  All (q,p) fields are evaluated through the same two-FFT
+machinery as the Husimi transform, organized mode-by-mode in the
+potential's spectrum.
+
+The consistency defect pairs every term of the identity with a test
+function at one snapshot.  d/dt m is exact: it is the Husimi transform of
+d/dt gamma1, formed from dpsi/dt = H psi / (i hbar), so the defect sits at
+rounding level.  That holds only while the Husimi field has no mass on
+the edges of the (q, p) box: the lattice is periodic in q and in p, and
+mass that wraps across an edge breaks the identity.
 """
 
 from __future__ import annotations
@@ -31,13 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from husimilab.grid import GridError, Potential, TestFunction
+from husimilab.grid import Potential, TestFunction, bump_test_function
 from husimilab.manybody import (Gamma2View, ManyBodyState, OneBodyKernel,
-                                gamma1)
+                                gamma1, time_derivative)
 from husimilab.meanfield import norm_gaps
-from husimilab.phasespace import (CoherentFrame, PhaseSpaceLattice,
-                                  bilinear_phase_field, husimi1,
-                                  natural_lattice)
+from husimilab.phasespace import (CoherentFrame, HusimiField,
+                                  PhaseSpaceLattice, bilinear_phase_field,
+                                  husimi1, natural_lattice)
 
 
 def _lattice_strides(lattice: PhaseSpaceLattice, grid) -> tuple[int, int]:
@@ -52,10 +61,10 @@ def gauss_legendre_unit(order: int = 8):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def segment_averaged_value(fn, a, b, order: int = 8):
-    """int_0^1 fn(s a + (1-s) b) ds by fixed-order Gauss-Legendre."""
-    nodes, weights = gauss_legendre_unit(order)
-    return sum(w * fn(s * a + (1.0 - s) * b) for s, w in zip(nodes, weights))
+def _paired(a: np.ndarray, b: np.ndarray, field_vals: np.ndarray,
+            lattice: PhaseSpaceLattice) -> float:
+    """sum a(q) b(p) F(q,p) dq dp."""
+    return float(np.einsum("q,p,qp->", a, b, field_vals) * lattice.cell)
 
 
 # ---------------------------------------------------------------------------
@@ -74,36 +83,9 @@ def kinetic_residue_field(kernel: OneBodyKernel, frame: CoherentFrame,
     return g.hbar * B.imag[::qs, ::ps]
 
 
-def pair_against_q_divergence(field_vals: np.ndarray, phi_q: TestFunction,
-                              phi_p: TestFunction,
-                              lattice: PhaseSpaceLattice) -> float:
-    """|integral phi(q) phi(p) d/dq . R| = |sum phi'(q) phi(p) R dq dp|."""
-    return abs(float(np.einsum("q,p,qp->", phi_q.grad, phi_p.values,
-                               field_vals) * lattice.cell))
-
-
-def pair_against_p_divergence(field_vals: np.ndarray, phi_q: TestFunction,
-                              phi_p: TestFunction,
-                              lattice: PhaseSpaceLattice) -> float:
-    return abs(float(np.einsum("q,p,qp->", phi_q.values, phi_p.grad,
-                               field_vals) * lattice.cell))
-
-
-def kinetic_residue_pairing(kernel: OneBodyKernel, frame: CoherentFrame,
-                            lattice: PhaseSpaceLattice,
-                            phi_q: TestFunction, phi_p: TestFunction) -> float:
-    field_vals = kinetic_residue_field(kernel, frame, lattice)
-    return pair_against_q_divergence(field_vals, phi_q, phi_p, lattice)
-
-
-def kinetic_l54_aggregate(kernel: OneBodyKernel, frame: CoherentFrame,
-                          lattice: PhaseSpaceLattice | None = None) -> float:
+def _l54_aggregate(rk: np.ndarray, lattice: PhaseSpaceLattice) -> float:
     """|| integral dp |Rk| ||_{L^{5/4}} over the q axis."""
-    g = kernel.grid
-    if lattice is None:
-        lattice = natural_lattice(g)
-    field_vals = kinetic_residue_field(kernel, frame, lattice)
-    inner = np.sum(np.abs(field_vals), axis=1) * lattice.dp
+    inner = np.sum(np.abs(rk), axis=1) * lattice.dp
     return float(np.sum(inner ** 1.25 * lattice.dq) ** 0.8)
 
 
@@ -139,19 +121,19 @@ class InteractionResidues:
     gl_order: int = 8
 
 
-def interaction_residue_fields(state: ManyBodyState, frame: CoherentFrame,
-                               potential: Potential,
+def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
+                               frame: CoherentFrame, potential: Potential,
                                gl_order: int = 8) -> InteractionResidues:
     """Assemble Rs and Rm exactly, mode-by-mode in the potential spectrum.
 
-    Using V'(z) = sum_k i k c_k e^{i k z} every contraction separates:
-    the segment average S needs only w2-transforms of A at the active
-    modes, and the smeared gradient D(q, w2) becomes a phase in q times
-    kappa_hat(k), so each mode costs one bilinear transform.
+    `kern` is gamma1 of `state`.  Using V'(z) = sum_k i k c_k e^{i k z}
+    every contraction separates: the segment average S needs only
+    w2-transforms of A at the active modes, and the smeared gradient
+    D(q, w2) becomes a phase in q times kappa_hat(k), so each mode costs
+    one bilinear transform.
     """
     g = state.grid
     lattice = natural_lattice(g)
-    kern = gamma1(state)
     ks, cs = potential._active_modes()
     keep = np.abs(ks) > 0  # the k = 0 mode has zero gradient
     ks, cs = ks[keep], cs[keep]
@@ -196,50 +178,49 @@ def interaction_residue_fields(state: ManyBodyState, frame: CoherentFrame,
     return InteractionResidues(rs.real, rm.real, lattice, gl_order)
 
 
-def semiclassical_residue_pairing(state: ManyBodyState, frame: CoherentFrame,
-                                  potential: Potential, phi_q: TestFunction,
-                                  phi_p: TestFunction,
-                                  gl_order: int = 8) -> float:
-    res = interaction_residue_fields(state, frame, potential, gl_order)
-    return pair_against_p_divergence(res.semiclassical, phi_q, phi_p,
-                                     res.lattice)
-
-
-def meanfield_residue_pairing(state: ManyBodyState, frame: CoherentFrame,
-                              potential: Potential, phi_q: TestFunction,
-                              phi_p: TestFunction,
-                              gl_order: int = 8) -> float:
-    res = interaction_residue_fields(state, frame, potential, gl_order)
-    return pair_against_p_divergence(res.meanfield, phi_q, phi_p, res.lattice)
-
-
 # ---------------------------------------------------------------------------
-# consistency of the reformulated equation
+# one snapshot: fields, pairings, and the consistency of the reformulation
 # ---------------------------------------------------------------------------
+
+@dataclass
+class SnapshotFields:
+    """The costly objects of one snapshot, each computed once.
+
+    `interaction` is None for N = 1, which has no pair interaction.
+    """
+
+    state: ManyBodyState
+    kernel: OneBodyKernel
+    husimi: HusimiField
+    kinetic: np.ndarray
+    interaction: InteractionResidues | None
+
 
 @dataclass
 class ResidueReport:
     pairing_kinetic: float
     pairing_semiclassical: float
     pairing_meanfield: float
-    consistency_defect: float | None
+    l54_aggregate: float
+    consistency_defect: float
+    consistency_defect_rel: float
     hbar: float
     n_particles: int
     time: float
     test_functions: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "pairing_kinetic": self.pairing_kinetic,
             "pairing_semiclassical": self.pairing_semiclassical,
             "pairing_meanfield": self.pairing_meanfield,
+            "l54_aggregate": self.l54_aggregate,
             "consistency_defect": self.consistency_defect,
+            "consistency_defect_rel": self.consistency_defect_rel,
             "hbar": self.hbar,
             "N": self.n_particles,
             "t": self.time,
             "test_functions": self.test_functions,
-            **self.extras,
         }
 
 
@@ -252,60 +233,90 @@ def mean_field_force_term(field_vals: np.ndarray,
     return conv[:, None] * field_vals
 
 
-def reformulation_consistency(trajectory, frame: CoherentFrame,
-                              potential: Potential, phi_q: TestFunction,
-                              phi_p: TestFunction, include_residues: bool = True,
-                              gl_order: int = 8) -> dict:
-    """Paired defect of the reformulated equation on three snapshots.
+def _husimi_time_derivative(state: ManyBodyState, frame: CoherentFrame,
+                            potential: Potential) -> np.ndarray:
+    """d/dt m on the natural lattice, from the exact dpsi/dt.
 
-    `trajectory` holds states at times (t - dt, t, t + dt); the time
-    derivative is the centered difference, every other term is evaluated
-    exactly at the central snapshot, and all divergences are moved onto
-    the test functions.  The defect is second order in dt.
+    d/dt gamma1 = N (Xdot + Xdot^dagger) dx^(N-1) with
+    Xdot = psidot psi^dagger (amplitudes reshaped as in `gamma1`), and the
+    Husimi transform is linear in the kernel.
     """
-    if len(trajectory) != 3:
-        raise GridError("need exactly three snapshots")
-    t_minus, t_mid, t_plus = (s.time for s in trajectory)
-    dt1 = t_mid - t_minus
-    dt2 = t_plus - t_mid
-    if abs(dt1 - dt2) > 1e-12 * max(abs(dt1), abs(dt2)):
-        raise GridError("snapshot spacing must be uniform")
-    dt = dt1
-    g = trajectory[1].grid
+    g = state.grid
+    mat = state.psi.reshape(g.M ** g.d, -1)
+    dmat = time_derivative(state, potential).reshape(mat.shape)
+    xdot = dmat @ mat.conj().T
+    dgamma = g.N * (xdot + xdot.conj().T) * g.weight ** (g.N - 1)
+    return bilinear_phase_field(dgamma, frame.window, frame.window, g).real
+
+
+def reformulation_consistency(fields: SnapshotFields, frame: CoherentFrame,
+                              potential: Potential, phi_q: TestFunction,
+                              phi_p: TestFunction) -> dict:
+    """Paired defect of the reformulated equation at one snapshot.
+
+    Every term is evaluated exactly at the snapshot, the time derivative
+    included, and all divergences are moved onto the test functions.
+    `defect_rel` is the defect over the largest of the six paired terms;
+    it is at rounding level while the Husimi field has no mass on the
+    box edges.
+    """
+    g = fields.state.grid
+    lattice = fields.husimi.lattice
+    m = fields.husimi.values
+    dm_dt = _husimi_time_derivative(fields.state, frame, potential)
+    parts = {
+        "time": _paired(phi_q.values, phi_p.values, dm_dt, lattice),
+        "transport": -_paired(phi_q.grad, phi_p.values,
+                              m * lattice.ps[None, :], lattice),
+        "kinetic_residue": -_paired(phi_q.grad, phi_p.values,
+                                    fields.kinetic, lattice),
+        "mean_field": 0.0, "semiclassical_residue": 0.0,
+        "meanfield_residue": 0.0,
+    }
+    if fields.interaction is not None:
+        c_int = 1.0 / (g.N * (2.0 * np.pi * g.hbar) ** g.d)
+        force = mean_field_force_term(m, lattice, potential, g)
+        parts["mean_field"] = -c_int * _paired(phi_q.values, phi_p.grad,
+                                               force, lattice)
+        parts["semiclassical_residue"] = -_paired(
+            phi_q.values, phi_p.grad, fields.interaction.semiclassical,
+            lattice)
+        parts["meanfield_residue"] = -_paired(
+            phi_q.values, phi_p.grad, fields.interaction.meanfield, lattice)
+    defect = abs(parts["time"] + parts["transport"] - parts["kinetic_residue"]
+                 - parts["mean_field"] - parts["semiclassical_residue"]
+                 - parts["meanfield_residue"])
+    scale = max(abs(v) for v in parts.values())
+    return {"defect": defect, "defect_rel": defect / scale, "parts": parts}
+
+
+def snapshot_residues(state: ManyBodyState, frame: CoherentFrame,
+                      potential: Potential, phi_q: dict, phi_p: dict):
+    """Fields, pairings, L^{5/4} aggregate and consistency of one snapshot.
+
+    `phi_q` and `phi_p` are bump test-function specs (center, radius, s)
+    on the q and p axes of the natural lattice.  Returns the
+    `SnapshotFields` for reuse and the `ResidueReport`.
+    """
+    g = state.grid
     lattice = natural_lattice(g)
-    fields = [husimi1(gamma1(s), frame, lattice).values for s in trajectory]
-    cell = lattice.cell
-    c_int = 1.0 / (g.N * (2.0 * np.pi * g.hbar) ** g.d)
-
-    dm_dt = (fields[2] - fields[0]) / (2.0 * dt)
-    t_time = float(np.einsum("q,p,qp->", phi_q.values, phi_p.values,
-                             dm_dt) * cell)
-    p_weighted = fields[1] * lattice.ps[None, :]
-    t_transport = -float(np.einsum("q,p,qp->", phi_q.grad, phi_p.values,
-                                   p_weighted) * cell)
-    force_term = mean_field_force_term(fields[1], lattice, potential, g)
-    t_mean = -c_int * float(np.einsum("q,p,qp->", phi_q.values, phi_p.grad,
-                                      force_term) * cell)
-    parts = {"time": t_time, "transport": t_transport, "mean_field": t_mean}
-
-    t_kin = t_s = t_m = 0.0
-    if include_residues:
-        kern = gamma1(trajectory[1])
-        rk = kinetic_residue_field(kern, frame, lattice)
-        t_kin = -float(np.einsum("q,p,qp->", phi_q.grad, phi_p.values,
-                                 rk) * cell)
-        if g.N >= 2:
-            res = interaction_residue_fields(trajectory[1], frame, potential,
-                                             gl_order)
-            t_s = -float(np.einsum("q,p,qp->", phi_q.values, phi_p.grad,
-                                   res.semiclassical) * cell)
-            t_m = -float(np.einsum("q,p,qp->", phi_q.values, phi_p.grad,
-                                   res.meanfield) * cell)
-    parts.update({"kinetic_residue": t_kin, "semiclassical_residue": t_s,
-                  "meanfield_residue": t_m})
-    defect = abs(t_time + t_transport - t_kin - t_mean - t_s - t_m)
-    return {"defect": float(defect), "dt": dt, "parts": parts,
-            "residues_included": include_residues}
+    kern = gamma1(state)
+    fields = SnapshotFields(
+        state, kern, husimi1(kern, frame, lattice),
+        kinetic_residue_field(kern, frame, lattice),
+        interaction_residue_fields(state, kern, frame, potential)
+        if g.N >= 2 else None)
+    tq = bump_test_function(lattice.qs, **phi_q)
+    tp = bump_test_function(lattice.ps, **phi_p)
+    cons = reformulation_consistency(fields, frame, potential, tq, tp)
+    parts = cons["parts"]
+    report = ResidueReport(
+        abs(parts["kinetic_residue"]), abs(parts["semiclassical_residue"]),
+        abs(parts["meanfield_residue"]),
+        _l54_aggregate(fields.kinetic, lattice), cons["defect"],
+        cons["defect_rel"], g.hbar, g.N, state.time,
+        {"phi_q": dict(phi_q), "phi_p": dict(phi_p)})
+    return fields, report
 
 
 # ---------------------------------------------------------------------------

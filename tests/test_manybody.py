@@ -164,6 +164,16 @@ def test_kinetic_energy_matches_quadrature_oracle():
     assert mb.kinetic_energy(state) == pytest.approx(oracle, rel=1e-8)
 
 
+def test_time_derivative_matches_centered_difference_of_propagate(slater_n2):
+    grid, _, state = slater_n2
+    V = Potential.cosine(grid, [0.4, 0.15])
+    h = 1e-4
+    fd = (mb.propagate(state, V, h, 1).psi
+          - mb.propagate(state, V, -h, 1).psi) / (2.0 * h)
+    exact = mb.time_derivative(state, V)
+    assert np.max(np.abs(fd - exact)) < 1e-6 * np.max(np.abs(exact))
+
+
 def test_free_kinetic_constant():
     grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))

@@ -1,0 +1,76 @@
+import json
+import math
+
+import pytest
+
+from husimilab import cli, harness
+from husimilab import manybody as mb
+from husimilab import residues as rs
+from husimilab.grid import GridError, bump_test_function, make_grid
+
+PHI_Q = {"center": 0.0, "radius": 3.5, "s": 3}
+PHI_P = {"center": 0.0, "radius": 2.0, "s": 3}
+
+# (N, hbar) on M=64, L=12 boxes, where the Husimi field has no mass on the
+# box edges; the N >= 2 points follow the coupling hbar = 1/N of the sweeps
+POINTS = [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)]
+
+
+def _snapshot(n, hbar):
+    grid = make_grid(d=1, M=64, L=12.0, hbar=hbar, N=n)
+    potential = harness.build_potential(
+        grid, {"kind": "cosine", "amplitudes": [0.4, 0.15]})
+    frame = harness.build_frame(grid, "gaussian")
+    state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
+                                                         None))
+    state = mb.propagate(state, potential, 0.002, 10)
+    return state, frame, potential
+
+
+@pytest.mark.parametrize("n, hbar", POINTS)
+def test_consistency_defect_at_rounding_level(n, hbar):
+    state, frame, potential = _snapshot(n, hbar)
+    fields, report = rs.snapshot_residues(state, frame, potential, PHI_Q,
+                                          PHI_P)
+    assert report.consistency_defect_rel < 1e-12
+    assert (fields.interaction is None) == (n == 1)
+    if n == 1:
+        assert report.pairing_semiclassical == report.pairing_meanfield == 0
+
+
+@pytest.mark.parametrize("n, hbar", POINTS[1:])
+def test_consistency_defect_sees_a_missing_meanfield_residue(n, hbar):
+    state, frame, potential = _snapshot(n, hbar)
+    fields, _ = rs.snapshot_residues(state, frame, potential, PHI_Q, PHI_P)
+    fields.interaction.meanfield[:] = 0.0
+    lattice = fields.husimi.lattice
+    cons = rs.reformulation_consistency(
+        fields, frame, potential, bump_test_function(lattice.qs, **PHI_Q),
+        bump_test_function(lattice.ps, **PHI_P))
+    assert cons["defect_rel"] > 1e-3
+
+
+def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
+    cfg = harness.RunConfig(horizon=0.02)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(path), "--out",
+                     str(run)]) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    assert "consistency_defect_rel" in {r["observable"]
+                                        for r in summary["records"]}
+    out = tmp_path / "residues.json"
+    assert cli.main(["residues", str(run / "state_final.husi"), "--box",
+                     str(cfg.L), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert math.isfinite(rep["consistency_defect"])
+    assert rep["consistency_defect_rel"] < 1e-12
+    assert rep["t"] == pytest.approx(cfg.horizon)
+
+
+def test_run_config_rejects_unknown_keys():
+    with pytest.raises(GridError, match="fd_dt"):
+        harness.RunConfig.from_dict({"fd_dt": 0.002})
+    cfg = harness.RunConfig(N=3, seed=4)
+    assert harness.RunConfig.from_dict(cfg.to_dict()) == cfg
