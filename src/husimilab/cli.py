@@ -19,7 +19,6 @@ import numpy as np
 from husimilab import fock
 from husimilab import harness
 from husimilab import manybody as mb
-from husimilab import meanfield as mf  # noqa: F401  (families via configs)
 from husimilab import phasespace as ps
 from husimilab import residues as rsd
 from husimilab import snapshots as io

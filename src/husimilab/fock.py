@@ -32,6 +32,16 @@ def _check_modes(modes: int) -> None:
         raise FockError(f"mode count must be in [1, {MAX_MODES}], got {modes}")
 
 
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Number of set bits of each entry of a non-negative integer array."""
+    pc = np.zeros(bits.shape, dtype=np.int64)
+    b = bits.copy()
+    while b.any():
+        pc += b & 1
+        b >>= 1
+    return pc
+
+
 @lru_cache(maxsize=None)
 def _jw_tables(modes: int):
     """Per-mode occupation masks and Jordan-Wigner signs for all bitmasks."""
@@ -40,26 +50,16 @@ def _jw_tables(modes: int):
     signs = np.empty((modes, 1 << modes), dtype=np.int8)
     for m in range(modes):
         occupied[m] = (idx >> m) & 1 == 1
-        below = idx & ((1 << m) - 1)
         # sign = parity of the occupied modes below `m`
-        pc = np.zeros(1 << modes, dtype=np.int64)
-        b = below.copy()
-        while b.any():
-            pc += b & 1
-            b >>= 1
+        pc = _popcount(idx & ((1 << m) - 1))
         signs[m] = np.where(pc % 2 == 0, 1, -1)
     return occupied, signs
 
 
 @lru_cache(maxsize=None)
-def _popcount(modes: int) -> np.ndarray:
-    idx = np.arange(1 << modes, dtype=np.int64)
-    pc = np.zeros(1 << modes, dtype=np.int64)
-    b = idx.copy()
-    while b.any():
-        pc += b & 1
-        b >>= 1
-    return pc
+def _particle_numbers(modes: int) -> np.ndarray:
+    """Particle number of every occupation bitmask."""
+    return _popcount(np.arange(1 << modes, dtype=np.int64))
 
 
 @dataclass
@@ -86,7 +86,7 @@ class FockState:
 
     def sector_norms(self) -> np.ndarray:
         """L2 norm of each particle-number sector."""
-        pc = _popcount(self.modes)
+        pc = _particle_numbers(self.modes)
         out = np.zeros(self.modes + 1)
         np.add.at(out, pc, np.abs(self.amplitudes) ** 2)
         return np.sqrt(out)
@@ -133,69 +133,48 @@ def create_orbital(state: FockState, g: np.ndarray) -> FockState:
     return FockState(state.modes, out)
 
 
-def annihilate_orbital(state: FockState, g: np.ndarray) -> FockState:
-    """a(g) = sum_i conj(g_i) a_i (antilinear in g)."""
-    out = np.zeros_like(state.amplitudes)
-    for i, gi in enumerate(np.asarray(g, dtype=complex)):
-        if gi != 0:
-            out += np.conj(gi) * annihilate(state, i).amplitudes
-    return FockState(state.modes, out)
-
-
 def number_operator(state: FockState) -> FockState:
-    pc = _popcount(state.modes)
+    pc = _particle_numbers(state.modes)
     return FockState(state.modes, pc * state.amplitudes)
 
 
 def number_shifted(state: FockState, shift: float = 1.0,
                    power: float = 1.0) -> FockState:
     """Apply (N + shift)^power, diagonal in the occupation basis."""
-    pc = _popcount(state.modes)
+    pc = _particle_numbers(state.modes)
     return FockState(state.modes, (pc + shift) ** power * state.amplitudes)
 
 
-def dgamma(O: np.ndarray, state: FockState) -> FockState:
-    """Second quantization dGamma(O) = sum_ij O_ij a*_i a_j applied to state."""
+def _mode_pair_sum(O: np.ndarray, state: FockState, inner, outer) -> FockState:
+    """sum_ij O_ij inner_i outer_j applied to state, for mode operators
+    `inner` and `outer` (`create` or `annihilate`)."""
     O = np.asarray(O, dtype=complex)
     if O.shape != (state.modes, state.modes):
         raise FockError("one-body matrix does not match the mode count")
     out = np.zeros_like(state.amplitudes)
     for j in range(state.modes):
-        lowered = annihilate(state, j)
-        if not lowered.amplitudes.any():
+        moved = outer(state, j)
+        if not moved.amplitudes.any():
             continue
         for i in range(state.modes):
             if O[i, j] != 0:
-                out += O[i, j] * create(lowered, i).amplitudes
+                out += O[i, j] * inner(moved, i).amplitudes
     return FockState(state.modes, out)
+
+
+def dgamma(O: np.ndarray, state: FockState) -> FockState:
+    """Second quantization dGamma(O) = sum_ij O_ij a*_i a_j applied to state."""
+    return _mode_pair_sum(O, state, create, annihilate)
 
 
 def pair_annihilation(O: np.ndarray, state: FockState) -> FockState:
     """sum_ij O_ij a_i a_j applied to state."""
-    O = np.asarray(O, dtype=complex)
-    out = np.zeros_like(state.amplitudes)
-    for j in range(state.modes):
-        lowered = annihilate(state, j)
-        if not lowered.amplitudes.any():
-            continue
-        for i in range(state.modes):
-            if O[i, j] != 0:
-                out += O[i, j] * annihilate(lowered, i).amplitudes
-    return FockState(state.modes, out)
+    return _mode_pair_sum(O, state, annihilate, annihilate)
 
 
 def pair_creation(O: np.ndarray, state: FockState) -> FockState:
     """sum_ij O_ij a*_i a*_j applied to state."""
-    O = np.asarray(O, dtype=complex)
-    out = np.zeros_like(state.amplitudes)
-    for j in range(state.modes):
-        raised = create(state, j)
-        if not raised.amplitudes.any():
-            continue
-        for i in range(state.modes):
-            if O[i, j] != 0:
-                out += O[i, j] * create(raised, i).amplitudes
-    return FockState(state.modes, out)
+    return _mode_pair_sum(O, state, create, create)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +315,7 @@ def bogoliubov_conjugate(bmap: BogoliubovMap, mode: int):
 
 def _parity_tail_diag(modes: int, j: int) -> np.ndarray:
     """Diagonal of (-1)^(number of occupied modes above j)."""
-    idx = np.arange(1 << modes, dtype=np.int64)
-    above = idx >> (j + 1)
-    pc = np.zeros(1 << modes, dtype=np.int64)
-    b = above.copy()
-    while b.any():
-        pc += b & 1
-        b >>= 1
+    pc = _popcount(np.arange(1 << modes, dtype=np.int64) >> (j + 1))
     return np.where(pc % 2 == 0, 1.0, -1.0)
 
 
@@ -567,32 +540,3 @@ def first_quantized_hamiltonian(kinetic: np.ndarray, vmat: np.ndarray,
                 H[index[tuple(new)], col] += sign * kinetic[target, site]
     return H
 
-
-def mode_hartree_fock(orbitals: np.ndarray, kinetic: np.ndarray,
-                      vmat: np.ndarray, time: float, steps: int,
-                      hbar: float) -> np.ndarray:
-    """Self-consistent orbital propagation on the abstract mode set.
-
-    i hbar d/dt e_j = [T + diag((1/N) V n) - (1/N) V o omega] e_j with the
-    mean field frozen at the step midpoint; unit mode weights.
-    """
-    E = np.asarray(orbitals, dtype=complex).copy()
-    n = E.shape[1]
-    dt = time / steps
-
-    def mean_field(Ecur):
-        omega = Ecur @ Ecur.conj().T
-        direct = np.diag((vmat @ np.real(np.diag(omega))) / n)
-        exchange = vmat * omega / n
-        return direct - exchange
-
-    def step_matrix(h, tau):
-        w, V = eigh(h)
-        return (V * np.exp(-1j * w * tau / hbar)) @ V.conj().T
-
-    for _ in range(steps):
-        h0 = kinetic + mean_field(E)
-        E_mid = step_matrix(h0, 0.5 * dt) @ E
-        h_mid = kinetic + mean_field(E_mid)
-        E = step_matrix(h_mid, dt) @ E
-    return E

@@ -66,12 +66,6 @@ class GridSpec:
         """FFT-ordered momenta p_m = hbar k_m = 2 pi hbar m / L."""
         return self.hbar * self.wavenumbers()
 
-    def momentum_lattice_sorted(self) -> np.ndarray:
-        return np.sort(self.momentum_lattice())
-
-    def amplitude_count(self) -> int:
-        return self.M ** (self.d * self.N)
-
 
 def make_grid(d: int = 1, M: int = 64, L: float = 2.0 * np.pi,
               hbar: float = 0.5, N: int = 1,
@@ -127,14 +121,13 @@ class Potential:
     witnesses the regularity the estimates require.
     """
 
-    def __init__(self, grid: GridSpec, values: np.ndarray,
-                 even_tol: float = 1e-12):
+    def __init__(self, grid: GridSpec, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.M,):
             raise GridError("potential samples must live on the spatial grid")
         idx = np.arange(grid.M)
         even_defect = np.max(np.abs(values[(-idx) % grid.M] - values[idx]))
-        if even_defect > even_tol:
+        if even_defect > 1e-12:
             raise GridError(
                 f"potential is not even: max |V(-x) - V(x)| = {even_defect:.3e}")
         self.grid = grid
@@ -149,8 +142,8 @@ class Potential:
         self.sobolev_sum = float(np.sum((1.0 + k ** 2) * np.abs(self.fourier)))
         self.even_defect = float(even_defect)
 
-    def _active_modes(self, cutoff: float = 1e-15) -> tuple[np.ndarray, np.ndarray]:
-        mask = np.abs(self.fourier) > cutoff
+    def _active_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        mask = np.abs(self.fourier) > 1e-15
         return self._k[mask], self.fourier[mask]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -251,9 +244,6 @@ class TestFunction:
     @property
     def grad(self) -> np.ndarray:
         return self.derivatives[1]
-
-    def support_mask(self) -> np.ndarray:
-        return np.abs(self.lattice - self.center) < self.radius
 
 
 def _check_support(lattice: np.ndarray, center: float, radius: float) -> None:

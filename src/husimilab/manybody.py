@@ -143,8 +143,12 @@ def cfl_hint(grid: GridSpec, dt: float) -> dict:
 
 
 def propagate(state: ManyBodyState, potential: Potential, dt: float,
-              steps: int, nan_check_every: int = 16) -> ManyBodyState:
-    """Strang-split unitary propagation over `steps` steps of size dt."""
+              steps: int) -> ManyBodyState:
+    """Strang-split unitary propagation over `steps` steps of size dt.
+
+    The amplitudes are checked for non-finite values every 16 steps and
+    after the last one.
+    """
     if steps == 0:
         return state.copy()
     W = pair_potential_table(state.grid, potential)
@@ -155,7 +159,7 @@ def propagate(state: ManyBodyState, potential: Potential, dt: float,
         psi *= half_v
         psi = np.fft.ifftn(kin * np.fft.fftn(psi))
         psi *= half_v
-        if (n + 1) % nan_check_every == 0 or n + 1 == steps:
+        if (n + 1) % 16 == 0 or n + 1 == steps:
             if not np.all(np.isfinite(psi)):
                 raise PropagationError(f"non-finite amplitudes at step {n + 1}")
     return ManyBodyState(state.grid, psi, state.time + dt * steps)

@@ -291,12 +291,14 @@ def vlasov_from_husimi(field: HusimiField, grid: GridSpec) -> VlasovState:
 
 
 def vlasov_force(state: VlasovState, potential: Potential) -> np.ndarray:
-    """F(q) = -force_scale (V' * rho)(q) on the q sublattice."""
+    """F(q) = -force_scale (V' * rho)(q) on the unstrided natural lattice."""
     lat = state.lattice
-    rho = state.spatial_density()
-    dq_mat = lat.qs[:, None] - lat.qs[None, :]
-    gradv = potential.evaluate_grad(dq_mat.reshape(-1)).reshape(dq_mat.shape)
-    return -state.force_scale * (gradv @ rho) * lat.dq
+    if len(lat.qs) != potential.grid.M:
+        raise GridError(f"Vlasov q lattice has {len(lat.qs)} points; the "
+                        f"force needs the unstrided grid of M="
+                        f"{potential.grid.M}")
+    gradv = potential.grad_difference_table()
+    return -state.force_scale * (gradv @ state.spatial_density()) * lat.dq
 
 
 def vlasov_cfl(state: VlasovState, potential: Potential, dt: float) -> dict:
@@ -327,8 +329,8 @@ def _shift_along_p(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return map_coordinates(values, [rows, cols], order=3, mode="grid-wrap")
 
 
-def vlasov_step(state: VlasovState, potential: Potential, dt: float,
-                enforce_cfl: bool = True) -> VlasovState:
+def vlasov_step(state: VlasovState, potential: Potential,
+                dt: float) -> VlasovState:
     """Strang: half q-transport, full p-kick, half q-transport.
 
     Constant per-row shifts with periodic cubic splines conserve the
@@ -337,12 +339,11 @@ def vlasov_step(state: VlasovState, potential: Potential, dt: float,
     Negative overshoot is clipped at 0 and the clipped mass logged.
     """
     lat = state.lattice
-    if enforce_cfl:
-        cfl = vlasov_cfl(state, potential, dt)
-        if not cfl["ok"]:
-            raise MeanFieldError(
-                f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
-                f"suggested dt <= {cfl['suggested_dt']:.3e}")
+    cfl = vlasov_cfl(state, potential, dt)
+    if not cfl["ok"]:
+        raise MeanFieldError(
+            f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
+            f"suggested dt <= {cfl['suggested_dt']:.3e}")
     vals = state.values
     half_q = lat.ps * (0.5 * dt) / lat.dq
     vals = _shift_along_q(vals, half_q)
@@ -370,9 +371,8 @@ def vlasov_energy(state: VlasovState, potential: Potential) -> float:
     kinetic = float(np.sum(state.values * (lat.ps ** 2)[None, :] / 2.0)
                     * lat.cell)
     rho = state.spatial_density()
-    dq_mat = lat.qs[:, None] - lat.qs[None, :]
-    vmat = potential.evaluate(dq_mat.reshape(-1)).reshape(dq_mat.shape)
-    pair = 0.5 * state.force_scale * float(rho @ vmat @ rho) * lat.dq ** 2
+    pair = (0.5 * state.force_scale
+            * float(rho @ potential.difference_table() @ rho) * lat.dq ** 2)
     return kinetic + pair
 
 

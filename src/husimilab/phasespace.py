@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from husimilab.grid import (GridError, GridSpec, TestFunction,
                             spectral_derivative, spline_test_function)
-from husimilab.manybody import Gamma2View, ManyBodyState, OneBodyKernel, gamma1
+from husimilab.manybody import ManyBodyState, OneBodyKernel, gamma1
 
 
 # ---------------------------------------------------------------------------
@@ -79,17 +79,11 @@ def natural_lattice(grid: GridSpec, q_stride: int = 1,
     return lat
 
 
-def default_lattice(grid: GridSpec) -> PhaseSpaceLattice:
-    """Strides chosen so the spacing is about sqrt(hbar)/2 in q and p."""
-    target = 0.5 * np.sqrt(grid.hbar)
-    q_stride = max(1, int(target / grid.dx))
-    while grid.M % q_stride:
-        q_stride -= 1
-    dp0 = 2.0 * np.pi * grid.hbar / grid.L
-    p_stride = max(1, int(target / dp0))
-    while grid.M % p_stride:
-        p_stride -= 1
-    return natural_lattice(grid, q_stride, p_stride)
+def _lattice_strides(lattice: PhaseSpaceLattice,
+                     grid: GridSpec) -> tuple[int, int]:
+    """(q, p) strides of a sublattice of the natural lattice of `grid`."""
+    return (round(lattice.dq / grid.dx),
+            round(lattice.dp / (2.0 * np.pi * grid.hbar / grid.L)))
 
 
 @dataclass
@@ -189,34 +183,41 @@ def bilinear_phase_field(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray,
 
 
 def husimi1(kernel: OneBodyKernel, frame: CoherentFrame,
-            lattice: PhaseSpaceLattice | None = None,
-            q_stride: int = 1, p_stride: int = 1) -> HusimiField:
-    """One-particle Husimi field via the two-FFT evaluation."""
+            lattice: PhaseSpaceLattice | None = None) -> HusimiField:
+    """One-particle Husimi field via the two-FFT evaluation.
+
+    `lattice` defaults to the natural lattice; a strided sublattice of it
+    takes every stride-th value of the full field.
+    """
     g = kernel.grid
     if lattice is None:
-        lattice = natural_lattice(g, q_stride, p_stride)
-    else:
-        q_stride = round((lattice.qs[1] - lattice.qs[0]) / g.dx)
-        p_stride = round((lattice.ps[1] - lattice.ps[0])
-                         / (2.0 * np.pi * g.hbar / g.L))
+        lattice = natural_lattice(g)
+    q_stride, p_stride = _lattice_strides(lattice, g)
     m = bilinear_phase_field(kernel.matrix, frame.window, frame.window, g).real
     vals = m[::q_stride, ::p_stride]
     return HusimiField(vals, lattice, k=1,
                        undersampled=lattice.undersampled())
 
 
+def _coherent_state(frame: CoherentFrame, q: float, p) -> np.ndarray:
+    """f_qp(x) = window(x - q) e^{i p x / hbar}; q must sit on the grid.
+
+    For an array of momenta the result has one row per momentum.
+    """
+    g = frame.grid
+    x = g.axis_points()
+    jq = int(round((q - x[0]) / g.dx))
+    if abs(q - (x[0] + jq * g.dx)) > 1e-9:
+        raise GridError("q must lie on the spatial grid")
+    return np.roll(frame.window, jq) * np.exp(
+        1j * np.multiply.outer(p, x) / g.hbar)
+
+
 def husimi1_direct(kernel: OneBodyKernel, frame: CoherentFrame,
                    lattice: PhaseSpaceLattice) -> HusimiField:
     """Slow direct quadratic form; the oracle for the FFT path."""
-    g = kernel.grid
-    x = g.axis_points()
-    vals = np.empty((len(lattice.qs), len(lattice.ps)))
-    for a, q in enumerate(lattice.qs):
-        jq = int(round((q - x[0]) / g.dx))
-        w = np.roll(frame.window, jq)
-        for b, p in enumerate(lattice.ps):
-            f = w * np.exp(1j * p * x / g.hbar)
-            vals[a, b] = np.real(np.vdot(f, kernel.matrix @ f) * g.dx ** 2)
+    vals = np.array([[husimi_point(kernel, frame, q, p) for p in lattice.ps]
+                     for q in lattice.qs])
     return HusimiField(vals, lattice, k=1,
                        undersampled=lattice.undersampled())
 
@@ -224,28 +225,17 @@ def husimi1_direct(kernel: OneBodyKernel, frame: CoherentFrame,
 def husimi_point(kernel: OneBodyKernel, frame: CoherentFrame,
                  q: float, p: float) -> float:
     """Exact single-point evaluation; q must sit on the grid, p is free."""
-    g = kernel.grid
-    x = g.axis_points()
-    jq = int(round((q - x[0]) / g.dx))
-    if abs(x[jq % g.M] - (x[0] + (jq % g.M) * g.dx)) > 1e-9:
-        raise GridError("q must lie on the spatial grid")
-    f = np.roll(frame.window, jq) * np.exp(1j * p * x / g.hbar)
-    return float(np.real(np.vdot(f, kernel.matrix @ f) * g.dx ** 2))
+    f = _coherent_state(frame, q, p)
+    return float(np.real(np.vdot(f, kernel.matrix @ f) * kernel.grid.dx ** 2))
 
 
 # -- two-particle Husimi ------------------------------------------------------
 
-def _coherent_matrix(grid: GridSpec, frame: CoherentFrame,
+def _coherent_matrix(frame: CoherentFrame,
                      lattice: PhaseSpaceLattice) -> np.ndarray:
     """F[x, (q, p)] = f_qp(x) for every lattice point, flattened q-major."""
-    x = grid.axis_points()
-    cols = []
-    for q in lattice.qs:
-        jq = int(round((q - x[0]) / grid.dx))
-        w = np.roll(frame.window, jq)
-        cols.append(w[:, None] * np.exp(1j * np.outer(x, lattice.ps)
-                                        / grid.hbar))
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([_coherent_state(frame, q, lattice.ps).T
+                           for q in lattice.qs], axis=1)
 
 
 def husimi2_full(state: ManyBodyState, frame: CoherentFrame,
@@ -254,7 +244,7 @@ def husimi2_full(state: ManyBodyState, frame: CoherentFrame,
     g = state.grid
     if g.N != 2:
         raise GridError("dense two-particle Husimi implemented for N = 2")
-    F = _coherent_matrix(g, frame, lattice)
+    F = _coherent_matrix(frame, lattice)
     c = F.T @ np.conj(state.psi) @ F * g.dx ** 2
     return 2.0 * np.abs(c) ** 2
 
@@ -263,14 +253,7 @@ def husimi2_point(state: ManyBodyState, frame: CoherentFrame,
                   z1, z2) -> float:
     """m2 at two phase-space points for N in {2, 3}."""
     g = state.grid
-    x = g.axis_points()
-
-    def coherent(zz):
-        q, p = zz
-        jq = int(round((q - x[0]) / g.dx))
-        return np.roll(frame.window, jq) * np.exp(1j * p * x / g.hbar)
-
-    f1, f2 = coherent(z1), coherent(z2)
+    f1, f2 = _coherent_state(frame, *z1), _coherent_state(frame, *z2)
     if g.N == 2:
         c = np.einsum("xy,x,y->", np.conj(state.psi), f1, f2) * g.dx ** 2
         return float(2.0 * abs(c) ** 2)
@@ -304,20 +287,19 @@ def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
         sym_defect = max(sym_defect, abs(v12 - v21))
 
     marg_defect = 0.0
+    total = None
     if g.N == 2:
         m2 = husimi2_full(state, frame, lattice)
         marg = m2.sum(axis=1) * lattice.cell / lattice.canonical
         m1_flat = m1.values.reshape(-1)
         marg_defect = float(np.max(np.abs(marg - (g.N - 1) * m1_flat)))
+        total = float(m2.sum() * lattice.cell ** 2 / (2.0 * np.pi) ** (2 * g.d))
     else:
         qi = rng.integers(0, len(lattice.qs), n_marginal)
         pi = rng.integers(0, len(lattice.ps), n_marginal)
-        F = _coherent_matrix(g, frame, lattice)
+        F = _coherent_matrix(frame, lattice)
         for a in range(n_marginal):
-            z1 = (lattice.qs[qi[a]], lattice.ps[pi[a]])
-            x = g.axis_points()
-            jq = int(round((z1[0] - x[0]) / g.dx))
-            f1 = np.roll(frame.window, jq) * np.exp(1j * z1[1] * x / g.hbar)
+            f1 = _coherent_state(frame, lattice.qs[qi[a]], lattice.ps[pi[a]])
             phi = np.einsum("xyr,x->yr", np.conj(state.psi), f1) * g.dx
             amp = phi.T @ F * g.dx  # [r, z2]
             m2_row = 6.0 * np.sum(np.abs(amp) ** 2, axis=0) * g.dx
@@ -325,11 +307,7 @@ def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
             ref = (g.N - 1) * m1.values[qi[a], pi[a]]
             marg_defect = max(marg_defect, abs(marg - ref))
 
-    total = None
     coupled = abs(g.hbar ** g.d * g.N - 1.0) < 1e-9
-    if g.N == 2:
-        m2 = husimi2_full(state, frame, lattice)
-        total = float(m2.sum() * lattice.cell ** 2 / (2.0 * np.pi) ** (2 * g.d))
     return {
         "symmetry_defect": sym_defect,
         "marginal_defect": marg_defect,
@@ -484,10 +462,19 @@ def oscillatory_integral(fn, support: float, x: float, hbar: float,
     return float(np.hypot(re, im))
 
 
+def log_log_fit(xs, ys) -> tuple[float, float]:
+    """Least-squares slope of log y against log x, and its r^2."""
+    lx, ly = np.log(xs), np.log(ys)
+    A = np.vstack([lx, np.ones_like(lx)]).T
+    coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 - float(res[0]) / ss_tot if res.size and ss_tot > 0 else 1.0
+    return float(coef[0]), r2
+
+
 def oscillation_decay(alpha: float, s: int, hbars,
                       phi: TestFunction | None = None,
-                      support_radius: float | None = None,
-                      x_samples: int = 24) -> dict:
+                      support_radius: float | None = None) -> dict:
     """Measured decay rate of the shell maximum of the oscillatory integral.
 
     For x on the boundary shell of the cube of side hbar^alpha the
@@ -510,17 +497,11 @@ def oscillation_decay(alpha: float, s: int, hbars,
         x0 = hb ** alpha
         # window wide enough to contain at least one spectral peak
         peak_dx = 2.0 * np.pi * hb / (2.0 * phi.radius / max(phi.order or 1, 1))
-        xs = np.linspace(x0, x0 + 1.25 * peak_dx, x_samples)
+        xs = np.linspace(x0, x0 + 1.25 * peak_dx, 24)
         best = max(abs(oscillatory_integral(phi.fn, support, x, hb))
                    for x in xs)
         values.append(best)
-    logs_h = np.log(hbars)
-    logs_v = np.log(values)
-    A = np.vstack([logs_h, np.ones_like(logs_h)]).T
-    coef, res, *_ = np.linalg.lstsq(A, logs_v, rcond=None)
-    slope = float(coef[0])
-    ss_tot = float(np.sum((logs_v - logs_v.mean()) ** 2))
-    r2 = 1.0 - float(res[0]) / ss_tot if res.size and ss_tot > 0 else 1.0
+    slope, r2 = log_log_fit(hbars, values)
     return {"slope": slope, "r2": r2, "target": (1.0 - alpha) * s,
             "hbars": hbars.tolist(), "values": values}
 

@@ -1,6 +1,5 @@
 """Kinetic, semiclassical, and mean-field residues of the phase-space
-reformulation, the consistency defect of the reformulated equation, and
-the mixed-norm diagnostics of two-particle factorization.
+reformulation, and the consistency defect of the reformulated equation.
 
 The exact lattice identity assembled here reads, for the one-particle
 Husimi field m of an N-body state on the periodic grid,
@@ -43,21 +42,15 @@ import numpy as np
 from husimilab.grid import Potential, TestFunction, bump_test_function
 from husimilab.manybody import (Gamma2View, ManyBodyState, OneBodyKernel,
                                 gamma1, time_derivative)
-from husimilab.meanfield import norm_gaps
 from husimilab.phasespace import (CoherentFrame, HusimiField,
-                                  PhaseSpaceLattice, bilinear_phase_field,
+                                  PhaseSpaceLattice, _centered_offsets,
+                                  _lattice_strides, bilinear_phase_field,
                                   husimi1, natural_lattice)
 
 
-def _lattice_strides(lattice: PhaseSpaceLattice, grid) -> tuple[int, int]:
-    qs = round(lattice.dq / grid.dx)
-    ps = round(lattice.dp / (2.0 * np.pi * grid.hbar / grid.L))
-    return qs, ps
-
-
-def gauss_legendre_unit(order: int = 8):
-    """Nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def gauss_legendre_unit():
+    """Eight Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(8)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -96,10 +89,8 @@ def _l54_aggregate(rk: np.ndarray, lattice: PhaseSpaceLattice) -> float:
 def _window_mode_factors(frame: CoherentFrame, ks: np.ndarray) -> np.ndarray:
     """kappa_hat(k) = sum_r window(r)^2 e^{i k r} dx for the active modes."""
     g = frame.grid
-    delta = np.where(np.arange(g.M) < g.M // 2,
-                     np.arange(g.M), np.arange(g.M) - g.M) * g.dx
     kappa = frame.window ** 2
-    return np.exp(1j * np.outer(ks, delta)) @ kappa * g.dx
+    return np.exp(1j * np.outer(ks, _centered_offsets(g))) @ kappa * g.dx
 
 
 def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray):
@@ -118,12 +109,11 @@ class InteractionResidues:
     semiclassical: np.ndarray
     meanfield: np.ndarray
     lattice: PhaseSpaceLattice
-    gl_order: int = 8
 
 
 def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
-                               frame: CoherentFrame, potential: Potential,
-                               gl_order: int = 8) -> InteractionResidues:
+                               frame: CoherentFrame,
+                               potential: Potential) -> InteractionResidues:
     """Assemble Rs and Rm exactly, mode-by-mode in the potential spectrum.
 
     `kern` is gamma1 of `state`.  Using V'(z) = sum_k i k c_k e^{i k z}
@@ -141,12 +131,12 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     npts = len(lattice.ps)
     if len(ks) == 0:
         zero = np.zeros((nq, npts))
-        return InteractionResidues(zero, zero.copy(), lattice, gl_order)
+        return InteractionResidues(zero, zero.copy(), lattice)
 
     A, Ahat = _gamma2_partial_hat(state, ks)
     kappa_hat = _window_mode_factors(frame, ks)
     x = g.axis_points()
-    nodes, weights = gauss_legendre_unit(gl_order)
+    nodes, weights = gauss_legendre_unit()
     rho_diag = np.real(np.diag(kern.matrix))
     rho_hat = np.exp(-1j * np.outer(ks, x)) @ rho_diag * g.dx
 
@@ -175,7 +165,7 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     pref = 1.0 / g.N
     rs = pref * (term1 - term2)
     rm = pref * rm
-    return InteractionResidues(rs.real, rm.real, lattice, gl_order)
+    return InteractionResidues(rs.real, rm.real, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -318,61 +308,3 @@ def snapshot_residues(state: ManyBodyState, frame: CoherentFrame,
         {"phi_q": dict(phi_q), "phi_p": dict(phi_p)})
     return fields, report
 
-
-# ---------------------------------------------------------------------------
-# mixed norm
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MixedNormReport:
-    mixed_norm: float
-    t1_part: float
-    t2_part: float
-    t3_part: float
-    hs_gap: float
-    trace_gap: float
-    triangle_slack: float
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def _mixed_norm_from_tensor(T: np.ndarray, dx: float) -> float:
-    """Outer L2 norm of an inner absolute partial trace table."""
-    return float(np.sqrt(np.sum(T ** 2) * dx ** 2))
-
-
-def mixed_norm_grid(state: ManyBodyState,
-                    omega_kernel: OneBodyKernel) -> MixedNormReport:
-    """Mixed norm of gamma2 - gamma1 x gamma1 with its three-way splitting.
-
-    The inner contraction is T(u1; w1) = sum_y |gamma2(u1,y; w1,y)
-    - ref(u1; w1) ref(y; y)| dy; the report carries the same norm for the
-    three inserted pieces (reference omega x omega, and the two rank-one
-    corrections), whose sum dominates the total by the triangle
-    inequality on the computed kernels.
-    """
-    g = state.grid
-    A = Gamma2View(state).partial_diag()
-    kern = gamma1(state)
-    gam = kern.matrix
-    om = omega_kernel.matrix
-    gam_diag = np.real(np.diag(gam))
-    om_diag = np.real(np.diag(om))
-
-    inner_total = np.sum(np.abs(A - gam[:, :, None] * gam_diag[None, None, :]),
-                         axis=2) * g.dx
-    inner_t1 = np.sum(np.abs(A - om[:, :, None] * om_diag[None, None, :]),
-                      axis=2) * g.dx
-    # (omega - gamma1) x omega and gamma1 x (omega - gamma1)
-    diff = om - gam
-    inner_t2 = np.abs(diff) * float(np.sum(np.abs(om_diag)) * g.dx)
-    inner_t3 = np.abs(gam) * float(np.sum(np.abs(om_diag - gam_diag)) * g.dx)
-
-    mixed = _mixed_norm_from_tensor(inner_total, g.dx)
-    t1 = _mixed_norm_from_tensor(inner_t1, g.dx)
-    t2 = _mixed_norm_from_tensor(inner_t2, g.dx)
-    t3 = _mixed_norm_from_tensor(inner_t3, g.dx)
-    hs, tr = norm_gaps(kern, omega_kernel)
-    return MixedNormReport(mixed, t1, t2, t3, hs, tr,
-                           triangle_slack=t1 + t2 + t3 - mixed)

@@ -13,7 +13,8 @@ Snapshot layout: a 32-byte header
 followed immediately by little-endian complex128 amplitudes in row-major
 coordinate order.  The box length is not part of the format; it travels
 with the run configuration and is supplied at read time.  Phase-space
-fields store their real values as complex for a single reader path.
+fields store their real values as complex, so every snapshot holds the
+same amplitude type.
 JSON reports are canonical (sorted keys, compact separators), so
 identical runs produce byte-identical files modulo explicit timestamps.
 """
@@ -63,16 +64,6 @@ def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,
         fh.write(np.ascontiguousarray(orbitals, dtype="<c16").tobytes())
 
 
-def read_orbitals(path, L: float):
-    with open(path, "rb") as fh:
-        magic, _, d, M, n, time, hbar = HEADER.unpack(fh.read(HEADER.size))
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        orbs = np.frombuffer(fh.read(), dtype="<c16").reshape(n, M)
-        grid = make_grid(d=d, M=M, L=L, hbar=hbar, N=n)
-    return orbs.copy(), grid, time
-
-
 def write_field(path, values: np.ndarray, k: int, grid: GridSpec,
                 time: float = 0.0) -> None:
     """Phase-space field in the snapshot format, k in the version slot."""
@@ -83,26 +74,10 @@ def write_field(path, values: np.ndarray, k: int, grid: GridSpec,
                                       dtype="<c16").tobytes())
 
 
-def read_field(path) -> dict:
-    with open(path, "rb") as fh:
-        magic, k, d, nq, npts, time, hbar = HEADER.unpack(fh.read(HEADER.size))
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        vals = np.frombuffer(fh.read(), dtype="<c16").reshape(nq, npts)
-    return {"k": k, "d": d, "time": time, "hbar": hbar,
-            "values": vals.real.copy()}
-
-
 def field_csv(path, qs, ps, values) -> None:
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     data = np.column_stack([Q.reshape(-1), P.reshape(-1), values.reshape(-1)])
     np.savetxt(path, data, delimiter=",", header="q,p,value", comments="")
-
-
-def fock_state_csv(path, state) -> None:
-    amps = state.amplitudes
-    data = np.column_stack([np.arange(len(amps)), amps.real, amps.imag])
-    np.savetxt(path, data, delimiter=",", header="bitmask,re,im", comments="")
 
 
 # ---------------------------------------------------------------------------

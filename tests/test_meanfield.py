@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
 from husimilab import phasespace as ps
-from husimilab.grid import Potential, make_grid
+from husimilab.grid import GridError, Potential, make_grid
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,14 @@ def test_vlasov_cfl_refusal(gaussian_blob):
     V = Potential.cosine(grid, [0.4])
     with pytest.raises(mf.MeanFieldError, match="suggested dt"):
         mf.vlasov_step(state, V, dt=10.0)
+
+
+def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
+    grid, state = gaussian_blob
+    strided = mf.VlasovState(ps.natural_lattice(grid, q_stride=2),
+                             state.values[::2], 0.0, state.force_scale)
+    with pytest.raises(GridError, match="M=256"):
+        mf.vlasov_force(strided, Potential.cosine(grid, [0.4]))
 
 
 def test_vlasov_energy_drift(gaussian_blob):

@@ -67,6 +67,15 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     assert math.isfinite(rep["consistency_defect"])
     assert rep["consistency_defect_rel"] < 1e-12
     assert rep["t"] == pytest.approx(cfg.horizon)
+    transformed = tmp_path / "transform"
+    assert cli.main(["transform", str(run / "state_final.husi"), "--box",
+                     str(cfg.L), "--out", str(transformed)]) == 0
+    for name in ("husimi.husi", "husimi.csv", "wigner.csv"):
+        assert (transformed / name).is_file()
+    report = tmp_path / "report.json"
+    assert cli.main(["report", str(run), "--out", str(report)]) == 0
+    (row,) = json.loads(report.read_text())["rows"]
+    assert row["all_passed"] is True
 
 
 def test_run_config_rejects_unknown_keys():
