@@ -4,9 +4,13 @@ reduced density matrices, and kinetic-energy diagnostics.
 Amplitudes are stored as an (M,)*N complex array in coordinate order
 (x_1, ..., x_N) on the shared periodic grid (d = 1 for N >= 2; the
 propagator itself is dimension-generic for a single particle).  The
-propagator is Strang splitting: half potential, full kinetic through the
-FFT, half potential.  Antisymmetry is monitored, never re-imposed; the
-exact flow commutes with permutations, so drift flags a solver bug.
+propagator is Strang splitting: half potential, full kinetic, half
+potential, with the two half kicks that meet between steps merged into
+one full kick.  The kinetic step is the lattice operator
+F^-1 diag(exp(-i dt hbar k^2 / 2)) F written as one dense symmetric
+circulant M x M matrix, applied along each coordinate axis in turn by a
+matrix product.  Antisymmetry is monitored, never re-imposed; the exact
+flow commutes with permutations, so drift flags a solver bug.
 """
 
 from __future__ import annotations
@@ -131,9 +135,20 @@ def _axis_k2(grid: GridSpec) -> list[np.ndarray]:
             for a in range(naxes)]
 
 
-def _kinetic_phases(grid: GridSpec, dt: float) -> np.ndarray:
-    """exp(-i dt hbar sum_j |k_j|^2 / 2) on the N-body wavenumber lattice."""
-    return np.exp(-0.5j * dt * grid.hbar * sum(_axis_k2(grid)))
+def _kinetic_matrix(grid: GridSpec, dt: float) -> np.ndarray:
+    """The one-axis free flow F^-1 diag(exp(-i dt hbar k^2 / 2)) F as a
+    dense M x M circulant, K[i, j] = c[(i - j) mod M].
+
+    c = ifft(phase) is even in exact arithmetic; averaging c_r with c_-r
+    makes K symmetric bit for bit, so `psi @ K` on the last axis is the
+    same operator as `K @ psi` on the others, and every axis gets the
+    same rounding, which keeps antisymmetric amplitudes antisymmetric.
+    """
+    M = grid.M
+    c = np.fft.ifft(np.exp(-0.5j * dt * grid.hbar * grid.wavenumbers() ** 2))
+    c = 0.5 * (c + np.roll(c[::-1], 1))
+    idx = np.arange(M)
+    return c[(idx[:, None] - idx[None, :]) % M]
 
 
 def cfl_hint(grid: GridSpec, dt: float) -> dict:
@@ -146,23 +161,38 @@ def propagate(state: ManyBodyState, potential: Potential, dt: float,
               steps: int) -> ManyBodyState:
     """Strang-split unitary propagation over `steps` steps of size dt.
 
-    The amplitudes are checked for non-finite values every 16 steps and
-    after the last one.
+    A half kick exp(-i dt W / 2 hbar) opens the first step and closes the
+    last; between steps the two half kicks are one full kick
+    exp(-i dt W / hbar).  The kinetic step applies `_kinetic_matrix`
+    along each axis, alternating between two preallocated buffers.  The
+    amplitudes are checked for non-finite values every 16 steps and after
+    the last one.
     """
+    if steps < 0:
+        raise GridError(f"steps must be >= 0, got {steps}; to propagate "
+                        "backward in time pass a negative dt")
     if steps == 0:
         return state.copy()
-    W = pair_potential_table(state.grid, potential)
-    half_v = np.exp(-0.5j * dt * W / state.grid.hbar)
-    kin = _kinetic_phases(state.grid, dt)
-    psi = state.psi.copy()
+    g = state.grid
+    W = pair_potential_table(g, potential)
+    half_v = np.exp(-0.5j * dt * W / g.hbar)
+    full_v = half_v * half_v
+    K = _kinetic_matrix(g, dt)
+    M, naxes = g.M, g.d * g.N
+    psi = state.psi * half_v
+    out = np.empty_like(psi)
     for n in range(steps):
-        psi *= half_v
-        psi = np.fft.ifftn(kin * np.fft.fftn(psi))
-        psi *= half_v
+        for a in range(naxes - 1):
+            shape = (M ** a, M, M ** (naxes - 1 - a))
+            np.matmul(K, psi.reshape(shape), out=out.reshape(shape))
+            psi, out = out, psi
+        np.matmul(psi.reshape(-1, M), K, out=out.reshape(-1, M))
+        psi, out = out, psi
+        psi *= full_v if n + 1 < steps else half_v
         if (n + 1) % 16 == 0 or n + 1 == steps:
             if not np.all(np.isfinite(psi)):
                 raise PropagationError(f"non-finite amplitudes at step {n + 1}")
-    return ManyBodyState(state.grid, psi, state.time + dt * steps)
+    return ManyBodyState(g, psi, state.time + dt * steps)
 
 
 def time_derivative(state: ManyBodyState,
@@ -182,6 +212,8 @@ def time_derivative(state: ManyBodyState,
 def propagate_trajectory(state: ManyBodyState, potential: Potential,
                          dt: float, steps: int, store_every: int):
     """Propagate and collect snapshots every `store_every` steps."""
+    if store_every < 1:
+        raise GridError(f"store_every must be >= 1, got {store_every}")
     traj = [state.copy()]
     cur = state
     done = 0

@@ -93,6 +93,63 @@ def test_nan_detection_reports_step():
         mb.propagate(state, Potential.zero(grid), dt=0.01, steps=20)
 
 
+def test_nan_detection_through_merged_kicks_n3():
+    grid = make_grid(d=1, M=32, L=8.0, hbar=1.0 / 3.0, N=3)
+    state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
+    state.psi[3, 7, 11] = np.nan
+    V = Potential.gaussian_bump(grid, 0.8, 1.5)
+    with pytest.raises(mb.PropagationError, match="at step 16"):
+        mb.propagate(state, V, dt=0.01, steps=20)
+
+
+def test_negative_step_count_rejected(slater_n2):
+    grid, _, state = slater_n2
+    with pytest.raises(GridError, match="negative dt"):
+        mb.propagate(state, Potential.zero(grid), dt=0.01, steps=-3)
+
+
+@pytest.mark.parametrize("store_every", [0, -2])
+def test_trajectory_rejects_store_every_below_one(slater_n2, store_every):
+    grid, _, state = slater_n2
+    with pytest.raises(GridError, match="store_every"):
+        mb.propagate_trajectory(state, Potential.zero(grid), dt=0.01,
+                                steps=40, store_every=store_every)
+
+
+@pytest.mark.parametrize("dt", [0.03, -0.03])
+@pytest.mark.parametrize("d, N, M", [(1, 1, 32), (1, 2, 16), (1, 3, 16),
+                                     (2, 1, 16)])
+def test_free_step_matches_fft_oracle(d, N, M, dt):
+    """One free step is the FFT split-step kinetic flow on every axis."""
+    grid = make_grid(d=d, M=M, L=6.0, hbar=0.5, N=N)
+    rng = np.random.default_rng(11)
+    shape = (M,) * (d * N)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = mb.propagate(mb.ManyBodyState(grid, psi.copy()),
+                       Potential.zero(grid), dt, 1)
+    k2 = grid.wavenumbers() ** 2
+    total = np.zeros(shape)
+    for a in range(d * N):
+        total = total + k2.reshape([M if b == a else 1
+                                    for b in range(d * N)])
+    oracle = np.fft.ifftn(np.exp(-0.5j * dt * grid.hbar * total)
+                          * np.fft.fftn(psi))
+    assert np.max(np.abs(out.psi - oracle)) < 1e-13 * np.max(np.abs(oracle))
+    assert out.time == pytest.approx(dt)
+
+
+def test_strang_step_is_second_order(slater_n2):
+    grid, _, state = slater_n2
+    V = Potential.gaussian_bump(grid, 0.8, 1.5)
+    horizon = 0.5
+    ref = mb.propagate(state, V, horizon / 800, 800).psi
+    errs = [np.sqrt(np.sum(np.abs(mb.propagate(state, V, horizon / n, n).psi
+                                  - ref) ** 2) * grid.weight ** grid.N)
+            for n in (25, 50, 100)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.6 <= coarse / fine <= 4.4
+
+
 def test_cfl_hint_reports_only():
     grid = make_grid(d=1, M=64, L=8.0, hbar=0.5, N=1)
     hint = mb.cfl_hint(grid, dt=1.0)
