@@ -1,10 +1,33 @@
+from itertools import combinations, permutations
+from math import factorial
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
 from husimilab import snapshots as io
-from husimilab.grid import GridError, Potential, make_grid
+from husimilab.grid import BUDGET_ENV_VAR, GridError, Potential, make_grid
+
+
+def _antisymmetrized(psi: np.ndarray) -> np.ndarray:
+    """sum over sigma of sign(sigma) psi(x_sigma), for d = 1."""
+    return sum(mb._perm_sign(p) * np.transpose(psi, p)
+               for p in permutations(range(psi.ndim)))
+
+
+def _strang(state, potential, dt: float, steps: int) -> np.ndarray:
+    """Strang splitting, half kick, FFT kinetic step, half kick: the
+    second-order oracle of the exact flow."""
+    g = state.grid
+    half_v = np.exp(-0.5j * dt * mb.pair_potential_table(g, potential)
+                    / g.hbar)
+    kinetic = np.exp(-0.5j * dt * g.hbar * sum(mb._axis_k2(g)))
+    psi = state.psi
+    for _ in range(steps):
+        psi = half_v * np.fft.ifftn(kinetic * np.fft.fftn(half_v * psi))
+    return psi
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +112,7 @@ def test_nan_detection_reports_step():
     psi = mb.gaussian_orbital(grid, width=0.8)
     state = mb.ManyBodyState(grid, psi.copy())
     state.psi[3] = np.nan
-    with pytest.raises(mb.PropagationError, match="step"):
+    with pytest.raises(mb.PropagationError, match="non-finite input"):
         mb.propagate(state, Potential.zero(grid), dt=0.01, steps=20)
 
 
@@ -98,8 +121,30 @@ def test_nan_detection_through_merged_kicks_n3():
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
     state.psi[3, 7, 11] = np.nan
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
-    with pytest.raises(mb.PropagationError, match="at step 16"):
+    with pytest.raises(mb.PropagationError,
+                       match="non-finite input amplitudes: 1 of 32768"):
         mb.propagate(state, V, dt=0.01, steps=20)
+
+
+def test_non_antisymmetric_input_rejected(slater_n2):
+    grid, _, state = slater_n2
+    psi = state.psi.copy()
+    worst = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
+    psi[worst] = -psi[worst]
+    with pytest.raises(GridError, match="not antisymmetric"):
+        mb.propagate(mb.ManyBodyState(grid, psi), Potential.zero(grid),
+                     0.01, 1)
+
+
+def test_hamiltonian_over_budget_rejected(monkeypatch):
+    grid = make_grid(d=1, M=32, L=12.0, hbar=1.0 / 3.0, N=3)
+    state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
+    V = Potential.cosine(grid, [0.4, 0.15])
+    # C(32, 3) (1 + 3 * 4) = 64480 entries; the grid's 32^3 amplitudes fit
+    monkeypatch.setenv(BUDGET_ENV_VAR, "50000")
+    with pytest.raises(GridError,
+                       match=r"64480 stored entries \(0\.7 MiB\).*M=16"):
+        mb.propagate(state, V, 0.002, 10)
 
 
 def test_negative_step_count_rejected(slater_n2):
@@ -125,6 +170,8 @@ def test_free_step_matches_fft_oracle(d, N, M, dt):
     rng = np.random.default_rng(11)
     shape = (M,) * (d * N)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if N > 1:
+        psi = _antisymmetrized(psi)
     out = mb.propagate(mb.ManyBodyState(grid, psi.copy()),
                        Potential.zero(grid), dt, 1)
     k2 = grid.wavenumbers() ** 2
@@ -142,19 +189,68 @@ def test_strang_step_is_second_order(slater_n2):
     grid, _, state = slater_n2
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     horizon = 0.5
-    ref = mb.propagate(state, V, horizon / 800, 800).psi
-    errs = [np.sqrt(np.sum(np.abs(mb.propagate(state, V, horizon / n, n).psi
-                                  - ref) ** 2) * grid.weight ** grid.N)
-            for n in (25, 50, 100)]
-    for coarse, fine in zip(errs, errs[1:]):
-        assert 3.6 <= coarse / fine <= 4.4
+    ref = _strang(state, V, horizon / 800, 800)
+    exact = mb.propagate(state, V, horizon, 1).psi
+    strang = [_strang(state, V, horizon / n, n) for n in (25, 50, 100)]
+    for target in (ref, exact):
+        errs = [np.sqrt(np.sum(np.abs(psi - target) ** 2)
+                        * grid.weight ** grid.N) for psi in strang]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.6 <= coarse / fine <= 4.4
 
 
-def test_cfl_hint_reports_only():
-    grid = make_grid(d=1, M=64, L=8.0, hbar=0.5, N=1)
-    hint = mb.cfl_hint(grid, dt=1.0)
-    assert not hint["within"]
-    assert hint["dx2_over_hbar"] == pytest.approx(grid.dx ** 2 / grid.hbar)
+@pytest.mark.parametrize("kind", ["cosine", "gaussian_bump"])
+@pytest.mark.parametrize("N, hbar", [(2, 0.5), (3, 1.0 / 3.0)])
+def test_hamiltonian_matches_time_derivative(N, hbar, kind):
+    grid = make_grid(d=1, M=32, L=12.0, hbar=hbar, N=N)
+    V = (Potential.cosine(grid, [0.4, 0.15]) if kind == "cosine"
+         else Potential.gaussian_bump(grid, 0.8, 1.5))
+    rng = np.random.default_rng(5)
+    shape = (grid.M,) * N
+    psi = _antisymmetrized(rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+    flow = mb._SlaterFlow(grid, V)
+    c = flow.to_basis(psi)
+    Hc = flow.H @ c.real + 1j * (flow.H @ c.imag)
+    got = flow.to_grid(Hc, np.empty_like(psi)) / (1j * hbar)
+    want = mb.time_derivative(mb.ManyBodyState(grid, psi), V)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [0.05, 3.0])
+@pytest.mark.parametrize("N, M", [(2, 16), (3, 8)])
+def test_propagate_matches_dense_exponential(N, M, t):
+    """exp(t G) with G = `time_derivative` on the antisymmetric sector,
+    assembled column by column on antisymmetrized position deltas."""
+    grid = make_grid(d=1, M=M, L=6.0, hbar=0.5, N=N)
+    V = Potential.gaussian_bump(grid, 0.8, 1.5)
+    columns = []
+    for x in combinations(range(M), N):
+        delta = np.zeros((M,) * N, dtype=complex)
+        delta[x] = 1.0 / np.sqrt(factorial(N))
+        columns.append(_antisymmetrized(delta).ravel())
+    B = np.array(columns).T  # orthonormal basis of the sector
+    G = B.conj().T @ np.array([
+        mb.time_derivative(mb.ManyBodyState(grid, b.reshape((M,) * N)),
+                           V).ravel() for b in B.T]).T
+    rng = np.random.default_rng(3)
+    psi0 = B @ (rng.standard_normal(B.shape[1])
+                + 1j * rng.standard_normal(B.shape[1]))
+    want = B @ (expm(t * G) @ (B.conj().T @ psi0))
+    got = mb.propagate(mb.ManyBodyState(grid, psi0.reshape((M,) * N)), V,
+                       t / 2, 2)
+    assert got.time == pytest.approx(t)
+    assert (np.max(np.abs(got.psi.ravel() - want))
+            < 1e-12 * np.max(np.abs(want)))
+
+
+def test_propagate_ignores_the_global_rng(slater_n2):
+    grid, _, state = slater_n2
+    V = Potential.cosine(grid, [0.4, 0.15])
+    np.random.seed(1)
+    first = mb.propagate(state, V, 0.002, 100).psi
+    np.random.seed(2)
+    assert np.array_equal(mb.propagate(state, V, 0.002, 100).psi, first)
 
 
 # ---------------------------------------------------------------------------
