@@ -291,16 +291,27 @@ def fit_slope(records, x_field: str, y_field: str):
 
 
 def aggregate_sweep(run_dirs) -> dict:
-    """Collect per-run summaries into rate tables and ordering checks."""
+    """Collect per-run summaries into rate tables and ordering checks.
+
+    The paper's headline is that the mean-field residue falls below the
+    semiclassical one as N grows on the coupled line hbar = N^(-1/d).
+    Each row with N >= 2 carries their ratio, `meanfield_over_
+    semiclassical`, and the report says whether it decreases in N.  The
+    pointwise `meanfield_below_semiclassical` is reported, not required.
+    """
     rows = []
     for d in run_dirs:
         summ = io.read_report(Path(d) / "summary.json")
+        pairings = summ["pairings"]
         rows.append({
             "hbar": summ["config"]["hbar"],
             "N": summ["config"]["N"],
-            "kinetic": summ["pairings"]["kinetic"],
-            "semiclassical": summ["pairings"]["semiclassical"],
-            "meanfield": summ["pairings"]["meanfield"],
+            "kinetic": pairings["kinetic"],
+            "semiclassical": pairings["semiclassical"],
+            "meanfield": pairings["meanfield"],
+            "meanfield_over_semiclassical": (
+                pairings["meanfield"] / pairings["semiclassical"]
+                if summ["config"]["N"] >= 2 else None),
             "all_passed": summ["all_passed"],
             "husimi_vlasov_l1": summ["husimi_vlasov"]["l1"],
             "dir": str(d),
@@ -318,9 +329,16 @@ def aggregate_sweep(run_dirs) -> dict:
                 report[f"slope_{key}"] = None
     ordering = all(r["meanfield"] < r["semiclassical"] for r in rows
                    if r["N"] >= 2)
+    by_n = sorted((r for r in rows if r["N"] >= 2), key=lambda r: r["N"])
     monotone = {key: all(a[key] >= b[key] for a, b in zip(rows, rows[1:]))
                 for key in ("kinetic", "semiclassical", "meanfield")}
     report["meanfield_below_semiclassical"] = ordering
+    # None when fewer than two particle numbers N >= 2 were run
+    report["meanfield_over_semiclassical_decreasing_in_N"] = (
+        all(a["meanfield_over_semiclassical"]
+            > b["meanfield_over_semiclassical"]
+            for a, b in zip(by_n, by_n[1:]) if a["N"] < b["N"])
+        if len({r["N"] for r in by_n}) >= 2 else None)
     report["monotone_decreasing"] = monotone
     # d-adapted reference exponents for the alpha sweeps (reported only)
     d = 1
