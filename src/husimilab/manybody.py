@@ -260,7 +260,8 @@ class _SlaterFlow:
         """
         lo, hi = self.bounds
         centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        R = np.asarray(times, dtype=float) * half / self.grid.hbar
+        times = np.asarray(times, dtype=float)
+        R = times * half / self.grid.hbar
         J = special.jv(np.arange(int(2 * np.max(np.abs(R))) + 40)[:, None],
                        R)
         terms = int(np.flatnonzero(np.max(np.abs(J), axis=1) > 1e-18)[-1]) + 1
@@ -290,7 +291,7 @@ class _SlaterFlow:
                 else:
                     out_s[0] += w_s * cur[1]
                     out_s[1] -= w_s * cur[0]
-        phases = np.exp(-1j * np.asarray(times) * centre / self.grid.hbar)
+        phases = np.exp(-1j * times * centre / self.grid.hbar)
         return [phase * (o[0] + 1j * o[1]) for phase, o in zip(phases, out)]
 
 
@@ -347,10 +348,10 @@ def propagate_trajectory(state: ManyBodyState, potential: Potential,
     if store_every < 1:
         raise GridError(f"store_every must be >= 1, got {store_every}")
     _check_propagation_input(state, steps)
-    g = state.grid
-    counts = list(range(store_every, steps, store_every)) + [steps]
     if steps == 0:
         return [state.copy()]
+    g = state.grid
+    counts = list(range(store_every, steps, store_every)) + [steps]
     if g.N == 1:
         omega = 0.5 * g.hbar * sum(_axis_k2(g))
         psi_hat = np.fft.fftn(state.psi)
