@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -112,6 +113,11 @@ def spectral_derivative(values: np.ndarray, L: float, order: int = 1,
 # potentials
 # ---------------------------------------------------------------------------
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 class Potential:
     """Even periodic interaction potential with spectral evaluation.
 
@@ -176,16 +182,25 @@ class Potential:
     def centered_grad(self) -> np.ndarray:
         return np.roll(self.grad, -(self.grid.M // 2))
 
+    @cached_property
+    def centered_spectrum(self) -> np.ndarray:
+        """fft(centered_values()), built once and read-only."""
+        return _read_only(np.fft.fft(self.centered_values()))
+
     def difference_table(self) -> np.ndarray:
-        """Vd[i, j] = V(x_i - x_j) on the lattice."""
-        idx = np.arange(self.grid.M)
-        return self.centered_values()[(idx[:, None] - idx[None, :])
-                                      % self.grid.M]
+        """Vd[i, j] = V(x_i - x_j) on the lattice, built once and read-only."""
+        return self._difference_tables[0]
 
     def grad_difference_table(self) -> np.ndarray:
+        """V'(x_i - x_j) on the lattice, built once and read-only."""
+        return self._difference_tables[1]
+
+    @cached_property
+    def _difference_tables(self) -> tuple[np.ndarray, np.ndarray]:
         idx = np.arange(self.grid.M)
-        return self.centered_grad()[(idx[:, None] - idx[None, :])
-                                    % self.grid.M]
+        diff = (idx[:, None] - idx[None, :]) % self.grid.M
+        return (_read_only(self.centered_values()[diff]),
+                _read_only(self.centered_grad()[diff]))
 
     def export_csv(self, path) -> None:
         x = self.grid.axis_points()

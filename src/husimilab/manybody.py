@@ -50,13 +50,16 @@ def antisymmetry_defect(state: ManyBodyState) -> float:
     """Max violation of psi(swap pair) = -psi over all coordinate pairs."""
     if state.grid.N == 1:
         return 0.0
+    return _swap_defect(state, combinations(range(state.grid.N), 2))
+
+
+def _swap_defect(state: ManyBodyState, pairs) -> float:
+    """max |psi(swap i, j) + psi| over the coordinate pairs (i, j)."""
     if state.grid.d != 1:
         raise GridError("antisymmetry check implemented for d = 1")
-    worst = 0.0
-    for i, j in combinations(range(state.grid.N), 2):
-        swapped = np.swapaxes(state.psi, i, j)
-        worst = max(worst, float(np.max(np.abs(swapped + state.psi))))
-    return worst
+    psi = state.psi
+    return max(float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)))
+               for i, j in pairs)
 
 
 def build_slater(grid: GridSpec, orbitals, tol: float = 1e-10) -> ManyBodyState:
@@ -144,7 +147,11 @@ def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
         raise PropagationError(f"non-finite input amplitudes: {bad} of "
                                f"{state.psi.size}")
     if state.grid.N > 1:
-        defect = antisymmetry_defect(state)
+        # the N - 1 adjacent transpositions generate S_N, so they decide
+        # antisymmetry; the defect of any other swap (i, j) is at most
+        # 2 |i - j| - 1 times theirs
+        defect = _swap_defect(state, [(i, i + 1)
+                                      for i in range(state.grid.N - 1)])
         scale = float(np.max(np.abs(state.psi)))
         if defect > 1e-10 * scale:
             raise GridError(
@@ -194,7 +201,7 @@ class _SlaterFlow:
         if grid.d != 1:
             raise GridError("the exact N-body flow is implemented for d = 1")
         N, M = grid.N, grid.M
-        vhat = np.fft.fft(potential.centered_values()).real / M
+        vhat = potential.centered_spectrum.real / M
         modes = [m for m in range(1, M) if abs(vhat[m]) > 1e-15]
         pairs = list(combinations(range(N), 2))
         _check_hamiltonian_budget(M, N, len(modes))
@@ -251,21 +258,14 @@ class _SlaterFlow:
 
     def evolve(self, c: np.ndarray, times) -> list[np.ndarray]:
         """exp(-i t H / hbar) c for each t in `times`, all from one
-        Chebyshev recurrence, by the Jacobi-Anger series
-        exp(-i R x) = J_0(R) + 2 sum_n (-i)^n J_n(R) T_n(x), |x| <= 1.
+        Chebyshev recurrence of the series of `_jacobi_anger`.
 
         The real and imaginary parts are the two rows of one real array;
         each is multiplied by H on its own, which measured faster than
         one two-column product and gives the same bits.
         """
-        lo, hi = self.bounds
-        centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         times = np.asarray(times, dtype=float)
-        R = times * half / self.grid.hbar
-        J = special.jv(np.arange(int(2 * np.max(np.abs(R))) + 40)[:, None],
-                       R)
-        terms = int(np.flatnonzero(np.max(np.abs(J), axis=1) > 1e-18)[-1]) + 1
-        a = 2.0 / half if half > 0 else 0.0
+        centre, a, J = _jacobi_anger(*self.bounds, times, self.grid.hbar)
 
         def step(v, prev):
             """T_k+1 = a (H - centre) T_k - T_k-1, in place where it can."""
@@ -275,10 +275,10 @@ class _SlaterFlow:
             out -= prev
             return out
 
-        # rows 0 and 1 of out[s] are the real and imaginary parts at R[s]
-        out = np.zeros((len(R), 2, len(c)))
+        # rows 0 and 1 of out[s] are the real and imaginary parts at times[s]
+        out = np.zeros((len(times), 2, len(c)))
         prev, cur = None, np.stack([c.real, c.imag])
-        for k in range(terms):
+        for k in range(len(J)):
             if k == 1:
                 prev, cur = cur, 0.5 * step(cur, 0.0)
             elif k > 1:
@@ -293,6 +293,25 @@ class _SlaterFlow:
                     out_s[1] -= w_s * cur[0]
         phases = np.exp(-1j * times * centre / self.grid.hbar)
         return [phase * (o[0] + 1j * o[1]) for phase, o in zip(phases, out)]
+
+
+def _jacobi_anger(lo: float, hi: float, times, hbar: float):
+    """Coefficients of exp(-i t H / hbar) as a Chebyshev series, for a
+    Hermitian H with spectrum in [lo, hi] (Gershgorin bounds):
+
+        exp(-i t H / hbar) = e^{-i t c / hbar}
+            (J_0(R) + 2 sum_{k>=1} (-i)^k J_k(R) T_k((H - c) / h)),
+
+    with c = (hi + lo) / 2, h = (hi - lo) / 2 and R = t h / hbar.  Returns
+    c, the recurrence factor a = 2 / h (0 for a point spectrum) and the
+    table J[k, s] = J_k(R_s), cut after the last row with an entry above
+    1e-18.
+    """
+    centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    R = np.asarray(times, dtype=float) * half / hbar
+    J = special.jv(np.arange(int(2 * np.max(np.abs(R))) + 40)[:, None], R)
+    terms = int(np.flatnonzero(np.max(np.abs(J), axis=1) > 1e-18)[-1]) + 1
+    return centre, (2.0 / half if half > 0 else 0.0), J[:terms]
 
 
 def _check_hamiltonian_budget(M: int, N: int, modes: int) -> None:

@@ -9,16 +9,33 @@ self-consistent one-body Hamiltonian
 where the first half-kick freezes the mean field of the state at the
 start of the step and the second freezes the field of a predicted
 endpoint (one explicit Euler half-kick from the state after the kinetic
-step), which keeps the scheme symmetric and second order.  The Vlasov
-solver is a Strang-split semi-Lagrangian scheme on the phase-space
-lattice with the self-consistent force
+step), which keeps the scheme symmetric and second order.  The kinetic
+step is an FFT phase; each kick exp(-i dt U / 2 hbar) is applied to the
+N orbitals by the Jacobi-Anger Chebyshev series that also drives the
+exact N-body flow (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967),
+so no M x M matrix is diagonalized.
+
+The Vlasov solver is a Strang-split semi-Lagrangian scheme on the
+phase-space lattice (Cheng & Knorr, J. Comput. Phys. 22 (1976) 330;
+Sonnendruecker et al., J. Comput. Phys. 149 (1999) 201) with the
+self-consistent force
 
     F(q) = -force_scale * (dV/dq * rho)(q),     rho(q) = sum_p m dp,
 
 where force_scale = 1/(N (2 pi hbar)^d) makes the equation the exact
 residue-free limit of the reformulated phase-space identity when the
 initial datum carries the Husimi normalization (it reduces to the usual
-1/(2 pi)^d under the coupling hbar^d = 1/N).
+1/(2 pi)^d under the coupling hbar^d = 1/N).  Each split step moves
+every lattice line by one constant shift s (in cells), so periodic cubic
+B-spline interpolation at x - s is a DFT multiplier along the line:
+
+    m_hat(k) -> m_hat(k) W_s(k) / B(k),   B(k) = (4 + 2 cos k) / 6,
+    W_s(k) = sum_{j=-1..2} beta_3(j - f) e^{-i k (n + j)},
+
+with s = n + f, n = floor(s), beta_3 the cubic B-spline and k = 2 pi l/M.
+1/B is the spline prefilter and W_s evaluates the spline at the four
+nodes n - 1 .. n + 2.  The B-spline partition of unity gives
+W_s(0) / B(0) = 1, so every shift keeps the mass of its line.
 """
 
 from __future__ import annotations
@@ -26,10 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from husimilab.grid import GridError, GridSpec, Potential
-from husimilab.manybody import OneBodyKernel
+from husimilab.manybody import OneBodyKernel, _jacobi_anger
 from husimilab.phasespace import HusimiField, PhaseSpaceLattice
 
 
@@ -133,11 +149,9 @@ def mean_field_matrix(state: MeanFieldState, potential: Potential) -> np.ndarray
     g = state.grid
     N = len(state.orbitals)
     rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / N
-    vk = np.fft.fft(potential.centered_values())
-    direct = np.real(np.fft.ifft(vk * np.fft.fft(rho))) * g.dx
-    vdiff = potential.difference_table()
-    omega = state.omega()
-    exchange = vdiff * omega / N
+    direct = np.real(np.fft.ifft(potential.centered_spectrum
+                                 * np.fft.fft(rho))) * g.dx
+    exchange = potential.difference_table() * state.omega() / N
     return np.diag(direct) - exchange * g.dx
 
 
@@ -148,9 +162,26 @@ def _kinetic_step_factor(grid: GridSpec, dt: float) -> np.ndarray:
 
 def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
                           dt: float, hbar: float) -> np.ndarray:
-    w, V = np.linalg.eigh(U)
-    phases = np.exp(-1j * w * dt / hbar)
-    return ((V * phases) @ (V.conj().T @ orbitals.T)).T
+    """exp(-i dt U / hbar) applied to each orbital (row of `orbitals`).
+
+    The Chebyshev series of `manybody._jacobi_anger` on the Gershgorin
+    bounds of the Hermitian U, cut where |J_k| < 1e-18; each term is one
+    (M x M) @ (M x N) product, and a half kick of dt = 0.001 takes about
+    five.  The truncated series is unitary to rounding, so the kick keeps
+    the orbitals orthonormal, and an orbital with U e = 0 (one orbital's
+    direct/exchange cancellation) comes back unchanged.
+    """
+    diag = U.diagonal()
+    radius = np.sum(np.abs(U), axis=1) - np.abs(diag)
+    centre, a, J = _jacobi_anger(float(np.min(diag.real - radius)),
+                                 float(np.max(diag.real + radius)), dt, hbar)
+    prev, cur = None, orbitals.T
+    out = J[0, 0] * cur
+    for k in range(1, len(J)):
+        nxt = a * (U @ cur - centre * cur)
+        prev, cur = cur, (0.5 * nxt if k == 1 else nxt - prev)
+        out += (2.0 * (-1j) ** k * J[k, 0]) * cur
+    return (np.exp(-1j * dt * centre / hbar) * out).T
 
 
 def hartree_fock_step(state: MeanFieldState, potential: Potential,
@@ -170,7 +201,8 @@ def hartree_fock_step(state: MeanFieldState, potential: Potential,
     satisfies U1 psi' = 0 exactly (the rank-1 direct/exchange
     cancellation), so g = psi', both kicks act as the identity and the
     orbital propagates freely to machine precision.  Each step forms
-    three mean-field matrices and diagonalizes two of them.
+    three mean-field matrices and applies two Chebyshev kicks
+    (`_apply_mean_field_exp`).
     """
     g = state.grid
     kin_full = _kinetic_step_factor(g, dt)
@@ -302,9 +334,14 @@ def vlasov_force(state: VlasovState, potential: Potential) -> np.ndarray:
 
 
 def vlasov_cfl(state: VlasovState, potential: Potential, dt: float) -> dict:
-    lat = state.lattice
-    pmax = float(np.max(np.abs(lat.ps)))
     fmax = float(np.max(np.abs(vlasov_force(state, potential))))
+    return _cfl(state.lattice, fmax, dt)
+
+
+def _cfl(lat: PhaseSpaceLattice, fmax: float, dt: float) -> dict:
+    """Whether the q-shift pmax dt and the p-shift fmax dt stay within
+    one cell, and the largest dt for which both would."""
+    pmax = float(np.max(np.abs(lat.ps)))
     q_ok = pmax * dt <= lat.dq + 1e-15
     p_ok = fmax * dt <= lat.dp + 1e-15
     sug = min(lat.dq / pmax if pmax > 0 else np.inf,
@@ -313,43 +350,70 @@ def vlasov_cfl(state: VlasovState, potential: Potential, dt: float) -> dict:
             "pmax": pmax, "fmax": fmax}
 
 
-def _shift_along_q(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Periodic cubic-spline advection: out[:, b] = m(q - shift_b, p_b)."""
-    nq, npts = values.shape
-    rows = (np.arange(nq)[:, None] - shifts[None, :])
-    cols = np.broadcast_to(np.arange(npts)[None, :], rows.shape)
-    return map_coordinates(values, [rows, cols], order=3, mode="grid-wrap")
+def _require_cfl(lat: PhaseSpaceLattice, fmax: float, dt: float) -> None:
+    cfl = _cfl(lat, fmax, dt)
+    if not cfl["ok"]:
+        raise MeanFieldError(
+            f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
+            f"suggested dt <= {cfl['suggested_dt']:.3e}")
 
 
-def _shift_along_p(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """out[a, :] = m(q_a, p - shift_a), periodic wrap in p."""
-    nq, npts = values.shape
-    cols = (np.arange(npts)[None, :] - shifts[:, None])
-    rows = np.broadcast_to(np.arange(nq)[:, None], cols.shape)
-    return map_coordinates(values, [rows, cols], order=3, mode="grid-wrap")
+def _shift_transfer(n: int, shifts: np.ndarray) -> np.ndarray:
+    """rfft multipliers W_s(k) / B(k) of periodic cubic B-spline
+    interpolation at x - s on n points (see the module docstring), one
+    column per shift s, in cells."""
+    base = np.floor(shifts)
+    f = shifts - base
+    weights = [(1.0 - f) ** 3 / 6.0, (3.0 * f ** 3 - 6.0 * f ** 2 + 4.0) / 6.0,
+               (-3.0 * f ** 3 + 3.0 * f ** 2 + 3.0 * f + 1.0) / 6.0,
+               f ** 3 / 6.0]
+    # W_s is the DFT of the four weights placed at nodes floor(s) - 1 .. + 2
+    stencil = np.zeros((n, len(shifts)))
+    cols = np.arange(len(shifts))
+    for j, w in zip(range(-1, 3), weights):
+        stencil[(base.astype(np.int64) + j) % n, cols] = w
+    k = 2.0 * np.pi * np.arange(n // 2 + 1)[:, None] / n
+    return np.fft.rfft(stencil, axis=0) / ((4.0 + 2.0 * np.cos(k)) / 6.0)
+
+
+def _shift_along_q(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """out[:, b] = m(q - s_b, p_b), periodic, for the `_shift_transfer`
+    of the shifts s."""
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * transfer,
+                        n=values.shape[0], axis=0)
+
+
+def _shift_along_p(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """out[a, :] = m(q_a, p - s_a), periodic, for the `_shift_transfer`
+    of the shifts s."""
+    return np.fft.irfft(np.fft.rfft(values, axis=1) * transfer.T,
+                        n=values.shape[1], axis=1)
 
 
 def vlasov_step(state: VlasovState, potential: Potential,
                 dt: float) -> VlasovState:
     """Strang: half q-transport, full p-kick, half q-transport.
 
-    Constant per-row shifts with periodic cubic splines conserve the
-    lattice sum exactly (B-spline partition of unity); the p axis is
-    wrapped too, valid while the field vanishes near the p box edges.
-    Negative overshoot is clipped at 0 and the clipped mass logged.
+    Each transport shifts every lattice line by a constant: one rfft, the
+    multiplier W_s(k) / B(k) of periodic cubic B-spline interpolation
+    (module docstring) and one irfft.  The two half q-transports share
+    one multiplier.  W_s(0) / B(0) = 1 by the B-spline partition of
+    unity, so every shift keeps the lattice sum to rounding.  The p axis
+    is wrapped too, valid while the field vanishes near the p box edges.
+    The CFL guard checks the shifts applied: the q-shift pmax dt before
+    any work, and the p-shift of the mid-step force (the one force of the
+    step) before the kick.  Negative overshoot is clipped at 0 and the
+    clipped mass logged.
     """
     lat = state.lattice
-    cfl = vlasov_cfl(state, potential, dt)
-    if not cfl["ok"]:
-        raise MeanFieldError(
-            f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
-            f"suggested dt <= {cfl['suggested_dt']:.3e}")
-    vals = state.values
-    half_q = lat.ps * (0.5 * dt) / lat.dq
-    vals = _shift_along_q(vals, half_q)
+    _require_cfl(lat, 0.0, dt)
+    half_q = _shift_transfer(len(lat.qs), lat.ps * (0.5 * dt) / lat.dq)
+    vals = _shift_along_q(state.values, half_q)
     mid = VlasovState(lat, vals, state.time + 0.5 * dt, state.force_scale)
     force = vlasov_force(mid, potential)
-    vals = _shift_along_p(vals, force * dt / lat.dp)
+    _require_cfl(lat, float(np.max(np.abs(force))), dt)
+    vals = _shift_along_p(vals, _shift_transfer(len(lat.ps),
+                                                force * dt / lat.dp))
     vals = _shift_along_q(vals, half_q)
     clip = float(-np.sum(vals[vals < 0.0]) * lat.cell)
     vals = np.clip(vals, 0.0, None)
@@ -379,5 +443,5 @@ def vlasov_energy(state: VlasovState, potential: Potential) -> float:
 def free_transport_exact(initial: VlasovState, t: float) -> np.ndarray:
     """Method of characteristics for V = 0: m_t(q, p) = m_0(q - p t, p)."""
     lat = initial.lattice
-    shifts = lat.ps * t / lat.dq
-    return _shift_along_q(initial.values, shifts)
+    return _shift_along_q(initial.values,
+                          _shift_transfer(len(lat.qs), lat.ps * t / lat.dq))

@@ -136,6 +136,19 @@ def test_non_antisymmetric_input_rejected(slater_n2):
                      0.01, 1)
 
 
+def test_input_antisymmetric_in_one_pair_only_rejected():
+    """Antisymmetric under swapping particles 1 and 2 but not 2 and 3: the
+    input check, which tests adjacent swaps only, still refuses it."""
+    grid = make_grid(d=1, M=16, L=12.0, hbar=1.0 / 3.0, N=3)
+    orbs = mf.hermite_orbitals(grid, 3)
+    pair = mb.build_slater(make_grid(d=1, M=16, L=12.0, hbar=1.0 / 3.0, N=2),
+                           orbs[:2]).psi
+    state = mb.ManyBodyState(grid, pair[:, :, None] * orbs[2][None, None, :])
+    assert np.max(np.abs(np.swapaxes(state.psi, 0, 1) + state.psi)) == 0.0
+    with pytest.raises(GridError, match="not antisymmetric"):
+        mb.propagate(state, Potential.zero(grid), 0.01, 1)
+
+
 def test_hamiltonian_over_budget_rejected(monkeypatch):
     grid = make_grid(d=1, M=32, L=12.0, hbar=1.0 / 3.0, N=3)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))

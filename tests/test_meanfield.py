@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.ndimage import map_coordinates
 
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
@@ -121,6 +123,26 @@ def test_hf_step_second_order():
     assert coarse / fine > 3.0
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("angle", [1e-3, 20.0])
+def test_hf_kick_matches_expm(diagonal, angle):
+    """The Chebyshev kick against the dense exponential, at dt ||U|| / hbar
+    = `angle`.  A dense random U has Gershgorin bounds about six times its
+    norm (6 and 138 series terms); a diagonally dominant one, like a mean
+    field, has them near its spectrum (5 and 56 terms)."""
+    rng = np.random.default_rng(7)
+    M, hbar = 64, 0.5
+    A = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    U = 0.5 * (A + A.conj().T)
+    if diagonal:
+        U = np.diag(rng.uniform(-1.0, 1.0, M)) + 1e-3 * U
+    orbitals = rng.standard_normal((3, M)) + 1j * rng.standard_normal((3, M))
+    dt = angle * hbar / np.linalg.norm(U, 2)
+    got = mf._apply_mean_field_exp(U, orbitals, dt, hbar)
+    want = (expm(-1j * dt * U / hbar) @ orbitals.T).T
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+
+
 def test_hf_aborts_on_orthonormality_loss():
     grid = make_grid(d=1, M=32, L=8.0, hbar=0.5, N=2)
     V = Potential.zero(grid)
@@ -211,6 +233,46 @@ def test_vlasov_cfl_refusal(gaussian_blob):
     V = Potential.cosine(grid, [0.4])
     with pytest.raises(mf.MeanFieldError, match="suggested dt"):
         mf.vlasov_step(state, V, dt=10.0)
+
+
+def test_vlasov_cfl_checks_the_applied_kick():
+    """Two beams meet head on, a quarter box apart, so the one mode of a
+    cosine V sees almost no density at the start of the step and the
+    start-of-step force passes the CFL bound.  After the half q-transport
+    it does not: the kick the step would apply moves the p lines by about
+    eight cells, and the step refuses it."""
+    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    lattice = ps.natural_lattice(grid)
+    Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
+    vals = (np.exp(-(Q + 3.0) ** 2 - (P - 2.0) ** 2)
+            + np.exp(-(Q - 3.0) ** 2 - (P + 2.0) ** 2))
+    state = mf.VlasovState(lattice, vals, 0.0,
+                           1.0 / (2.0 * np.pi * grid.hbar))
+    V = Potential.cosine(grid, [1e4])
+    dt = 0.9 * lattice.dq / np.max(np.abs(lattice.ps))
+    start = mf.vlasov_cfl(state, V, dt)
+    assert start["ok"] and start["fmax"] * dt < 0.02 * lattice.dp
+    with pytest.raises(mf.MeanFieldError, match="suggested dt"):
+        mf.vlasov_step(state, V, dt)
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_spline_shifts_match_map_coordinates(M):
+    """Both DFT-multiplier shifts against scipy's periodic cubic spline."""
+    rng = np.random.default_rng(M)
+    vals = rng.random((M, M))
+    shifts = rng.uniform(-3.0, 3.0, M)
+    transfer = mf._shift_transfer(M, shifts)
+    idx = np.arange(M)
+    rows = np.broadcast_to(idx[:, None], (M, M))
+    cols = np.broadcast_to(idx[None, :], (M, M))
+    along_q = map_coordinates(vals, [rows - shifts[None, :], cols], order=3,
+                              mode="grid-wrap")
+    along_p = map_coordinates(vals, [rows, cols - shifts[:, None]], order=3,
+                              mode="grid-wrap")
+    for got, want in ((mf._shift_along_q(vals, transfer), along_q),
+                      (mf._shift_along_p(vals, transfer), along_p)):
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
 
 
 def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
