@@ -1,10 +1,12 @@
 """Exact finite-mode fermionic Fock space.
 
 States live on 2^modes complex amplitudes indexed by occupation bitmasks
-with mode 0 as the least significant bit.  Creation and annihilation use
-the Jordan-Wigner sign (parity of occupied modes below the target), which
-fixes every kernel bit-for-bit.  The module provides second quantization
-of one-body operators, the number operator, Bogoliubov pairs built from an
+with mode 0 as the least significant bit.  `mode_operators` is the one
+place the Jordan-Wigner sign lives: it builds a_m as a sparse matrix with
+the parity of the occupied modes below m.  Every kernel is a product with
+those matrices stacked over the modes (`_stacked`), so no kernel loops
+over modes or basis states in Python.  The module provides second
+quantization of one-body operators, Bogoliubov pairs built from an
 orthonormal orbital family, the mean-field Hamiltonian, and the exact
 contractions used to test the operator inequalities and the two-particle
 factorization bound.
@@ -18,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 
 MAX_MODES = 14
 
@@ -40,20 +41,6 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
         pc += b & 1
         b >>= 1
     return pc
-
-
-@lru_cache(maxsize=None)
-def _jw_tables(modes: int):
-    """Per-mode occupation masks and Jordan-Wigner signs for all bitmasks."""
-    idx = np.arange(1 << modes, dtype=np.int64)
-    occupied = np.empty((modes, 1 << modes), dtype=bool)
-    signs = np.empty((modes, 1 << modes), dtype=np.int8)
-    for m in range(modes):
-        occupied[m] = (idx >> m) & 1 == 1
-        # sign = parity of the occupied modes below `m`
-        pc = _popcount(idx & ((1 << m) - 1))
-        signs[m] = np.where(pc % 2 == 0, 1, -1)
-    return occupied, signs
 
 
 @lru_cache(maxsize=None)
@@ -104,40 +91,6 @@ def basis_state(modes: int, bitmask: int) -> FockState:
     return FockState(modes, amps)
 
 
-def create(state: FockState, mode: int) -> FockState:
-    """Apply a*_mode; returns the (possibly zero) unnormalized image."""
-    occupied, signs = _jw_tables(state.modes)
-    out = np.zeros_like(state.amplitudes)
-    src = ~occupied[mode]
-    tgt = np.arange(1 << state.modes)[src] | (1 << mode)
-    out[tgt] = signs[mode][src] * state.amplitudes[src]
-    return FockState(state.modes, out)
-
-
-def annihilate(state: FockState, mode: int) -> FockState:
-    """Apply a_mode with the same sign convention."""
-    occupied, signs = _jw_tables(state.modes)
-    out = np.zeros_like(state.amplitudes)
-    src = occupied[mode]
-    tgt = np.arange(1 << state.modes)[src] & ~(1 << mode)
-    out[tgt] = signs[mode][src] * state.amplitudes[src]
-    return FockState(state.modes, out)
-
-
-def create_orbital(state: FockState, g: np.ndarray) -> FockState:
-    """a*(g) = sum_i g_i a*_i."""
-    out = np.zeros_like(state.amplitudes)
-    for i, gi in enumerate(np.asarray(g, dtype=complex)):
-        if gi != 0:
-            out += gi * create(state, i).amplitudes
-    return FockState(state.modes, out)
-
-
-def number_operator(state: FockState) -> FockState:
-    pc = _particle_numbers(state.modes)
-    return FockState(state.modes, pc * state.amplitudes)
-
-
 def number_shifted(state: FockState, shift: float = 1.0,
                    power: float = 1.0) -> FockState:
     """Apply (N + shift)^power, diagonal in the occupation basis."""
@@ -145,36 +98,85 @@ def number_shifted(state: FockState, shift: float = 1.0,
     return FockState(state.modes, (pc + shift) ** power * state.amplitudes)
 
 
-def _mode_pair_sum(O: np.ndarray, state: FockState, inner, outer) -> FockState:
-    """sum_ij O_ij inner_i outer_j applied to state, for mode operators
-    `inner` and `outer` (`create` or `annihilate`)."""
+@lru_cache(maxsize=None)
+def mode_operators(modes: int):
+    """Sparse matrices of a_0 .. a_{modes-1} (annihilation).
+
+    a_m |S> = (-1)^popcount(S & (2^m - 1)) |S ^ 2^m> when bit m of S is
+    set, else 0: the Jordan-Wigner sign is the parity of the occupied
+    modes below m.  The entries are real, so a*_m is the transpose.
+    """
+    dim = 1 << modes
+    idx = np.arange(dim, dtype=np.int64)
+    ops = []
+    for m in range(modes):
+        src = idx[(idx >> m) & 1 == 1]
+        sign = 1 - 2 * (_popcount(src & ((1 << m) - 1)) % 2)
+        ops.append(sparse.csr_matrix((sign.astype(complex),
+                                      (src ^ (1 << m), src)),
+                                     shape=(dim, dim)))
+    return ops
+
+
+@lru_cache(maxsize=None)
+def _stacked(modes: int):
+    """The mode operators of kind "a" (a_m) and "c" (a*_m), stacked two ways.
+
+    rows[kind] (vstack) maps psi to the [mode, amplitude] block of op_m psi;
+    cols[kind] (hstack) maps a [mode, amplitude] block phi to
+    sum_m op_m phi_m.
+    """
+    ops = {"a": mode_operators(modes)}
+    ops["c"] = [a.T.tocsr() for a in ops["a"]]
+    rows = {kind: sparse.vstack(v, format="csr") for kind, v in ops.items()}
+    cols = {kind: sparse.hstack(v, format="csr") for kind, v in ops.items()}
+    return rows, cols
+
+
+def _mode_sum(kind: str, coeffs: np.ndarray) -> sparse.csr_matrix:
+    """sum_m coeffs_m op_m as one sparse matrix, op = a ("a") or a* ("c").
+
+    This is cols[kind] applied to outer(coeffs, .): block m of the stacked
+    columns is scaled by coeffs_m and the blocks are folded onto one
+    another.  No two modes reach the same entry (op_m changes bit m only),
+    so the fold sums nothing.  With kind "c" it is a*(g) for g = coeffs.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    modes = coeffs.size
+    _, cols = _stacked(modes)
+    stack = cols[kind]
+    return sparse.csr_matrix((stack.data * coeffs[stack.indices >> modes],
+                              stack.indices & ((1 << modes) - 1),
+                              stack.indptr.copy()),
+                             shape=(1 << modes, 1 << modes))
+
+
+def _mode_pair_sum(O: np.ndarray, state: FockState, inner: str,
+                   outer: str) -> FockState:
+    """sum_ij O_ij inner_i outer_j applied to state, for mode operators of
+    kind `inner` and `outer` ("a" or "c")."""
     O = np.asarray(O, dtype=complex)
-    if O.shape != (state.modes, state.modes):
+    modes = state.modes
+    if O.shape != (modes, modes):
         raise FockError("one-body matrix does not match the mode count")
-    out = np.zeros_like(state.amplitudes)
-    for j in range(state.modes):
-        moved = outer(state, j)
-        if not moved.amplitudes.any():
-            continue
-        for i in range(state.modes):
-            if O[i, j] != 0:
-                out += O[i, j] * inner(moved, i).amplitudes
-    return FockState(state.modes, out)
+    rows, cols = _stacked(modes)
+    moved = (rows[outer] @ state.amplitudes).reshape(modes, -1)
+    return FockState(modes, cols[inner] @ (O @ moved).ravel())
 
 
 def dgamma(O: np.ndarray, state: FockState) -> FockState:
     """Second quantization dGamma(O) = sum_ij O_ij a*_i a_j applied to state."""
-    return _mode_pair_sum(O, state, create, annihilate)
+    return _mode_pair_sum(O, state, "c", "a")
 
 
 def pair_annihilation(O: np.ndarray, state: FockState) -> FockState:
     """sum_ij O_ij a_i a_j applied to state."""
-    return _mode_pair_sum(O, state, annihilate, annihilate)
+    return _mode_pair_sum(O, state, "a", "a")
 
 
 def pair_creation(O: np.ndarray, state: FockState) -> FockState:
     """sum_ij O_ij a*_i a*_j applied to state."""
-    return _mode_pair_sum(O, state, create, create)
+    return _mode_pair_sum(O, state, "c", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def operator_inequality_suite(modes: int, n_instances: int,
         dg = dgamma(O.matrix, psi).norm()
         pa = pair_annihilation(O.matrix, psi).norm()
         pc = pair_creation(O.matrix, psi).norm()
-        n_psi = number_operator(psi).norm()
+        n_psi = number_shifted(psi, shift=0.0).norm()
         sqrt_n_psi = number_shifted(psi, shift=0.0, power=0.5).norm()
         sqrt_n1_psi = number_shifted(psi, shift=1.0, power=0.5).norm()
 
@@ -242,23 +244,8 @@ def operator_inequality_suite(modes: int, n_instances: int,
 
 
 # ---------------------------------------------------------------------------
-# sparse mode operators and Bogoliubov machinery
+# Bogoliubov machinery
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def mode_operators(modes: int):
-    """Sparse matrices of a_0 .. a_{modes-1} (annihilation)."""
-    ops = []
-    dim = 1 << modes
-    occupied, signs = _jw_tables(modes)
-    idx = np.arange(dim)
-    for m in range(modes):
-        src = idx[occupied[m]]
-        tgt = src & ~(1 << m)
-        data = signs[m][src].astype(complex)
-        ops.append(sparse.csr_matrix((data, (tgt, src)), shape=(dim, dim)))
-    return ops
-
 
 class BogoliubovMap:
     """(u, v) pair generated by an orthonormal orbital family.
@@ -273,14 +260,14 @@ class BogoliubovMap:
     omega = E E^H.
     """
 
-    def __init__(self, orbitals: np.ndarray, tol: float = 1e-10):
+    def __init__(self, orbitals: np.ndarray):
         E = np.asarray(orbitals, dtype=complex)
         if E.ndim != 2:
             raise FockError("orbitals must be a (modes, N) matrix")
         if E.shape[1] > 0:
             gram = E.conj().T @ E
             defect = np.max(np.abs(gram - np.eye(E.shape[1])))
-            if defect > tol:
+            if defect > 1e-10:
                 raise FockError(
                     f"orbital family is not orthonormal: Gram defect {defect:.3e}")
         self.orbitals = E
@@ -300,39 +287,27 @@ def bogoliubov_conjugate(bmap: BogoliubovMap, mode: int):
     annihilation_image = a(u_{.,mode}) + a*(vbar_{.,mode}),
     creation_image is its adjoint.
     """
-    ops = mode_operators(bmap.modes)
-    dim = 1 << bmap.modes
-    ann = sparse.csr_matrix((dim, dim), dtype=complex)
-    u_col = bmap.u[:, mode]
-    vbar_col = np.conj(bmap.v[:, mode])
-    for i in range(bmap.modes):
-        if u_col[i] != 0:
-            ann = ann + np.conj(u_col[i]) * ops[i]
-        if vbar_col[i] != 0:
-            ann = ann + vbar_col[i] * ops[i].conj().T
+    ann = (_mode_sum("a", np.conj(bmap.u[:, mode]))
+           + _mode_sum("c", np.conj(bmap.v[:, mode])))
     return ann, ann.conj().T.tocsr()
-
-
-def _parity_tail_diag(modes: int, j: int) -> np.ndarray:
-    """Diagonal of (-1)^(number of occupied modes above j)."""
-    pc = _popcount(np.arange(1 << modes, dtype=np.int64) >> (j + 1))
-    return np.where(pc % 2 == 0, 1.0, -1.0)
 
 
 def _rotation_unitary(modes: int, theta: np.ndarray) -> np.ndarray:
     """Fock-space unitary implementing the one-body basis rotation theta.
 
-    Column for bitmask S is built exponential-free by applying the
-    creation operators of the rotated orbitals to the vacuum in the same
-    order that defines the occupation basis itself.
+    Column for bitmask S is built exponential-free as the product of the
+    creation operators a*(theta_b) of its bits, lowest bit outermost,
+    applied to the vacuum: the order that defines the occupation basis
+    itself.  So column S is a*(theta_b) applied to the column of S without
+    its lowest set bit b, and walking b from the highest mode down fills
+    each mode's columns in one block product.
     """
     dim = 1 << modes
     out = np.zeros((dim, dim), dtype=complex)
-    for mask in range(dim):
-        state = vacuum(modes)
-        for i in reversed([b for b in range(modes) if (mask >> b) & 1]):
-            state = create_orbital(state, theta[:, i])
-        out[:, mask] = state.amplitudes
+    out[0, 0] = 1.0
+    for b in reversed(range(modes)):
+        above = np.arange(1 << (modes - b - 1)) << (b + 1)
+        out[:, above | (1 << b)] = _mode_sum("c", theta[:, b]) @ out[:, above]
     return out
 
 
@@ -349,38 +324,30 @@ def bogoliubov_unitary(bmap: BogoliubovMap) -> np.ndarray:
     if bmap.modes > 12:
         raise FockError("dense Bogoliubov unitary limited to modes <= 12")
     E = bmap.orbitals
-    # complete the family to an orthonormal basis
-    q, _ = np.linalg.qr(np.hstack([
-        E, np.eye(bmap.modes, dtype=complex)]))
-    theta = q[:, :bmap.modes]
-    # make the first N columns the orbitals themselves (QR keeps their span
-    # but may rotate within it; re-anchor explicitly)
-    theta[:, :bmap.n_particles] = E
-    rest = theta[:, bmap.n_particles:]
-    rest = rest - E @ (E.conj().T @ rest)
-    q2, _ = np.linalg.qr(rest)
-    theta = np.hstack([E, q2[:, :bmap.modes - bmap.n_particles]])
-    gamma = _rotation_unitary(bmap.modes, theta)
-    dim = 1 << bmap.modes
-    idx = np.arange(dim)
-    ph = np.eye(dim, dtype=complex)
-    for j in range(bmap.n_particles):
-        # bare flip of bit j (no Jordan-Wigner string) times the parity of
-        # the modes above j; this conjugates a_j -> a*_j and leaves every
-        # other mode operator untouched, sign-free
-        flip = np.zeros((dim, dim), dtype=complex)
-        flip[idx ^ (1 << j), idx] = _parity_tail_diag(bmap.modes, j)
-        ph = ph @ flip
-    return gamma @ ph @ gamma.conj().T
+    # complete the family to an orthonormal basis whose first N columns are
+    # the orbitals themselves (QR keeps their span but may rotate within it)
+    q, _ = np.linalg.qr(np.hstack([E, np.eye(bmap.modes, dtype=complex)]))
+    rest = q[:, bmap.n_particles:bmap.modes]
+    q2, _ = np.linalg.qr(rest - E @ (E.conj().T @ rest))
+    gamma = _rotation_unitary(bmap.modes, np.hstack([E, q2]))
+    # PH = F_0 .. F_{N-1} is a signed permutation, PH |S> = sign[S]
+    # |target[S]>.  F_j is the bare flip of bit j (no Jordan-Wigner string)
+    # times the parity of the modes above j; this conjugates a_j -> a*_j
+    # and leaves every other mode operator untouched, sign-free
+    target = np.arange(1 << bmap.modes, dtype=np.int64)
+    sign = np.ones(1 << bmap.modes)
+    for j in reversed(range(bmap.n_particles)):
+        sign *= 1 - 2 * (_popcount(target >> (j + 1)) % 2)
+        target ^= 1 << j
+    return (gamma[:, target] * sign) @ gamma.conj().T
 
 
 def slater_state(bmap: BogoliubovMap) -> FockState:
     """R_V applied to the vacuum: the Slater state of the orbital family."""
-    state = vacuum(bmap.modes)
+    amps = vacuum(bmap.modes).amplitudes
     for j in range(bmap.n_particles):
-        state = create_orbital(state, bmap.orbitals[:, j])
-    n = state.norm()
-    return FockState(bmap.modes, state.amplitudes / n)
+        amps = _mode_sum("c", bmap.orbitals[:, j]) @ amps
+    return FockState(bmap.modes, amps / np.linalg.norm(amps))
 
 
 def apply_bogoliubov(bmap: BogoliubovMap, xi: FockState) -> FockState:
@@ -395,8 +362,8 @@ def apply_bogoliubov(bmap: BogoliubovMap, xi: FockState) -> FockState:
 
 def gamma1_fock(state: FockState) -> np.ndarray:
     """gamma(x; z) = <Psi, a*_z a_x Psi> as a modes x modes matrix."""
-    lowered = np.stack([annihilate(state, m).amplitudes
-                        for m in range(state.modes)])
+    rows, _ = _stacked(state.modes)
+    lowered = (rows["a"] @ state.amplitudes).reshape(state.modes, -1)
     return lowered @ lowered.conj().T  # [x, z] = <a_z psi, a_x psi>
 
 
@@ -407,14 +374,10 @@ def gamma2_fock(state: FockState) -> np.ndarray:
     fine for the mode counts this module allows.
     """
     m = state.modes
-    pairs = np.zeros((m, m, 1 << m), dtype=complex)
-    for z1 in range(m):
-        first = annihilate(state, z1)
-        if not first.amplitudes.any():
-            continue
-        for z2 in range(m):
-            pairs[z1, z2] = annihilate(first, z2).amplitudes
-    flat = pairs.reshape(m * m, -1)
+    rows, _ = _stacked(m)
+    first = (rows["a"] @ state.amplitudes).reshape(m, -1)  # [z1, S]
+    second = (rows["a"] @ first.T).reshape(m, -1, m)  # [z2, S, z1]
+    flat = second.transpose(2, 0, 1).reshape(m * m, -1)  # [(z1, z2), S]
     # [(z1,z2),(x1,x2)] = <a_{x2} a_{x1} Psi, a_{z2} a_{z1} Psi>
     overlaps = flat @ flat.conj().T
     return overlaps.reshape(m, m, m, m)
@@ -498,7 +461,7 @@ def evolve_exact(state: FockState, kinetic: np.ndarray, vmat: np.ndarray,
     herm_defect = np.max(np.abs(H - H.conj().T))
     if herm_defect > 1e-10:
         raise FockError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    w, V = eigh(H)
+    w, V = np.linalg.eigh(H)
     phases = np.exp(-1j * w * time / hbar)
     amps = V @ (phases * (V.conj().T @ state.amplitudes))
     return FockState(state.modes, amps)

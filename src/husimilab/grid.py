@@ -94,16 +94,13 @@ def make_grid(d: int = 1, M: int = 64, L: float = 2.0 * np.pi,
     return GridSpec(d=d, M=M, L=float(L), hbar=float(hbar), N=N)
 
 
-def spectral_derivative(values: np.ndarray, L: float, order: int = 1,
-                        axis: int = -1) -> np.ndarray:
-    """Differentiate samples of a periodic function through the FFT."""
-    M = values.shape[axis]
+def spectral_derivative(values: np.ndarray, L: float,
+                        order: int = 1) -> np.ndarray:
+    """Differentiate samples of a periodic function along its last axis
+    through the FFT."""
+    M = values.shape[-1]
     k = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
-    shape = [1] * values.ndim
-    shape[axis] = M
-    mult = (1j * k) ** order
-    out = np.fft.ifft(mult.reshape(shape) * np.fft.fft(values, axis=axis),
-                      axis=axis)
+    out = np.fft.ifft((1j * k) ** order * np.fft.fft(values))
     if np.isrealobj(values):
         return out.real
     return out
@@ -306,8 +303,8 @@ def bump_test_function(lattice: np.ndarray, center: float, radius: float,
     return TestFunction(lattice, vals, derivs, center, radius, fn, order=None)
 
 
-def spline_test_function(center: float, radius: float, s: int,
-                         lattice: np.ndarray | None = None) -> TestFunction:
+def spline_test_function(center: float, radius: float,
+                         s: int) -> TestFunction:
     """Cardinal B-spline window of order s scaled to the given support.
 
     The spline is C^(s-2) with a jump in its (s-1)-th derivative, so its
@@ -327,18 +324,10 @@ def spline_test_function(center: float, radius: float, s: int,
         out = spline(p)
         return np.nan_to_num(out, nan=0.0)
 
-    if lattice is None:
-        lattice = np.linspace(center - radius, center + radius, 4 * s + 1)
-        vals = fn(lattice)
-        derivs = np.zeros((2, len(lattice)))
-        derivs[0] = vals
-    else:
-        lattice = np.asarray(lattice, dtype=float)
-        _check_support(lattice, center, radius)
-        vals = fn(lattice)
-        dspline = spline.derivative()
-        grad = np.nan_to_num(dspline(lattice), nan=0.0)
-        derivs = np.stack([vals, grad])
+    lattice = np.linspace(center - radius, center + radius, 4 * s + 1)
+    vals = fn(lattice)
+    derivs = np.zeros((2, len(lattice)))
+    derivs[0] = vals
     tf = TestFunction(lattice, vals, derivs, center, radius, fn, order=s)
 
     def fourier_transform(k):

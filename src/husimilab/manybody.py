@@ -62,7 +62,7 @@ def _swap_defect(state: ManyBodyState, pairs) -> float:
                for i, j in pairs)
 
 
-def build_slater(grid: GridSpec, orbitals, tol: float = 1e-10) -> ManyBodyState:
+def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
     """Antisymmetrized product of N orthonormal orbitals, normalized.
 
     psi(x_1..x_N) = det[e_j(x_i)] / sqrt(N!).  Orbitals must be orthonormal
@@ -76,7 +76,7 @@ def build_slater(grid: GridSpec, orbitals, tol: float = 1e-10) -> ManyBodyState:
     E = np.stack(orbitals)  # (N, M)
     gram = (E.conj() @ E.T) * grid.weight
     defect = np.max(np.abs(gram - np.eye(grid.N)))
-    if defect > tol:
+    if defect > 1e-10:
         raise GridError(f"orbitals not orthonormal: Gram defect {defect:.3e}")
     N = grid.N
     if N == 1:
@@ -460,14 +460,14 @@ class Gamma2View:
             A[:, :, y] = block @ block.conj().T
         return self._pref * A
 
-    def dense(self, force: bool = False) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Full gamma2 tensor [u1,u2,w1,w2]; refused for large grids."""
         g = self.state.grid
         size = g.M ** 4 * 16
-        if g.M > 16 and not force:
+        if g.M > 16:
             raise MemoryError(
                 f"dense gamma2 needs {size / 2 ** 20:.0f} MiB at M={g.M}; "
-                "pass force=True to override")
+                "use partial_diag for the contractions a run needs")
         psi = self.state.psi
         if g.N == 2:
             return self._pref * np.einsum("ab,cd->abcd", psi, np.conj(psi))

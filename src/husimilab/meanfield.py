@@ -64,15 +64,13 @@ def plane_wave_orbitals(grid: GridSpec, N: int) -> list[np.ndarray]:
     return [np.exp(1j * k * x) / np.sqrt(grid.L) for k in ks]
 
 
-def hermite_orbitals(grid: GridSpec, N: int, center: float = 0.0,
-                     scale: float | None = None) -> list[np.ndarray]:
+def hermite_orbitals(grid: GridSpec, N: int) -> list[np.ndarray]:
     """Oscillator eigenfunctions at the semiclassical width sqrt(hbar).
 
     Orthonormality is re-imposed on the lattice by QR so downstream
     Slater construction sees an exactly orthonormal family.
     """
-    width = scale if scale is not None else np.sqrt(grid.hbar)
-    x = (grid.axis_points() - center) / width
+    x = grid.axis_points() / np.sqrt(grid.hbar)
     cols = []
     h_prev = np.zeros_like(x)
     h_cur = np.ones_like(x)

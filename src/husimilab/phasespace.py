@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from husimilab.grid import (GridError, GridSpec, TestFunction,
-                            spectral_derivative, spline_test_function)
+from husimilab.grid import (GridError, GridSpec, spectral_derivative,
+                            spline_test_function)
 from husimilab.manybody import ManyBodyState, OneBodyKernel, gamma1
 
 
@@ -444,22 +444,17 @@ def moment_growth_check(fields, times) -> dict:
 # oscillation estimate
 # ---------------------------------------------------------------------------
 
-def oscillatory_integral(fn, support: float, x: float, hbar: float,
-                         even: bool = True) -> float:
-    """integral of fn(p) e^{i p x / hbar} dp by adaptive quadrature.
-
-    For even real fn the integral is real and reduces to the cosine
-    transform; otherwise both oscillatory parts are integrated.
+def oscillatory_integral(fn, support: float, x: float,
+                         hbar: float) -> float:
+    """integral of fn(p) e^{i p x / hbar} dp by adaptive quadrature, for an
+    even real fn: the integral is real and reduces to the cosine transform.
     """
     omega = x / hbar
     if omega == 0.0:
         val, _ = quad(fn, -support, support, limit=400)
         return float(val)
     re, _ = quad(fn, -support, support, weight="cos", wvar=omega, limit=400)
-    if even:
-        return float(re)
-    im, _ = quad(fn, -support, support, weight="sin", wvar=omega, limit=400)
-    return float(np.hypot(re, im))
+    return float(re)
 
 
 def log_log_fit(xs, ys) -> tuple[float, float]:
@@ -472,25 +467,21 @@ def log_log_fit(xs, ys) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
-def oscillation_decay(alpha: float, s: int, hbars,
-                      phi: TestFunction | None = None,
-                      support_radius: float | None = None) -> dict:
+def oscillation_decay(alpha: float, s: int, hbars) -> dict:
     """Measured decay rate of the shell maximum of the oscillatory integral.
 
     For x on the boundary shell of the cube of side hbar^alpha the
     integral of phi(p) e^{i p x / hbar} decays like hbar^((1-alpha) s) when
-    phi has exactly s integrable derivatives.  The default window is the
-    order-s spline, whose transform decays exactly like |k|^(-s); its wide
-    support packs the spectral oscillation so the shell maximum tracks the
-    envelope smoothly.  A C-infinity window decays faster than any such
-    rate, so rate measurements refuse to default to the bump.
+    phi has exactly s integrable derivatives.  The window is the order-s
+    spline of radius 55 s, whose transform decays exactly like |k|^(-s);
+    its wide support packs the spectral oscillation so the shell maximum
+    tracks the envelope smoothly.  A C-infinity window decays faster than
+    any such rate, so the bump is not used here.
     """
     hbars = np.asarray(sorted(hbars, reverse=True), dtype=float)
     if len(hbars) < 4:
         raise GridError("need at least 4 hbar samples for a rate fit")
-    if phi is None:
-        rho = support_radius if support_radius is not None else 55.0 * s
-        phi = spline_test_function(0.0, rho, s)
+    phi = spline_test_function(0.0, 55.0 * s, s)
     support = phi.center + phi.radius
     values = []
     for hb in hbars:

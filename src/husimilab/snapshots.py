@@ -43,16 +43,23 @@ def write_state(path, state: ManyBodyState) -> None:
         fh.write(np.ascontiguousarray(state.psi, dtype="<c16").tobytes())
 
 
-def read_state(path, L: float, budget: int | None = None) -> ManyBodyState:
+def read_state(path, L: float) -> ManyBodyState:
     with open(path, "rb") as fh:
         magic, version, d, M, N, time, hbar = HEADER.unpack(fh.read(HEADER.size))
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}")
         if version != 1:
             raise ValueError(f"not a wavefunction snapshot (version {version})")
-        grid = make_grid(d=d, M=M, L=L, hbar=hbar, N=N, budget=budget)
-        psi = np.frombuffer(fh.read(), dtype="<c16").reshape((M,) * (d * N))
-    return ManyBodyState(grid, psi.copy(), time)
+        grid = make_grid(d=d, M=M, L=L, hbar=hbar, N=N)
+        psi = np.frombuffer(fh.read(), dtype="<c16")
+    expected = M ** (d * N)
+    if psi.size != expected:
+        raise ValueError(
+            f"{path}: header (d={d}, M={M}, N={N}) needs {expected} "
+            f"amplitudes, found {psi.size}; the file is truncated or not an "
+            "N-body state (orbital snapshots share the header but hold N "
+            "orbitals of M^d amplitudes)")
+    return ManyBodyState(grid, psi.reshape((M,) * (d * N)).copy(), time)
 
 
 def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,

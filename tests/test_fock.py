@@ -20,26 +20,24 @@ def random_state(rng, modes):
 # CAR algebra and elementary operators
 # ---------------------------------------------------------------------------
 
-def test_create_on_vacuum():
-    st = fock.create(fock.vacuum(4), 0)
-    expect = np.zeros(16, dtype=complex)
-    expect[1] = 1.0
-    assert np.array_equal(st.amplitudes, expect)
-
-
-def test_annihilate_vacuum_is_zero():
-    st = fock.annihilate(fock.vacuum(4), 0)
-    assert not st.amplitudes.any()
-
-
-def test_mode_operators_match_matrix_free_path():
+def test_mode_operators_follow_jordan_wigner_rule():
+    # a_m |S> = (-1)^popcount(S & (2^m - 1)) |S ^ 2^m> if bit m is set, else 0
     ops = fock.mode_operators(5)
     dim = 1 << 5
     for m in range(5):
-        for col in range(dim):
-            basis = fock.basis_state(5, col)
-            assert np.array_equal(ops[m].toarray()[:, col],
-                                  fock.annihilate(basis, m).amplitudes)
+        for mask in range(dim):
+            expect = np.zeros(dim, dtype=complex)
+            if (mask >> m) & 1:
+                below = bin(mask & ((1 << m) - 1)).count("1")
+                expect[mask ^ (1 << m)] = (-1) ** below
+            got = ops[m] @ fock.basis_state(5, mask).amplitudes
+            assert np.array_equal(got, expect)
+    # creation on the vacuum fills mode 0; annihilation gives zero
+    vac = fock.vacuum(4).amplitudes
+    expect = np.zeros(16, dtype=complex)
+    expect[1] = 1.0
+    assert np.array_equal(fock.mode_operators(4)[0].T @ vac, expect)
+    assert not (fock.mode_operators(4)[0] @ vac).any()
 
 
 def test_car_full_basis():
@@ -60,7 +58,7 @@ def test_number_operator_on_slater():
     bmap = fock.BogoliubovMap(random_orthonormal(np.random.default_rng(3),
                                                  6, 2))
     sl = fock.slater_state(bmap)
-    counted = fock.number_operator(sl)
+    counted = fock.number_shifted(sl, shift=0.0)
     assert np.max(np.abs(counted.amplitudes - 2.0 * sl.amplitudes)) < 1e-12
 
 
@@ -69,7 +67,7 @@ def test_dgamma_identity_is_number_operator():
     for _ in range(100):
         psi = random_state(rng, 5)
         a = fock.dgamma(np.eye(5), psi).amplitudes
-        b = fock.number_operator(psi).amplitudes
+        b = fock.number_shifted(psi, shift=0.0).amplitudes
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -80,7 +78,7 @@ def test_dgamma_operator_norm_bound():
                                  + 1j * rng.standard_normal((8, 8)))
         psi = random_state(rng, 8)
         lhs = fock.dgamma(O.matrix, psi).norm()
-        rhs = O.operator_norm * fock.number_operator(psi).norm()
+        rhs = O.operator_norm * fock.number_shifted(psi, shift=0.0).norm()
         assert lhs <= rhs + 1e-10
 
 

@@ -375,3 +375,17 @@ def test_snapshot_round_trip(tmp_path, slater_n2):
     assert np.array_equal(back.psi, state.psi)
     assert back.time == state.time
     assert path.stat().st_size == 32 + 16 * grid.M ** grid.N
+
+
+def test_read_state_refuses_orbitals_and_truncated_files(tmp_path, slater_n2):
+    grid, orbitals, state = slater_n2
+    path = tmp_path / "hf_orbitals.husi"
+    io.write_orbitals(path, np.array(orbitals), grid)
+    with pytest.raises(ValueError, match=r"needs 4096 amplitudes, found 128"
+                                         r".*not an N-body state"):
+        io.read_state(path, L=grid.L)
+    path = tmp_path / "state.husi"
+    io.write_state(path, state)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(ValueError, match="needs 4096 amplitudes, found 4095"):
+        io.read_state(path, L=grid.L)
