@@ -61,13 +61,13 @@ def cmd_transform(args) -> int:
     grid = state.grid
     frame = harness.build_frame(grid, args.frame)
     kern = mb.gamma1(state)
-    lattice = ps.natural_lattice(grid)
-    hus = ps.husimi1(kern, frame, lattice)
+    hus = ps.husimi1(kern, frame)
     wig = ps.wigner1(kern, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_field(out / "husimi.husi", hus.values, 1, grid, state.time)
-    io.field_csv(out / "husimi.csv", lattice.qs, lattice.ps, hus.values)
+    io.write_field(out / "husimi.husi", hus.values, grid, state.time)
+    io.field_csv(out / "husimi.csv", hus.lattice.qs, hus.lattice.ps,
+                 hus.values)
     io.field_csv(out / "wigner.csv", wig.qs, wig.ps, wig.values)
     print(f"husimi mass/(2 pi hbar)^d = {hus.canonical_mass():.6f}")
     return 0

@@ -7,16 +7,14 @@ the parity of the occupied modes below m.  Every kernel is a product with
 those matrices stacked over the modes (`_stacked`), so no kernel loops
 over modes or basis states in Python.  The module provides second
 quantization of one-body operators, Bogoliubov pairs built from an
-orthonormal orbital family, the mean-field Hamiltonian, and the exact
-contractions used to test the operator inequalities and the two-particle
-factorization bound.
+orthonormal orbital family, and the exact contractions used to test the
+operator inequalities and the two-particle factorization bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -71,23 +69,10 @@ class FockState:
             raise FockError("cannot normalize the zero vector")
         return FockState(self.modes, self.amplitudes / n)
 
-    def sector_norms(self) -> np.ndarray:
-        """L2 norm of each particle-number sector."""
-        pc = _particle_numbers(self.modes)
-        out = np.zeros(self.modes + 1)
-        np.add.at(out, pc, np.abs(self.amplitudes) ** 2)
-        return np.sqrt(out)
-
 
 def vacuum(modes: int) -> FockState:
     amps = np.zeros(1 << modes, dtype=complex)
     amps[0] = 1.0
-    return FockState(modes, amps)
-
-
-def basis_state(modes: int, bitmask: int) -> FockState:
-    amps = np.zeros(1 << modes, dtype=complex)
-    amps[bitmask] = 1.0
     return FockState(modes, amps)
 
 
@@ -415,91 +400,3 @@ def mixed_norm_fock(state: FockState, omega: np.ndarray) -> float:
     defect = diag - np.einsum("uw,y->uwy", omega, np.diag(omega))
     inner = np.sum(np.abs(defect), axis=2)
     return float(np.sqrt(np.sum(inner ** 2)))
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian on the mode set
-# ---------------------------------------------------------------------------
-
-def interaction_diagonal(modes: int, vmat: np.ndarray,
-                         n_particles: int) -> np.ndarray:
-    """Occupation-basis diagonal of (1/2N) sum_{i/=j} V_ij n_i n_j."""
-    vmat = np.asarray(vmat, dtype=float)
-    diag = np.zeros(1 << modes)
-    idx = np.arange(1 << modes)
-    for i in range(modes):
-        ni = (idx >> i) & 1
-        for j in range(i + 1, modes):
-            nj = (idx >> j) & 1
-            diag += vmat[i, j] * (ni & nj)
-    return diag / n_particles
-
-
-def hamiltonian_apply(state: FockState, kinetic: np.ndarray,
-                      vmat: np.ndarray, n_particles: int) -> FockState:
-    """H Psi with H = dGamma(T) + (1/2N) sum_{i/=j} V_ij n_i n_j."""
-    out = dgamma(kinetic, state).amplitudes
-    out = out + interaction_diagonal(state.modes, vmat,
-                                     n_particles) * state.amplitudes
-    return FockState(state.modes, out)
-
-
-def hamiltonian_dense(modes: int, kinetic: np.ndarray, vmat: np.ndarray,
-                      n_particles: int) -> np.ndarray:
-    dim = 1 << modes
-    H = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        H[:, col] = hamiltonian_apply(basis_state(modes, col), kinetic,
-                                      vmat, n_particles).amplitudes
-    return H
-
-
-def evolve_exact(state: FockState, kinetic: np.ndarray, vmat: np.ndarray,
-                 n_particles: int, time: float, hbar: float) -> FockState:
-    """e^{-i H t / hbar} Psi by dense diagonalization."""
-    H = hamiltonian_dense(state.modes, kinetic, vmat, n_particles)
-    herm_defect = np.max(np.abs(H - H.conj().T))
-    if herm_defect > 1e-10:
-        raise FockError(f"Hamiltonian not Hermitian, defect {herm_defect:.3e}")
-    w, V = np.linalg.eigh(H)
-    phases = np.exp(-1j * w * time / hbar)
-    amps = V @ (phases * (V.conj().T @ state.amplitudes))
-    return FockState(state.modes, amps)
-
-
-def n_sector_masks(modes: int, n_particles: int) -> list[int]:
-    return [sum(1 << b for b in bits)
-            for bits in combinations(range(modes), n_particles)]
-
-
-def first_quantized_hamiltonian(kinetic: np.ndarray, vmat: np.ndarray,
-                                n_particles: int) -> np.ndarray:
-    """Assemble the N-particle Hamiltonian on antisymmetric mode functions.
-
-    Brute-force oracle: basis of ordered occupation tuples, one-body terms
-    summed over particles, interaction (1/2N) sum_{i/=j} V(site_i, site_j).
-    """
-    modes = kinetic.shape[0]
-    basis = list(combinations(range(modes), n_particles))
-    index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    H = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(basis):
-        occ_set = set(occ)
-        inter = sum(vmat[i, j] for a, i in enumerate(occ)
-                    for j in occ[a + 1:]) / n_particles
-        H[col, col] += inter
-        for pos, site in enumerate(occ):
-            for target in range(modes):
-                if target == site:
-                    H[col, col] += kinetic[target, site]
-                    continue
-                if target in occ_set:
-                    continue
-                new = sorted(occ_set - {site} | {target})
-                # fermionic sign: move site out and target in
-                sign = (-1) ** (sum(1 for s in occ if s < site)
-                                + sum(1 for s in new if s < target))
-                H[index[tuple(new)], col] += sign * kinetic[target, site]
-    return H
-

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 DEFAULT_BUDGET = 2 ** 26  # max amplitude count of an N-body array
 BUDGET_ENV_VAR = "HUSIMI_LAB_BUDGET"
@@ -143,7 +142,6 @@ class Potential:
         self.grad = spectral_derivative(values, grid.L)
         self.hess_bound = float(np.sum((k ** 2) * np.abs(self.fourier)))
         self.sobolev_sum = float(np.sum((1.0 + k ** 2) * np.abs(self.fourier)))
-        self.even_defect = float(even_defect)
 
     def _active_modes(self) -> tuple[np.ndarray, np.ndarray]:
         mask = np.abs(self.fourier) > 1e-15
@@ -199,11 +197,6 @@ class Potential:
         return (_read_only(self.centered_values()[diff]),
                 _read_only(self.centered_grad()[diff]))
 
-    def export_csv(self, path) -> None:
-        x = self.grid.axis_points()
-        data = np.column_stack([x, self.values, self.grad])
-        np.savetxt(path, data, delimiter=",", header="x,V,dV", comments="")
-
     # -- presets ------------------------------------------------------------
 
     @classmethod
@@ -234,24 +227,17 @@ class Potential:
 # test functions
 # ---------------------------------------------------------------------------
 
+@dataclass
 class TestFunction:
     """Compactly supported test function tabulated on a uniform 1-d lattice.
 
     `values` holds samples, `derivatives[k]` the k-th derivative table for
-    k = 0 .. s+1.  `fn` evaluates off-lattice.  `order` is the finite
-    smoothness order for spline windows and None for the C-infinity bump.
+    k = 0 .. s+1.
     """
 
-    def __init__(self, lattice: np.ndarray, values: np.ndarray,
-                 derivatives: np.ndarray, center: float, radius: float,
-                 fn, order: int | None = None):
-        self.lattice = np.asarray(lattice, dtype=float)
-        self.values = values
-        self.derivatives = derivatives
-        self.center = float(center)
-        self.radius = float(radius)
-        self.fn = fn
-        self.order = order
+    lattice: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
 
     @property
     def grad(self) -> np.ndarray:
@@ -269,17 +255,6 @@ def _check_support(lattice: np.ndarray, center: float, radius: float) -> None:
             f"periodic boundary of [{lo}, {hi})")
 
 
-def bump_fn(center: float, radius: float):
-    def fn(p):
-        p = np.asarray(p, dtype=float)
-        r2 = ((p - center) / radius) ** 2
-        out = np.zeros_like(r2)
-        inside = r2 < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        return out
-    return fn
-
-
 def bump_test_function(lattice: np.ndarray, center: float, radius: float,
                        s: int = 1) -> TestFunction:
     """C-infinity bump exp(-1/(1-r^2)) with derivative tables.
@@ -292,48 +267,14 @@ def bump_test_function(lattice: np.ndarray, center: float, radius: float,
     """
     lattice = np.asarray(lattice, dtype=float)
     _check_support(lattice, center, radius)
-    fn = bump_fn(center, radius)
-    vals = fn(lattice)
+    r2 = ((lattice - center) / radius) ** 2
+    vals = np.zeros_like(r2)
+    inside = r2 < 1.0
+    vals[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
     spacing = lattice[1] - lattice[0]
     period = spacing * len(lattice)
     derivs = np.empty((s + 2, len(lattice)))
     derivs[0] = vals
     for k in range(1, s + 2):
         derivs[k] = spectral_derivative(vals, period, order=k)
-    return TestFunction(lattice, vals, derivs, center, radius, fn, order=None)
-
-
-def spline_test_function(center: float, radius: float,
-                         s: int) -> TestFunction:
-    """Cardinal B-spline window of order s scaled to the given support.
-
-    The spline is C^(s-2) with a jump in its (s-1)-th derivative, so its
-    Fourier transform decays exactly like |k|^{-s}: the sharp case of the
-    s-fold integration-by-parts bound.  `fourier_transform` evaluates the
-    closed form h * sinc(k h / 2)^s * e^{-i k center} with knot spacing
-    h = 2 radius / s.
-    """
-    if s < 1:
-        raise GridError("spline order must be >= 1")
-    h = 2.0 * radius / s
-    knots = center - radius + h * np.arange(s + 1)
-    spline = BSpline.basis_element(knots, extrapolate=False)
-
-    def fn(p):
-        p = np.asarray(p, dtype=float)
-        out = spline(p)
-        return np.nan_to_num(out, nan=0.0)
-
-    lattice = np.linspace(center - radius, center + radius, 4 * s + 1)
-    vals = fn(lattice)
-    derivs = np.zeros((2, len(lattice)))
-    derivs[0] = vals
-    tf = TestFunction(lattice, vals, derivs, center, radius, fn, order=s)
-
-    def fourier_transform(k):
-        k = np.asarray(k, dtype=float)
-        arg = k * h / 2.0
-        return h * np.sinc(arg / np.pi) ** s * np.exp(-1j * k * center)
-
-    tf.fourier_transform = fourier_transform
-    return tf
+    return TestFunction(lattice, vals, derivs)

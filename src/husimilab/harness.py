@@ -115,7 +115,6 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     frame = build_frame(grid, cfg.frame)
     orbitals = build_orbitals(grid, cfg.orbital_family, rng)
     state0 = mb.build_slater(grid, orbitals)
-    lattice = ps.natural_lattice(grid)
     rows: list[dict] = []
 
     # ---- N-body propagation and conservation ------------------------------
@@ -140,6 +139,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     snap, report = rs.snapshot_residues(mid, frame, potential, cfg.phi_q,
                                         cfg.phi_p)
     husimi_mid = snap.husimi
+    lattice = husimi_mid.lattice
     _record(rows, "husimi_min", husimi_mid.values.min(), -1e-12, cfg,
             mid.time, holds=operator.ge)
     _record(rows, "husimi_max", husimi_mid.values.max(), 1.0 + 1e-8, cfg,
@@ -148,8 +148,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
             abs(husimi_mid.canonical_mass() - cfg.N), 1e-4, cfg, mid.time)
     _record(rows, "consistency_defect_rel", report.consistency_defect_rel,
             1e-12, cfg, mid.time)
-    io.write_field(out / "husimi_mid.husi", husimi_mid.values, 1, grid,
-                   mid.time)
+    io.write_field(out / "husimi_mid.husi", husimi_mid.values, grid, mid.time)
     io.field_csv(out / "husimi_mid.csv", lattice.qs, lattice.ps,
                  husimi_mid.values)
     io.write_report(out / "residues.json", report.to_dict())
@@ -174,7 +173,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     kern_end = mb.gamma1(end)
     hs_gap, tr_gap = mf.norm_gaps(kern_end, hf_end.omega_kernel())
 
-    husimi0 = ps.husimi1(mb.gamma1(state0), frame, lattice)
+    husimi0 = ps.husimi1(mb.gamma1(state0), frame)
     vl = mf.vlasov_from_husimi(husimi0, grid)
     cfl = mf.vlasov_cfl(vl, potential, cfg.dt)
     vdt = min(cfg.dt, 0.9 * cfl["suggested_dt"])
@@ -188,7 +187,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
             abs(mf.vlasov_energy(v_end, potential) - v_e0) / horizon, 1e-4,
             cfg, v_end.time)
 
-    husimi_end = ps.husimi1(kern_end, frame, lattice)
+    husimi_end = ps.husimi1(kern_end, frame)
     l1, w1, renorm = mf.husimi_vlasov_distance(husimi_end.values,
                                                v_end.values, lattice)
 

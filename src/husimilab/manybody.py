@@ -420,7 +420,7 @@ def gamma1(state: ManyBodyState) -> OneBodyKernel:
 
 
 class Gamma2View:
-    """Lazy access to gamma2 contractions; dense storage only when safe.
+    """Lazy access to the gamma2 contraction the residues need.
 
     gamma2(u1,u2; w1,w2) = N(N-1) * integral over the remaining N-2
     coordinates of psi(u1,u2,r) conj(psi)(w1,w2,r).
@@ -434,16 +434,6 @@ class Gamma2View:
         self.state = state
         g = state.grid
         self._pref = g.N * (g.N - 1) * g.weight ** (g.N - 2)
-
-    def probe(self, u1, u2, w1, w2) -> np.ndarray:
-        """gamma2 at arbitrary index tuples (vectorized over probes)."""
-        psi = self.state.psi
-        g = self.state.grid
-        if g.N == 2:
-            return self._pref * psi[u1, u2] * np.conj(psi[w1, w2])
-        left = psi[u1, u2].reshape(len(np.atleast_1d(u1)), -1)
-        right = np.conj(psi[w1, w2]).reshape(left.shape)
-        return self._pref * np.sum(left * right, axis=1)
 
     def partial_diag(self) -> np.ndarray:
         """A[u1, w1, y] = gamma2(u1, y; w1, y), the kernel of every residue
@@ -459,25 +449,6 @@ class Gamma2View:
             block = flat[:, y, :]
             A[:, :, y] = block @ block.conj().T
         return self._pref * A
-
-    def dense(self) -> np.ndarray:
-        """Full gamma2 tensor [u1,u2,w1,w2]; refused for large grids."""
-        g = self.state.grid
-        size = g.M ** 4 * 16
-        if g.M > 16:
-            raise MemoryError(
-                f"dense gamma2 needs {size / 2 ** 20:.0f} MiB at M={g.M}; "
-                "use partial_diag for the contractions a run needs")
-        psi = self.state.psi
-        if g.N == 2:
-            return self._pref * np.einsum("ab,cd->abcd", psi, np.conj(psi))
-        flat = psi.reshape((g.M, g.M, -1))
-        return self._pref * np.einsum("abr,cdr->abcd", flat, np.conj(flat))
-
-    def partial_trace_matrix(self) -> np.ndarray:
-        """sum_y gamma2(u1,y; w1,y) dy = (N-1) gamma1(u1; w1)."""
-        A = self.partial_diag()
-        return np.sum(A, axis=2) * self.state.grid.weight
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from husimilab.grid import GridError, GridSpec, Potential
 from husimilab.manybody import OneBodyKernel, _jacobi_anger
 from husimilab.phasespace import HusimiField, PhaseSpaceLattice
 
+HF_ABORT_TOL = 1e-6  # orthonormality defect at which an HF step aborts
+
 
 class MeanFieldError(RuntimeError):
     pass
@@ -183,7 +185,7 @@ def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
 
 
 def hartree_fock_step(state: MeanFieldState, potential: Potential,
-                      dt: float, abort_tol: float = 1e-6) -> MeanFieldState:
+                      dt: float) -> MeanFieldState:
     """One Strang step: half mean field, full kinetic, half mean field.
 
     The first half-kick freezes the mean field U(omega) of the input
@@ -213,9 +215,9 @@ def hartree_fock_step(state: MeanFieldState, potential: Potential,
     orb = _apply_mean_field_exp(U2, orb, 0.5 * dt, g.hbar)
     new = MeanFieldState(g, orb, state.time + dt)
     defect = new.orthonormality_defect()
-    if defect > abort_tol:
+    if defect > HF_ABORT_TOL:
         raise MeanFieldError(
-            f"orthonormality defect {defect:.3e} exceeds {abort_tol:.1e}")
+            f"orthonormality defect {defect:.3e} exceeds {HF_ABORT_TOL:.1e}")
     return new
 
 

@@ -21,10 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from husimilab.grid import (GridError, GridSpec, spectral_derivative,
-                            spline_test_function)
+from husimilab.grid import GridError, GridSpec, spectral_derivative
 from husimilab.manybody import ManyBodyState, OneBodyKernel, gamma1
 
 
@@ -61,29 +59,19 @@ class PhaseSpaceLattice:
         return self.dq > scale or self.dp > scale
 
 
-def natural_lattice(grid: GridSpec, q_stride: int = 1,
-                    p_stride: int = 1) -> PhaseSpaceLattice:
+def natural_lattice(grid: GridSpec) -> PhaseSpaceLattice:
     """q on the spatial grid, p on the hbar-scaled momentum lattice.
 
-    On the unstrided lattice coherent-state completeness is exact, which
-    makes the marginal identities machine-precision statements.
+    On this lattice coherent-state completeness is exact, which makes the
+    marginal identities machine-precision statements.
     """
-    if grid.M % q_stride or grid.M % p_stride:
-        raise GridError("strides must divide M")
-    qs = grid.axis_points()[::q_stride]
-    ps = np.sort(grid.momentum_lattice())[::p_stride]
-    lat = PhaseSpaceLattice(qs, ps, grid.hbar, grid.d)
+    lat = PhaseSpaceLattice(grid.axis_points(),
+                            np.sort(grid.momentum_lattice()), grid.hbar,
+                            grid.d)
     if lat.undersampled():
         warnings.warn("phase-space lattice coarser than sqrt(hbar); "
                       "transform undersampled", stacklevel=2)
     return lat
-
-
-def _lattice_strides(lattice: PhaseSpaceLattice,
-                     grid: GridSpec) -> tuple[int, int]:
-    """(q, p) strides of a sublattice of the natural lattice of `grid`."""
-    return (round(lattice.dq / grid.dx),
-            round(lattice.dp / (2.0 * np.pi * grid.hbar / grid.L)))
 
 
 @dataclass
@@ -93,13 +81,12 @@ class CoherentFrame:
     `window[r]` samples f(delta_r / sqrt(hbar)) at the centered lattice
     offset delta_r, normalized to unit lattice L2 norm.  `kind` is
     "gaussian" (the convolution-bridge window) or "bump" (compact support
-    inside radius sqrt(hbar) * support_radius).
+    inside radius sqrt(hbar)).
     """
 
     grid: GridSpec
     window: np.ndarray
     kind: str
-    support_radius: float | None = None
     norms: dict = field(default_factory=dict)
 
     def derivative_window(self) -> np.ndarray:
@@ -111,8 +98,8 @@ def _centered_offsets(grid: GridSpec) -> np.ndarray:
     return np.where(r < grid.M // 2, r, r - grid.M) * grid.dx
 
 
-def _finish_frame(grid: GridSpec, raw: np.ndarray, kind: str,
-                  support_radius) -> CoherentFrame:
+def _finish_frame(grid: GridSpec, raw: np.ndarray,
+                  kind: str) -> CoherentFrame:
     norm = np.sqrt(np.sum(raw ** 2) * grid.dx)
     if norm == 0:
         raise GridError("window vanishes on the grid")
@@ -123,24 +110,24 @@ def _finish_frame(grid: GridSpec, raw: np.ndarray, kind: str,
         "linf": float(np.max(np.abs(w))),
         "grad_l2": float(np.sqrt(np.sum(grad ** 2) * grid.dx)),
     }
-    return CoherentFrame(grid, w, kind, support_radius, norms)
+    return CoherentFrame(grid, w, kind, norms)
 
 
 def gaussian_frame(grid: GridSpec) -> CoherentFrame:
     """f(x) = pi^(-d/4) exp(-|x|^2 / 2); the window the bridge requires."""
     delta = _centered_offsets(grid)
     raw = np.exp(-delta ** 2 / (2.0 * grid.hbar))
-    return _finish_frame(grid, raw, "gaussian", None)
+    return _finish_frame(grid, raw, "gaussian")
 
 
-def bump_frame(grid: GridSpec, support_radius: float = 1.0) -> CoherentFrame:
-    """Compactly supported C-infinity window, support |x| < sqrt(hbar) R1."""
+def bump_frame(grid: GridSpec) -> CoherentFrame:
+    """Compactly supported C-infinity window, support |x| < sqrt(hbar)."""
     delta = _centered_offsets(grid)
-    r2 = (delta / (np.sqrt(grid.hbar) * support_radius)) ** 2
+    r2 = (delta / np.sqrt(grid.hbar)) ** 2
     raw = np.zeros(grid.M)
     inside = r2 < 1.0
     raw[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return _finish_frame(grid, raw, "bump", support_radius)
+    return _finish_frame(grid, raw, "bump")
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +138,13 @@ def bump_frame(grid: GridSpec, support_radius: float = 1.0) -> CoherentFrame:
 class HusimiField:
     values: np.ndarray
     lattice: PhaseSpaceLattice
-    k: int = 1
-    undersampled: bool = False
 
     def mass(self) -> float:
-        return float(np.sum(self.values) * self.lattice.cell ** self.k)
+        return float(np.sum(self.values) * self.lattice.cell)
 
     def canonical_mass(self) -> float:
-        """(2 pi hbar)^(-dk) integral of the field."""
-        return self.mass() / self.lattice.canonical ** self.k
+        """(2 pi hbar)^(-d) integral of the field."""
+        return self.mass() / self.lattice.canonical
 
 
 def bilinear_phase_field(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray,
@@ -182,21 +167,12 @@ def bilinear_phase_field(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     return B[:, np.argsort(grid.momentum_lattice())]
 
 
-def husimi1(kernel: OneBodyKernel, frame: CoherentFrame,
-            lattice: PhaseSpaceLattice | None = None) -> HusimiField:
-    """One-particle Husimi field via the two-FFT evaluation.
-
-    `lattice` defaults to the natural lattice; a strided sublattice of it
-    takes every stride-th value of the full field.
-    """
+def husimi1(kernel: OneBodyKernel, frame: CoherentFrame) -> HusimiField:
+    """One-particle Husimi field on the natural lattice via the two-FFT
+    evaluation."""
     g = kernel.grid
-    if lattice is None:
-        lattice = natural_lattice(g)
-    q_stride, p_stride = _lattice_strides(lattice, g)
     m = bilinear_phase_field(kernel.matrix, frame.window, frame.window, g).real
-    vals = m[::q_stride, ::p_stride]
-    return HusimiField(vals, lattice, k=1,
-                       undersampled=lattice.undersampled())
+    return HusimiField(m, natural_lattice(g))
 
 
 def _coherent_state(frame: CoherentFrame, q: float, p) -> np.ndarray:
@@ -218,8 +194,7 @@ def husimi1_direct(kernel: OneBodyKernel, frame: CoherentFrame,
     """Slow direct quadratic form; the oracle for the FFT path."""
     vals = np.array([[husimi_point(kernel, frame, q, p) for p in lattice.ps]
                      for q in lattice.qs])
-    return HusimiField(vals, lattice, k=1,
-                       undersampled=lattice.undersampled())
+    return HusimiField(vals, lattice)
 
 
 def husimi_point(kernel: OneBodyKernel, frame: CoherentFrame,
@@ -273,9 +248,8 @@ def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
     (2 pi hbar)^(-d) sum_{q2 p2} m2 dq2 dp2 = (N-1) m1 holds to roundoff.
     """
     g = state.grid
-    lattice = natural_lattice(g)
-    kern = gamma1(state)
-    m1 = husimi1(kern, frame, lattice)
+    m1 = husimi1(gamma1(state), frame)
+    lattice = m1.lattice
 
     sym_defect = 0.0
     pts = list(zip(lattice.qs[rng.integers(0, len(lattice.qs), 2 * n_pairs)],
@@ -377,24 +351,22 @@ def gaussian_wigner_closed_form(qs, ps, width: float, x0: float, p0: float,
 
 
 def convolution_bridge_check(wf: WignerField, kernel: OneBodyKernel,
-                             frame: CoherentFrame, q_stride: int = 1,
-                             p_stride: int = 1) -> dict:
+                             frame: CoherentFrame) -> dict:
     """Max defect of  m = prefactor (W * G)  with the Gaussian smoothing.
 
-    The convolution is a lattice quadrature on the Wigner lattice strided
-    by (q_stride, p_stride); the Husimi side is evaluated exactly at the
-    same points, so the defect isolates the quadrature error and shrinks
-    superalgebraically under stride halving.  Only the Gaussian window
-    satisfies the identity; other frames are refused.
+    The convolution is a lattice quadrature on the lattice of `wf`, which
+    may be a sublattice of the Wigner lattice; the Husimi side is
+    evaluated exactly at the same points, so the defect isolates the
+    quadrature error and shrinks superalgebraically as the lattice is
+    refined.  Only the Gaussian window satisfies the identity; other
+    frames are refused.
     """
     if frame.kind != "gaussian":
         raise GridError("convolution bridge requires the gaussian frame")
     g = kernel.grid
     N = kernel.trace_target
-    qs = wf.qs[::q_stride]
-    ps = wf.ps[::p_stride]
-    W = wf.values[::q_stride, ::p_stride]
-    dq, dp = wf.dq * q_stride, wf.dp * p_stride
+    qs, ps, W = wf.qs, wf.ps, wf.values
+    dq, dp = wf.dq, wf.dp
     hbar = wf.hbar
     # separable Gaussian kernels; q wrapped over periodic images
     dq_mat = qs[:, None] - qs[None, :]
@@ -441,21 +413,8 @@ def moment_growth_check(fields, times) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# oscillation estimate
+# fits
 # ---------------------------------------------------------------------------
-
-def oscillatory_integral(fn, support: float, x: float,
-                         hbar: float) -> float:
-    """integral of fn(p) e^{i p x / hbar} dp by adaptive quadrature, for an
-    even real fn: the integral is real and reduces to the cosine transform.
-    """
-    omega = x / hbar
-    if omega == 0.0:
-        val, _ = quad(fn, -support, support, limit=400)
-        return float(val)
-    re, _ = quad(fn, -support, support, weight="cos", wvar=omega, limit=400)
-    return float(re)
-
 
 def log_log_fit(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log y against log x, and its r^2."""
@@ -465,36 +424,6 @@ def log_log_fit(xs, ys) -> tuple[float, float]:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(res[0]) / ss_tot if res.size and ss_tot > 0 else 1.0
     return float(coef[0]), r2
-
-
-def oscillation_decay(alpha: float, s: int, hbars) -> dict:
-    """Measured decay rate of the shell maximum of the oscillatory integral.
-
-    For x on the boundary shell of the cube of side hbar^alpha the
-    integral of phi(p) e^{i p x / hbar} decays like hbar^((1-alpha) s) when
-    phi has exactly s integrable derivatives.  The window is the order-s
-    spline of radius 55 s, whose transform decays exactly like |k|^(-s);
-    its wide support packs the spectral oscillation so the shell maximum
-    tracks the envelope smoothly.  A C-infinity window decays faster than
-    any such rate, so the bump is not used here.
-    """
-    hbars = np.asarray(sorted(hbars, reverse=True), dtype=float)
-    if len(hbars) < 4:
-        raise GridError("need at least 4 hbar samples for a rate fit")
-    phi = spline_test_function(0.0, 55.0 * s, s)
-    support = phi.center + phi.radius
-    values = []
-    for hb in hbars:
-        x0 = hb ** alpha
-        # window wide enough to contain at least one spectral peak
-        peak_dx = 2.0 * np.pi * hb / (2.0 * phi.radius / max(phi.order or 1, 1))
-        xs = np.linspace(x0, x0 + 1.25 * peak_dx, 24)
-        best = max(abs(oscillatory_integral(phi.fn, support, x, hb))
-                   for x in xs)
-        values.append(best)
-    slope, r2 = log_log_fit(hbars, values)
-    return {"slope": slope, "r2": r2, "target": (1.0 - alpha) * s,
-            "hbars": hbars.tolist(), "values": values}
 
 
 # ---------------------------------------------------------------------------

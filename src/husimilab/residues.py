@@ -44,8 +44,8 @@ from husimilab.manybody import (Gamma2View, ManyBodyState, OneBodyKernel,
                                 gamma1, time_derivative)
 from husimilab.phasespace import (CoherentFrame, HusimiField,
                                   PhaseSpaceLattice, _centered_offsets,
-                                  _lattice_strides, bilinear_phase_field,
-                                  husimi1, natural_lattice)
+                                  bilinear_phase_field, husimi1,
+                                  natural_lattice)
 
 
 def gauss_legendre_unit():
@@ -64,16 +64,13 @@ def _paired(a: np.ndarray, b: np.ndarray, field_vals: np.ndarray,
 # kinetic residue
 # ---------------------------------------------------------------------------
 
-def kinetic_residue_field(kernel: OneBodyKernel, frame: CoherentFrame,
-                          lattice: PhaseSpaceLattice | None = None) -> np.ndarray:
-    """Rk(q,p) = hbar Im <f_qp, gamma1 d/dq f_qp> on the lattice."""
+def kinetic_residue_field(kernel: OneBodyKernel,
+                          frame: CoherentFrame) -> np.ndarray:
+    """Rk(q,p) = hbar Im <f_qp, gamma1 d/dq f_qp> on the natural lattice."""
     g = kernel.grid
-    if lattice is None:
-        lattice = natural_lattice(g)
     dwin = frame.derivative_window()
     B = bilinear_phase_field(kernel.matrix, frame.window, -dwin, g)
-    qs, ps = _lattice_strides(lattice, g)
-    return g.hbar * B.imag[::qs, ::ps]
+    return g.hbar * B.imag
 
 
 def _l54_aggregate(rk: np.ndarray, lattice: PhaseSpaceLattice) -> float:
@@ -289,13 +286,12 @@ def snapshot_residues(state: ManyBodyState, frame: CoherentFrame,
     `SnapshotFields` for reuse and the `ResidueReport`.
     """
     g = state.grid
-    lattice = natural_lattice(g)
     kern = gamma1(state)
     fields = SnapshotFields(
-        state, kern, husimi1(kern, frame, lattice),
-        kinetic_residue_field(kern, frame, lattice),
+        state, kern, husimi1(kern, frame), kinetic_residue_field(kern, frame),
         interaction_residue_fields(state, kern, frame, potential)
         if g.N >= 2 else None)
+    lattice = fields.husimi.lattice
     tq = bump_test_function(lattice.qs, **phi_q)
     tp = bump_test_function(lattice.ps, **phi_p)
     cons = reformulation_consistency(fields, frame, potential, tq, tp)

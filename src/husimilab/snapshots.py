@@ -3,7 +3,7 @@
 Snapshot layout: a 32-byte header
 
     magic   4 bytes  b"HUSI"
-    version u16      1 for wavefunctions; carries k for phase-space fields
+    version u16      1
     d       u16
     M       u32
     N       u32
@@ -71,11 +71,12 @@ def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,
         fh.write(np.ascontiguousarray(orbitals, dtype="<c16").tobytes())
 
 
-def write_field(path, values: np.ndarray, k: int, grid: GridSpec,
+def write_field(path, values: np.ndarray, grid: GridSpec,
                 time: float = 0.0) -> None:
-    """Phase-space field in the snapshot format, k in the version slot."""
+    """One-particle phase-space field in the snapshot format, with the q
+    and p point counts in the M and N slots."""
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, k, grid.d, values.shape[0],
+        fh.write(HEADER.pack(MAGIC, 1, grid.d, values.shape[0],
                              values.shape[1], time, grid.hbar))
         fh.write(np.ascontiguousarray(values.astype(complex),
                                       dtype="<c16").tobytes())

@@ -45,8 +45,8 @@ def annihilate_reference(modes, mask, m):
 def test_mode_operators_match_matrix_free_path():
     ops = fock.mode_operators(5)
     for m in range(5):
-        for mask in range(1 << 5):
-            got = ops[m] @ fock.basis_state(5, mask).amplitudes
+        for mask, basis in enumerate(np.eye(1 << 5, dtype=complex)):
+            got = ops[m] @ basis
             assert np.array_equal(got, annihilate_reference(5, mask, m))
 
 
@@ -222,68 +222,6 @@ def test_wick_gap_bound_random_instances():
         xi = random_state(rng, modes)
         lhs, rhs = fock.wick_gap_bound_check(O1, O2, xi, bmap)
         assert lhs <= rhs + 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian
-# ---------------------------------------------------------------------------
-
-def _ring_kinetic(modes, hbar=0.5):
-    main = np.full(modes, 2.0)
-    T = np.diag(main) - np.eye(modes, k=1) - np.eye(modes, k=-1)
-    T[0, -1] = T[-1, 0] = -1.0
-    return 0.5 * hbar ** 2 * T
-
-
-def _ring_vmat(modes, amp=0.4):
-    idx = np.arange(modes)
-    dist = np.minimum((idx[:, None] - idx[None, :]) % modes,
-                      (idx[None, :] - idx[:, None]) % modes)
-    return amp * np.cos(2.0 * np.pi * dist / modes)
-
-
-def test_hamiltonian_single_particle_sector():
-    T = _ring_kinetic(6)
-    V = np.zeros((6, 6))
-    for m in range(6):
-        basis = fock.basis_state(6, 1 << m)
-        out = fock.hamiltonian_apply(basis, T, V, n_particles=1)
-        for mm in range(6):
-            comp = out.amplitudes[1 << mm]
-            assert comp == pytest.approx(T[mm, m], abs=1e-12)
-
-
-def test_hamiltonian_expectation_real():
-    rng = np.random.default_rng(15)
-    T = _ring_kinetic(6)
-    V = _ring_vmat(6)
-    for _ in range(50):
-        psi = random_state(rng, 6)
-        e = np.vdot(psi.amplitudes,
-                    fock.hamiltonian_apply(psi, T, V, 2).amplitudes)
-        assert abs(e.imag) < 1e-12
-
-
-def test_hamiltonian_matches_first_quantized_sector():
-    modes, n = 6, 2
-    T = _ring_kinetic(modes)
-    V = _ring_vmat(modes)
-    H = fock.hamiltonian_dense(modes, T, V, n)
-    masks = fock.n_sector_masks(modes, n)
-    sector = H[np.ix_(masks, masks)]
-    ref = fock.first_quantized_hamiltonian(T, V, n)
-    assert np.max(np.abs(sector - ref)) < 1e-10
-
-
-def test_exact_evolution_unitary_and_sector_preserving():
-    rng = np.random.default_rng(16)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 2))
-    psi = fock.slater_state(bmap)
-    out = fock.evolve_exact(psi, _ring_kinetic(6), _ring_vmat(6), 2,
-                            time=0.7, hbar=0.5)
-    assert abs(out.norm() - 1.0) < 1e-12
-    sectors = out.sector_norms()
-    assert sectors[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixed_norm_fock_slater_closed_form():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from husimilab.grid import (GridError, Potential, bump_test_function,
-                            make_grid, spectral_derivative,
-                            spline_test_function)
+                            make_grid, spectral_derivative)
 
 
 def test_make_grid_basic():
@@ -96,16 +95,6 @@ def test_potential_regularity_witnesses():
     assert V.grad_sup() == pytest.approx(k1 * 0.5, rel=1e-12)
 
 
-def test_potential_csv_export(tmp_path):
-    grid = make_grid(M=32, L=8.0)
-    V = Potential.cosine(grid, [0.5])
-    path = tmp_path / "potential.csv"
-    V.export_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (32, 3)
-    assert np.allclose(data[:, 1], V.values)
-
-
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
@@ -119,14 +108,21 @@ def test_bump_center_value_and_support():
     assert np.all(tf.values[outside] == 0.0)
 
 
+def _bump(p, radius):
+    """exp(-1/(1-r^2)) with r = p / radius inside the support, else 0."""
+    r2 = (np.asarray(p) / radius) ** 2
+    return np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)),
+                    0.0)
+
+
 def test_bump_derivative_vs_central_differences():
-    # central-difference oracle applied to the callable at h << dx, so the
-    # oracle error (h^2 f''' / 6 ~ 1e-9) stays far below the tolerance
+    # central-difference oracle applied to the closed form at h << dx, so
+    # the oracle error (h^2 f''' / 6 ~ 1e-9) stays far below the tolerance
     grid = make_grid(M=256, L=6.0)
     x = grid.axis_points()
     tf = bump_test_function(x, center=0.0, radius=2.9, s=2)
     h = 1e-5
-    fd = (tf.fn(x + h) - tf.fn(x - h)) / (2.0 * h)
+    fd = (_bump(x + h, 2.9) - _bump(x - h, 2.9)) / (2.0 * h)
     assert np.max(np.abs(tf.grad - fd)) < 1e-6
     # tables are the spectral derivatives of the samples by construction
     from husimilab.grid import spectral_derivative
@@ -138,16 +134,3 @@ def test_bump_rejects_boundary_crossing():
     grid = make_grid(M=64, L=8.0)
     with pytest.raises(GridError, match="boundary"):
         bump_test_function(grid.axis_points(), center=3.5, radius=1.0, s=1)
-
-
-def test_spline_fourier_transform_closed_form():
-    tf = spline_test_function(center=0.0, radius=1.5, s=3)
-    ks = np.linspace(0.1, 8.0, 40)
-    # quadrature oracle on a fine lattice
-    p = np.linspace(-1.5, 1.5, 20001)
-    vals = tf.fn(p)
-    for k in ks[::8]:
-        quad = np.trapezoid(vals * np.exp(-1j * k * p), p)
-        assert abs(quad - tf.fourier_transform(k)) < 1e-6
-    assert tf.fourier_transform(0.0) == pytest.approx(np.trapezoid(vals, p),
-                                                      abs=1e-8)

@@ -270,48 +270,58 @@ def test_propagate_ignores_the_global_rng(slater_n2):
 # gamma2 contractions
 # ---------------------------------------------------------------------------
 
-def test_gamma2_slater_closed_form_probes(slater_n2):
-    grid, orbitals, state = slater_n2
-    om = sum(np.outer(e, np.conj(e)) for e in orbitals)
-    view = mb.Gamma2View(state)
+@pytest.fixture(scope="module")
+def slaters():
+    """Slater states of complex orthonormal orbitals at N = 2 and N = 3;
+    N = 3 runs the per-y loop branch of `partial_diag`.  Complex orbitals
+    make the one-body matrix non-symmetric, so a transposed contraction
+    shows."""
     rng = np.random.default_rng(7)
-    u1, u2, w1, w2 = (rng.integers(0, grid.M, 1000) for _ in range(4))
-    got = view.probe(u1, u2, w1, w2)
-    want = om[u1, w1] * om[u2, w2] - om[u1, w2] * om[u2, w1]
-    assert np.max(np.abs(got - want)) < 1e-10
+    out = []
+    for N in (2, 3):
+        grid = make_grid(d=1, M=32, L=12.0, hbar=1.0 / N, N=N)
+        q, _ = np.linalg.qr(rng.standard_normal((grid.M, N))
+                            + 1j * rng.standard_normal((grid.M, N)))
+        orbitals = [q[:, j] / np.sqrt(grid.dx) for j in range(N)]
+        out.append((grid, orbitals, mb.build_slater(grid, orbitals)))
+    return out
 
 
-def test_gamma2_partial_trace(slater_n2):
-    grid, _, state = slater_n2
-    view = mb.Gamma2View(state)
-    kern = mb.gamma1(state)
-    got = view.partial_trace_matrix()
-    assert np.max(np.abs(got - (grid.N - 1) * kern.matrix)) < 1e-8
+def test_gamma2_slater_closed_form_probes(slaters):
+    """partial_diag at every point against the Slater closed form
+    A[u,w,y] = om(u,w) om(y,y) - om(u,y) om(y,w), om = sum_j e_j e_j*."""
+    for _, orbitals, state in slaters:
+        om = sum(np.outer(e, np.conj(e)) for e in orbitals)
+        got = mb.Gamma2View(state).partial_diag()
+        want = (np.einsum("uw,y->uwy", om, np.diag(om))
+                - np.einsum("uy,yw->uwy", om, om))
+        assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_gamma2_antisymmetry(slater_n2):
-    grid, _, state = slater_n2
+def test_gamma2_partial_trace(slaters):
+    """sum_y gamma2(u,y; w,y) dy = (N-1) gamma1(u; w)."""
+    for grid, _, state in slaters:
+        got = mb.Gamma2View(state).partial_diag().sum(axis=2) * grid.dx
+        kern = mb.gamma1(state)
+        assert np.max(np.abs(got - (grid.N - 1) * kern.matrix)) < 1e-8
+
+
+def test_gamma2_antisymmetry():
+    """On a random antisymmetric N = 3 state, not a Slater determinant,
+    gamma2(u,y; w,y) vanishes at u = y and at w = y (Pauli) and is
+    Hermitian in (u, w)."""
+    grid = make_grid(d=1, M=8, L=6.0, hbar=1.0 / 3.0, N=3)
     rng = np.random.default_rng(8)
-    u1, u2, w1, w2 = (rng.integers(0, grid.M, 200) for _ in range(4))
-    a = mb.Gamma2View(state).probe(u1, u2, w1, w2)
-    b = mb.Gamma2View(state).probe(u2, u1, w2, w1)
-    assert np.max(np.abs(a - b)) < 1e-12  # simultaneous swap is even
-
-
-def test_gamma2_dense_refused_for_large_grid(slater_n2):
-    _, _, state = slater_n2
-    with pytest.raises(MemoryError, match="MiB"):
-        mb.Gamma2View(state).dense()
-
-
-def test_gamma2_dense_matches_probes_small():
-    grid = make_grid(d=1, M=16, L=10.0, hbar=0.5, N=2)
-    state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
-    dense = mb.Gamma2View(state).dense()
-    rng = np.random.default_rng(9)
-    u1, u2, w1, w2 = (rng.integers(0, 16, 100) for _ in range(4))
-    probes = mb.Gamma2View(state).probe(u1, u2, w1, w2)
-    assert np.max(np.abs(dense[u1, u2, w1, w2] - probes)) < 1e-12
+    psi = _antisymmetrized(rng.standard_normal((8,) * 3)
+                           + 1j * rng.standard_normal((8,) * 3))
+    state = mb.ManyBodyState(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
+                                                 * grid.dx ** 3))
+    A = mb.Gamma2View(state).partial_diag()
+    y = np.arange(grid.M)
+    scale = np.max(np.abs(A))
+    assert np.max(np.abs(A[y, :, y])) < 1e-14 * scale
+    assert np.max(np.abs(A[:, y, y])) < 1e-14 * scale
+    assert np.max(np.abs(A - A.conj().transpose(1, 0, 2))) < 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_hf_aborts_on_orthonormality_loss():
     orbs[1] *= 1.001  # corrupt normalization beyond the abort threshold
     state = mf.MeanFieldState(grid, orbs)
     with pytest.raises(mf.MeanFieldError, match="orthonormality"):
-        mf.hartree_fock_step(state, V, 0.01, abort_tol=1e-6)
+        mf.hartree_fock_step(state, V, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,9 @@ def test_spline_shifts_match_map_coordinates(M):
 
 def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
     grid, state = gaussian_blob
-    strided = mf.VlasovState(ps.natural_lattice(grid, q_stride=2),
+    lat = state.lattice
+    strided = mf.VlasovState(ps.PhaseSpaceLattice(lat.qs[::2], lat.ps,
+                                                  lat.hbar),
                              state.values[::2], 0.0, state.force_scale)
     with pytest.raises(GridError, match="M=256"):
         mf.vlasov_force(strided, Potential.cosine(grid, [0.4]))

@@ -1,13 +1,15 @@
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import BSpline
 from scipy.special import erf
 
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
 from husimilab import phasespace as ps
-from husimilab.grid import GridError, bump_test_function, make_grid, Potential
+from husimilab.grid import GridError, make_grid, Potential
 
 
 CENTER_Q, CENTER_P = -1.5, 0.8  # center on the M=128, L=12 lattice
@@ -32,7 +34,7 @@ def nearest(arr, value):
 
 def test_frame_normalization_and_witnesses():
     grid = make_grid(M=128, L=12.0, hbar=0.5)
-    for frame in (ps.gaussian_frame(grid), ps.bump_frame(grid, 1.0)):
+    for frame in (ps.gaussian_frame(grid), ps.bump_frame(grid)):
         assert np.sum(frame.window ** 2) * grid.dx == pytest.approx(1.0,
                                                                     abs=1e-12)
         assert frame.norms["linf"] > 0
@@ -41,7 +43,7 @@ def test_frame_normalization_and_witnesses():
 
 def test_bump_frame_compact_support():
     grid = make_grid(M=128, L=12.0, hbar=0.5)
-    frame = ps.bump_frame(grid, support_radius=1.0)
+    frame = ps.bump_frame(grid)
     delta = np.where(np.arange(grid.M) < 64, np.arange(grid.M),
                      np.arange(grid.M) - 128) * grid.dx
     outside = np.abs(delta) >= np.sqrt(grid.hbar)
@@ -54,8 +56,8 @@ def test_bump_frame_compact_support():
 
 def test_reproducing_kernel_peak(coherent_setup):
     grid, frame, kern = coherent_setup
-    lattice = ps.natural_lattice(grid)
-    field = ps.husimi1(kern, frame, lattice)
+    field = ps.husimi1(kern, frame)
+    lattice = field.lattice
     ia, ib = nearest(lattice.qs, CENTER_Q), nearest(lattice.ps, CENTER_P)
     assert field.values[ia, ib] == pytest.approx(field.values.max())
     # p lattice does not hit the center exactly; evaluate the peak directly
@@ -87,18 +89,18 @@ def test_husimi_positivity_and_bound_random_states():
 
 def test_fft_path_matches_direct_oracle(coherent_setup):
     grid, frame, kern = coherent_setup
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lattice = ps.natural_lattice(grid, q_stride=8, p_stride=4)
-    fast = ps.husimi1(kern, frame, lattice)
+    fast = ps.husimi1(kern, frame)
+    full = fast.lattice
+    lattice = ps.PhaseSpaceLattice(full.qs[::8], full.ps[::4], grid.hbar)
     slow = ps.husimi1_direct(kern, frame, lattice)
-    assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+    assert np.max(np.abs(fast.values[::8, ::4] - slow.values)) < 1e-12
 
 
 def test_undersampled_lattice_warns():
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.1, N=1)
+    # dq = 12 / 8 = 1.5 > sqrt(0.1)
+    grid = make_grid(d=1, M=8, L=12.0, hbar=0.1, N=1)
     with pytest.warns(UserWarning, match="undersampled"):
-        lattice = ps.natural_lattice(grid, q_stride=16)
+        lattice = ps.natural_lattice(grid)
     assert lattice.undersampled()
 
 
@@ -177,10 +179,10 @@ def test_wigner_position_marginal(coherent_setup):
 def test_bridge_defect_and_refinement(coherent_setup):
     grid, frame, kern = coherent_setup
     wf = ps.wigner1(kern, grid)
-    base = ps.convolution_bridge_check(wf, kern, frame, q_stride=4,
-                                       p_stride=1)
-    fine = ps.convolution_bridge_check(wf, kern, frame, q_stride=2,
-                                       p_stride=1)
+    base = ps.convolution_bridge_check(
+        replace(wf, qs=wf.qs[::4], values=wf.values[::4]), kern, frame)
+    fine = ps.convolution_bridge_check(
+        replace(wf, qs=wf.qs[::2], values=wf.values[::2]), kern, frame)
     assert base["max_defect"] < 1e-4
     assert fine["max_defect"] * 3.0 <= base["max_defect"]
 
@@ -243,36 +245,111 @@ def test_moment_growth_check_interacting():
 # oscillation estimate
 # ---------------------------------------------------------------------------
 
+def spline_test_function(radius: float, s: int):
+    """Cardinal B-spline window of order s on [-radius, radius], and its
+    Fourier transform.
+
+    The spline is C^(s-2) with a jump in its (s-1)-th derivative, so its
+    transform, the closed form h sinc(k h / 2)^s with knot spacing
+    h = 2 radius / s, decays exactly like |k|^(-s): the sharp case of the
+    s-fold integration-by-parts bound.  Returns (fn, fourier_transform).
+    """
+    h = 2.0 * radius / s
+    spline = BSpline.basis_element(-radius + h * np.arange(s + 1),
+                                   extrapolate=False)
+
+    def fn(p):
+        return np.nan_to_num(spline(np.asarray(p, dtype=float)), nan=0.0)
+
+    def fourier_transform(k):
+        return h * np.sinc(np.asarray(k, dtype=float) * h / (2.0 * np.pi)) ** s
+
+    return fn, fourier_transform
+
+
+def oscillatory_integral(fn, support: float, x: float,
+                         hbar: float) -> float:
+    """integral of fn(p) e^{i p x / hbar} dp by adaptive quadrature, for an
+    even real fn: the integral is real and reduces to the cosine transform.
+    """
+    omega = x / hbar
+    if omega == 0.0:
+        val, _ = quad(fn, -support, support, limit=400)
+        return float(val)
+    re, _ = quad(fn, -support, support, weight="cos", wvar=omega, limit=400)
+    return float(re)
+
+
+def oscillation_decay(alpha: float, s: int, hbars) -> dict:
+    """Measured decay rate of the shell maximum of the oscillatory integral.
+
+    For x on the boundary shell of the cube of side hbar^alpha the
+    integral of phi(p) e^{i p x / hbar} decays like hbar^((1-alpha) s) when
+    phi has exactly s integrable derivatives.  The window is the order-s
+    spline of radius 55 s, whose transform decays exactly like |k|^(-s);
+    its wide support packs the spectral oscillation so the shell maximum
+    tracks the envelope smoothly.  A C-infinity window decays faster than
+    any such rate, so the bump is not used here.
+    """
+    hbars = np.asarray(sorted(hbars, reverse=True), dtype=float)
+    if len(hbars) < 4:
+        raise GridError("need at least 4 hbar samples for a rate fit")
+    radius = 55.0 * s
+    fn, _ = spline_test_function(radius, s)
+    values = []
+    for hb in hbars:
+        x0 = hb ** alpha
+        # window wide enough to contain at least one spectral peak
+        peak_dx = 2.0 * np.pi * hb / (2.0 * radius / s)
+        xs = np.linspace(x0, x0 + 1.25 * peak_dx, 24)
+        values.append(max(abs(oscillatory_integral(fn, radius, x, hb))
+                          for x in xs))
+    slope, r2 = ps.log_log_fit(hbars, values)
+    return {"slope": slope, "r2": r2, "target": (1.0 - alpha) * s}
+
+
+def test_spline_fourier_transform_closed_form():
+    fn, fourier_transform = spline_test_function(radius=1.5, s=3)
+    ks = np.linspace(0.1, 8.0, 40)
+    # quadrature oracle on a fine lattice
+    p = np.linspace(-1.5, 1.5, 20001)
+    vals = fn(p)
+    for k in ks[::8]:
+        quad_val = np.trapezoid(vals * np.exp(-1j * k * p), p)
+        assert abs(quad_val - fourier_transform(k)) < 1e-6
+    assert fourier_transform(0.0) == pytest.approx(np.trapezoid(vals, p),
+                                                   abs=1e-8)
+
+
 def test_oscillatory_integral_at_origin_is_plain_integral():
-    tf = bump_test_function(np.linspace(-3, 3, 257)[:-1], 0.0, 2.0, s=1)
-    base = ps.oscillatory_integral(tf.fn, 2.0, x=0.0, hbar=1.0)
+    fn, _ = spline_test_function(2.0, s=3)
+    base = oscillatory_integral(fn, 2.0, x=0.0, hbar=1.0)
     for hb in (0.5, 0.25, 0.125):
-        val = ps.oscillatory_integral(tf.fn, 2.0, x=0.0, hbar=hb)
+        val = oscillatory_integral(fn, 2.0, x=0.0, hbar=hb)
         assert val == pytest.approx(base, abs=1e-12)
 
 
 def test_oscillation_slope_reference_case():
-    res = ps.oscillation_decay(0.75, 2, [2.0 ** -k for k in range(3, 11)])
+    res = oscillation_decay(0.75, 2, [2.0 ** -k for k in range(3, 11)])
     assert abs(res["slope"] - 0.5) <= 0.05
 
 
 def test_oscillation_alpha_zero_fixed_shell():
     # |x| >= fixed delta: slope approaches s
-    res = ps.oscillation_decay(0.0, 2, [2.0 ** -k for k in range(3, 11)])
+    res = oscillation_decay(0.0, 2, [2.0 ** -k for k in range(3, 11)])
     assert abs(res["slope"] - 2.0) <= 0.2
 
 
 def test_oscillation_refuses_few_samples():
     with pytest.raises(GridError, match="4"):
-        ps.oscillation_decay(0.75, 2, [0.5, 0.25, 0.125])
+        oscillation_decay(0.75, 2, [0.5, 0.25, 0.125])
 
 
 def test_oscillation_quadrature_matches_closed_form():
-    from husimilab.grid import spline_test_function
-    tf = spline_test_function(0.0, 110.0, 2)
+    fn, fourier_transform = spline_test_function(110.0, 2)
     for x, hb in ((0.3, 0.125), (0.21, 0.0625)):
-        quad_val = ps.oscillatory_integral(tf.fn, 110.0, x, hb)
-        assert quad_val == pytest.approx(float(tf.fourier_transform(x / hb).real),
+        quad_val = oscillatory_integral(fn, 110.0, x, hb)
+        assert quad_val == pytest.approx(float(fourier_transform(x / hb).real),
                                          abs=1e-8)
 
 
