@@ -41,10 +41,11 @@ W_s(0) / B(0) = 1, so every shift keeps the mass of its line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from husimilab.grid import GridError, GridSpec, Potential
+from husimilab.grid import GridError, GridSpec, Potential, _read_only
 from husimilab.manybody import OneBodyKernel, _jacobi_anger
 from husimilab.phasespace import HusimiField, PhaseSpaceLattice
 
@@ -145,19 +146,28 @@ class MeanFieldState:
 
 
 def mean_field_matrix(state: MeanFieldState, potential: Potential) -> np.ndarray:
-    """Direct-minus-exchange one-body matrix U = diag(V * rho) - X dx."""
+    """Direct-minus-exchange one-body matrix U = diag(V * rho) - X dx.
+
+    Built in one M x M buffer: the exchange product V_d o omega scaled by
+    -dx/N, then the direct term V_d @ rho dx (the lattice convolution)
+    added on the diagonal.
+    """
     g = state.grid
-    N = len(state.orbitals)
-    rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / N
-    direct = np.real(np.fft.ifft(potential.centered_spectrum
-                                 * np.fft.fft(rho))) * g.dx
-    exchange = potential.difference_table() * state.omega() / N
-    return np.diag(direct) - exchange * g.dx
+    orb = state.orbitals
+    N, M = orb.shape
+    vdiff = potential.difference_table()
+    U = orb.T @ (np.conj(orb) * (-g.dx / N))
+    U *= vdiff
+    rho = np.sum(orb.real ** 2 + orb.imag ** 2, axis=0)
+    U.flat[::M + 1] += vdiff @ rho * (g.dx / N)
+    return U
 
 
+@lru_cache(maxsize=8)
 def _kinetic_step_factor(grid: GridSpec, dt: float) -> np.ndarray:
+    """exp(-i dt hbar k^2 / 2), built once per (grid, dt) and read-only."""
     k = grid.wavenumbers()
-    return np.exp(-0.5j * dt * grid.hbar * k ** 2)
+    return _read_only(np.exp(-0.5j * dt * grid.hbar * k ** 2))
 
 
 def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
@@ -165,23 +175,32 @@ def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
     """exp(-i dt U / hbar) applied to each orbital (row of `orbitals`).
 
     The Chebyshev series of `manybody._jacobi_anger` on the Gershgorin
-    bounds of the Hermitian U, cut where |J_k| < 1e-18; each term is one
-    (M x M) @ (M x N) product, and a half kick of dt = 0.001 takes about
-    five.  The truncated series is unitary to rounding, so the kick keeps
-    the orbitals orthonormal, and an orbital with U e = 0 (one orbital's
-    direct/exchange cancellation) comes back unchanged.
+    bounds of the Hermitian U, cut where |J_k| < 1e-18.  U is scaled and
+    shifted once, S = a (U^T - centre), so each term is one (N x M) @
+    (M x M) product on the orbital rows and one subtraction; a half kick
+    of dt = 0.001 takes about five.  The truncated series is unitary to
+    rounding, so the kick keeps the orbitals orthonormal, and an orbital
+    with U e = 0 (one orbital's direct/exchange cancellation) comes back
+    unchanged.
     """
     diag = U.diagonal()
     radius = np.sum(np.abs(U), axis=1) - np.abs(diag)
     centre, a, J = _jacobi_anger(float(np.min(diag.real - radius)),
                                  float(np.max(diag.real + radius)), dt, hbar)
-    prev, cur = None, orbitals.T
+    S = U.T * a
+    S.flat[::len(S) + 1] -= a * centre
+    prev, cur = None, orbitals
     out = J[0, 0] * cur
     for k in range(1, len(J)):
-        nxt = a * (U @ cur - centre * cur)
-        prev, cur = cur, (0.5 * nxt if k == 1 else nxt - prev)
+        nxt = cur @ S
+        if k == 1:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        prev, cur = cur, nxt
         out += (2.0 * (-1j) ** k * J[k, 0]) * cur
-    return (np.exp(-1j * dt * centre / hbar) * out).T
+    out *= np.exp(-1j * dt * centre / hbar)
+    return out
 
 
 def hartree_fock_step(state: MeanFieldState, potential: Potential,
@@ -202,15 +221,17 @@ def hartree_fock_step(state: MeanFieldState, potential: Potential,
     cancellation), so g = psi', both kicks act as the identity and the
     orbital propagates freely to machine precision.  Each step forms
     three mean-field matrices and applies two Chebyshev kicks
-    (`_apply_mean_field_exp`).
+    (`_apply_mean_field_exp`); the kinetic phase is built once per
+    (grid, dt).
     """
     g = state.grid
-    kin_full = _kinetic_step_factor(g, dt)
     U0 = mean_field_matrix(state, potential)
     orb = _apply_mean_field_exp(U0, state.orbitals, 0.5 * dt, g.hbar)
-    orb = np.fft.ifft(kin_full * np.fft.fft(orb, axis=1), axis=1)
+    orb = np.fft.fft(orb, axis=1)
+    orb *= _kinetic_step_factor(g, dt)
+    orb = np.fft.ifft(orb, axis=1)
     U1 = mean_field_matrix(MeanFieldState(g, orb), potential)
-    predicted = orb - (0.5j * dt / g.hbar) * (U1 @ orb.T).T
+    predicted = orb - (0.5j * dt / g.hbar) * (orb @ U1.T)
     U2 = mean_field_matrix(MeanFieldState(g, predicted), potential)
     orb = _apply_mean_field_exp(U2, orb, 0.5 * dt, g.hbar)
     new = MeanFieldState(g, orb, state.time + dt)
@@ -358,36 +379,59 @@ def _require_cfl(lat: PhaseSpaceLattice, fmax: float, dt: float) -> None:
             f"suggested dt <= {cfl['suggested_dt']:.3e}")
 
 
+@lru_cache(maxsize=8)
+def _spline_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-th roots of unity e^{-2 pi i m / n}, m = 0 .. n - 1, and the
+    node phases over the prefilter, e^{-i k j} / B(k) for j = -1 .. 2 (one
+    column each) at the rfft wavenumbers k; built once per n, read-only."""
+    k = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    nodes = (np.exp(-1j * k[:, None] * np.arange(-1, 3))
+             / ((4.0 + 2.0 * np.cos(k)) / 6.0)[:, None])
+    return _read_only(roots), _read_only(nodes)
+
+
 def _shift_transfer(n: int, shifts: np.ndarray) -> np.ndarray:
     """rfft multipliers W_s(k) / B(k) of periodic cubic B-spline
     interpolation at x - s on n points (see the module docstring), one
-    column per shift s, in cells."""
+    column per shift s, in cells: the four B-spline weights of the
+    fraction f through the node phases of `_spline_tables`, times
+    e^{-i k floor(s)} from the roots of unity."""
     base = np.floor(shifts)
     f = shifts - base
-    weights = [(1.0 - f) ** 3 / 6.0, (3.0 * f ** 3 - 6.0 * f ** 2 + 4.0) / 6.0,
-               (-3.0 * f ** 3 + 3.0 * f ** 2 + 3.0 * f + 1.0) / 6.0,
-               f ** 3 / 6.0]
-    # W_s is the DFT of the four weights placed at nodes floor(s) - 1 .. + 2
-    stencil = np.zeros((n, len(shifts)))
-    cols = np.arange(len(shifts))
-    for j, w in zip(range(-1, 3), weights):
-        stencil[(base.astype(np.int64) + j) % n, cols] = w
-    k = 2.0 * np.pi * np.arange(n // 2 + 1)[:, None] / n
-    return np.fft.rfft(stencil, axis=0) / ((4.0 + 2.0 * np.cos(k)) / 6.0)
+    weights = np.stack([(1.0 - f) ** 3 / 6.0,
+                        (3.0 * f ** 3 - 6.0 * f ** 2 + 4.0) / 6.0,
+                        (-3.0 * f ** 3 + 3.0 * f ** 2 + 3.0 * f + 1.0) / 6.0,
+                        f ** 3 / 6.0])
+    roots, nodes = _spline_tables(n)
+    turns = np.multiply.outer(np.arange(n // 2 + 1), base.astype(np.int64))
+    out = roots[turns % n]
+    out *= nodes @ weights
+    return out
+
+
+@lru_cache(maxsize=8)
+def _half_q_transfer(n: int, shifts: bytes) -> np.ndarray:
+    """`_shift_transfer` of the half q-transport shifts p dt / (2 dq),
+    which repeat every step of one run: memoized on the exact bytes of
+    the shifts, so it is built once per (lattice, dt), and read-only."""
+    return _read_only(_shift_transfer(n, np.frombuffer(shifts)))
 
 
 def _shift_along_q(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     """out[:, b] = m(q - s_b, p_b), periodic, for the `_shift_transfer`
     of the shifts s."""
-    return np.fft.irfft(np.fft.rfft(values, axis=0) * transfer,
-                        n=values.shape[0], axis=0)
+    spectrum = np.fft.rfft(values, axis=0)
+    spectrum *= transfer
+    return np.fft.irfft(spectrum, n=values.shape[0], axis=0)
 
 
 def _shift_along_p(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     """out[a, :] = m(q_a, p - s_a), periodic, for the `_shift_transfer`
     of the shifts s."""
-    return np.fft.irfft(np.fft.rfft(values, axis=1) * transfer.T,
-                        n=values.shape[1], axis=1)
+    spectrum = np.fft.rfft(values, axis=1)
+    spectrum *= transfer.T
+    return np.fft.irfft(spectrum, n=values.shape[1], axis=1)
 
 
 def vlasov_step(state: VlasovState, potential: Potential,
@@ -397,17 +441,18 @@ def vlasov_step(state: VlasovState, potential: Potential,
     Each transport shifts every lattice line by a constant: one rfft, the
     multiplier W_s(k) / B(k) of periodic cubic B-spline interpolation
     (module docstring) and one irfft.  The two half q-transports share
-    one multiplier.  W_s(0) / B(0) = 1 by the B-spline partition of
-    unity, so every shift keeps the lattice sum to rounding.  The p axis
-    is wrapped too, valid while the field vanishes near the p box edges.
-    The CFL guard checks the shifts applied: the q-shift pmax dt before
-    any work, and the p-shift of the mid-step force (the one force of the
-    step) before the kick.  Negative overshoot is clipped at 0 and the
-    clipped mass logged.
+    one multiplier, built once per (lattice, dt).  W_s(0) / B(0) = 1 by
+    the B-spline partition of unity, so every shift keeps the lattice sum
+    to rounding.  The p axis is wrapped too, valid while the field
+    vanishes near the p box edges.  The CFL guard checks the shifts
+    applied: the q-shift pmax dt before any work, and the p-shift of the
+    mid-step force (the one force of the step) before the kick.
+    Negative overshoot is clipped at 0 and the clipped mass logged.
     """
     lat = state.lattice
     _require_cfl(lat, 0.0, dt)
-    half_q = _shift_transfer(len(lat.qs), lat.ps * (0.5 * dt) / lat.dq)
+    half_q = _half_q_transfer(len(lat.qs),
+                              (lat.ps * (0.5 * dt) / lat.dq).tobytes())
     vals = _shift_along_q(state.values, half_q)
     mid = VlasovState(lat, vals, state.time + 0.5 * dt, state.force_scale)
     force = vlasov_force(mid, potential)
@@ -415,8 +460,8 @@ def vlasov_step(state: VlasovState, potential: Potential,
     vals = _shift_along_p(vals, _shift_transfer(len(lat.ps),
                                                 force * dt / lat.dp))
     vals = _shift_along_q(vals, half_q)
-    clip = float(-np.sum(vals[vals < 0.0]) * lat.cell)
-    vals = np.clip(vals, 0.0, None)
+    clip = float(-np.sum(np.minimum(vals, 0.0)) * lat.cell)
+    np.maximum(vals, 0.0, out=vals)
     return VlasovState(lat, vals, state.time + dt, state.force_scale,
                        state.clipped_mass + clip)
 

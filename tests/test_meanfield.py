@@ -143,6 +143,43 @@ def test_hf_kick_matches_expm(diagonal, angle):
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
 
+def test_hf_evolve_is_chained_steps():
+    grid = make_grid(d=1, M=64, L=12.0, hbar=1.0 / 3.0, N=3)
+    V = Potential.cosine(grid, [0.4, 0.15])
+    state = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 3)))
+    chained = state
+    for _ in range(7):
+        chained = mf.hartree_fock_step(chained, V, 0.002)
+    out = mf.hartree_fock_evolve(state, V, 0.002, 7)
+    assert np.array_equal(out.orbitals, chained.orbitals)
+    assert out.time == chained.time
+
+
+def test_hf_step_after_another_dt_matches_a_fresh_step():
+    """The kinetic phase built for one (grid, dt) is not reused for
+    another dt or another grid."""
+    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    other = make_grid(d=1, M=64, L=12.0, hbar=0.25, N=2)
+    V = Potential.cosine(grid, [0.4, 0.15])
+    orbs = np.array(mf.hermite_orbitals(grid, 2))
+    runs = [(grid, 0.002), (grid, 0.003), (other, 0.003)]
+
+    def steps():
+        return [mf.hartree_fock_step(mf.MeanFieldState(g, orbs), V, dt)
+                .orbitals for g, dt in runs]
+
+    chained = steps()
+    fresh = []
+    for g, dt in runs:
+        mf._kinetic_step_factor.cache_clear()
+        fresh.append(mf.hartree_fock_step(mf.MeanFieldState(g, orbs), V, dt)
+                     .orbitals)
+    for a, b in zip(chained, fresh):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(chained[0], chained[1])
+    assert not np.array_equal(chained[1], chained[2])
+
+
 def test_hf_aborts_on_orthonormality_loss():
     grid = make_grid(d=1, M=32, L=8.0, hbar=0.5, N=2)
     V = Potential.zero(grid)
@@ -273,6 +310,69 @@ def test_spline_shifts_match_map_coordinates(M):
     for got, want in ((mf._shift_along_q(vals, transfer), along_q),
                       (mf._shift_along_p(vals, transfer), along_p)):
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+
+
+def _stencil_transfer(n, shifts):
+    """W_s / B as the rfft of the four B-spline weights scattered onto
+    nodes floor(s) - 1 .. floor(s) + 2, over the prefilter B."""
+    base = np.floor(shifts)
+    f = shifts - base
+    weights = [(1.0 - f) ** 3 / 6.0, (3.0 * f ** 3 - 6.0 * f ** 2 + 4.0) / 6.0,
+               (-3.0 * f ** 3 + 3.0 * f ** 2 + 3.0 * f + 1.0) / 6.0,
+               f ** 3 / 6.0]
+    stencil = np.zeros((n, len(shifts)))
+    cols = np.arange(len(shifts))
+    for j, w in zip(range(-1, 3), weights):
+        stencil[(base.astype(np.int64) + j) % n, cols] = w
+    k = 2.0 * np.pi * np.arange(n // 2 + 1)[:, None] / n
+    return np.fft.rfft(stencil, axis=0) / ((4.0 + 2.0 * np.cos(k)) / 6.0)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_shift_transfer_matches_the_stencil_rfft(n):
+    rng = np.random.default_rng(n + 1)
+    shifts = np.concatenate([rng.uniform(-3.5, 3.5, 40),
+                             [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0,
+                              -1.5, 1.5, -0.25, 2.75, -1e-12, 1e-12]])
+    got = mf._shift_transfer(n, shifts)
+    want = _stencil_transfer(n, shifts)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_vlasov_evolve_is_chained_steps(gaussian_blob):
+    grid, state = gaussian_blob
+    V = Potential.cosine(grid, [0.4])
+    dt = 0.5 * mf.vlasov_cfl(state, V, 1.0)["suggested_dt"]
+    chained = state
+    for _ in range(5):
+        chained = mf.vlasov_step(chained, V, dt)
+    out = mf.vlasov_evolve(state, V, dt, 5)
+    assert np.array_equal(out.values, chained.values)
+    assert out.clipped_mass == chained.clipped_mass
+    assert out.time == chained.time
+
+
+def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
+    """The half q-transport multiplier built for one (lattice, dt) is not
+    reused for another dt or another lattice of the same size."""
+    grid, state = gaussian_blob
+    V = Potential.cosine(grid, [0.4])
+    dt = 0.5 * mf.vlasov_cfl(state, V, 1.0)["suggested_dt"]
+    lat = state.lattice
+    other = mf.VlasovState(ps.PhaseSpaceLattice(lat.qs, 0.5 * lat.ps,
+                                                lat.hbar),
+                           state.values, 0.0, state.force_scale)
+    runs = [(state, dt), (state, 0.5 * dt), (other, 0.5 * dt)]
+    chained = [mf.vlasov_step(s, V, h).values for s, h in runs]
+    fresh = []
+    for s, h in runs:
+        mf._half_q_transfer.cache_clear()
+        fresh.append(mf.vlasov_step(s, V, h).values)
+    for a, b in zip(chained, fresh):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(chained[0], chained[1])
+    assert not np.array_equal(chained[1], chained[2])
 
 
 def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
