@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -50,15 +51,21 @@ def read_state(path, L: float) -> ManyBodyState:
             raise ValueError(f"bad magic {magic!r}")
         if version != 1:
             raise ValueError(f"not a wavefunction snapshot (version {version})")
+        # the count is checked before make_grid, which would refuse the
+        # header of a phase-space field (p points in the N slot) as a
+        # budget overrun
+        found = (os.fstat(fh.fileno()).st_size - HEADER.size) // 16
+        expected = M ** (d * N)
+        if found != expected:
+            needs = expected if expected < 2 ** 63 else f"{M}^{d * N}"
+            raise ValueError(
+                f"{path}: header (d={d}, M={M}, N={N}) needs {needs} "
+                f"amplitudes, found {found}; the file is truncated or not an "
+                "N-body state (orbital snapshots hold N orbitals of M^d "
+                "amplitudes, phase-space fields M q-points by N p-points, "
+                "under the same header)")
         grid = make_grid(d=d, M=M, L=L, hbar=hbar, N=N)
         psi = np.frombuffer(fh.read(), dtype="<c16")
-    expected = M ** (d * N)
-    if psi.size != expected:
-        raise ValueError(
-            f"{path}: header (d={d}, M={M}, N={N}) needs {expected} "
-            f"amplitudes, found {psi.size}; the file is truncated or not an "
-            "N-body state (orbital snapshots share the header but hold N "
-            "orbitals of M^d amplitudes)")
     return ManyBodyState(grid, psi.reshape((M,) * (d * N)).copy(), time)
 
 
@@ -83,9 +90,14 @@ def write_field(path, values: np.ndarray, grid: GridSpec,
 
 
 def field_csv(path, qs, ps, values) -> None:
+    """Rows q,p,value in np.savetxt's "%.18e" format, from one string
+    format over all rows."""
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     data = np.column_stack([Q.reshape(-1), P.reshape(-1), values.reshape(-1)])
-    np.savetxt(path, data, delimiter=",", header="q,p,value", comments="")
+    rows = "%.18e,%.18e,%.18e\n" * len(data)
+    with open(path, "w") as fh:
+        fh.write("q,p,value\n")
+        fh.write(rows % tuple(data.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
