@@ -67,6 +67,9 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
 
     psi(x_1..x_N) = det[e_j(x_i)] / sqrt(N!).  Orbitals must be orthonormal
     under the lattice quadrature; the Gram defect is reported on failure.
+    For N >= 2 the state is built from its DFT on the sorted momentum
+    tuples, the N x N minors of the orbitals' DFTs (Leibniz sum), placed
+    on the grid by `_slater_amplitudes`.
     """
     orbitals = [np.asarray(e, dtype=complex) for e in orbitals]
     if len(orbitals) != grid.N:
@@ -82,14 +85,21 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
     if N == 1:
         psi = orbitals[0].copy()
     else:
-        psi = np.zeros((grid.M,) * N, dtype=complex)
+        # fftn(psi)[K] = det[e_hat_j(k_i)] / sqrt(N!) on each sorted tuple
+        # K; psi vanishes off the antisymmetric extension of those values
+        K = _sorted_tuples(grid.M, N)
+        G = np.fft.fft(E, axis=1)[:, K]  # G[j, i, r] = e_hat_j(K[i, r])
+        c = np.zeros(K.shape[1], dtype=complex)
         for perm in permutations(range(N)):
-            sign = _perm_sign(perm)
-            term = orbitals[perm[0]]
+            term = G[perm[0], 0].copy()
             for i in range(1, N):
-                term = np.multiply.outer(term, orbitals[perm[i]])
-            psi += sign * term
-        psi /= np.sqrt(factorial(N))
+                term *= G[perm[i], i]
+            c += _perm_sign(perm) * term
+        c /= np.sqrt(factorial(N))
+        psi = _slater_amplitudes(K, c, np.empty((grid.M,) * N, dtype=complex))
+        # the ifftn is antisymmetric only to rounding; extending its values
+        # on the sorted coordinate tuples makes every swap exact
+        _antisymmetric_extension(K, psi[tuple(K)], psi)
     state = ManyBodyState(grid, psi, 0.0)
     n = state.norm()
     state.psi /= n
@@ -178,6 +188,24 @@ def _sorted_tuples(M: int, N: int) -> np.ndarray:
     return K
 
 
+def _antisymmetric_extension(K: np.ndarray, values: np.ndarray,
+                             out: np.ndarray) -> np.ndarray:
+    """`out` holding `values` on the sorted tuples K (columns of
+    `_sorted_tuples`), the values times the sign of the ordering on their
+    other orderings, and 0 on every tuple with a repeated index."""
+    out[...] = 0.0
+    for perm in permutations(range(K.shape[0])):
+        out[tuple(K[list(perm)])] = _perm_sign(perm) * values
+    return out
+
+
+def _slater_amplitudes(K: np.ndarray, c: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """The amplitudes of the antisymmetric state with DFT c on the sorted
+    momentum tuples K, written into `out`."""
+    return np.fft.ifftn(_antisymmetric_extension(K, c, out), out=out)
+
+
 class _SlaterFlow:
     """exp(-i t H / hbar) of the lattice Hamiltonian of `time_derivative`,
     on the antisymmetric sector, in the sorted plane-wave Slater basis.
@@ -251,10 +279,7 @@ class _SlaterFlow:
 
     def to_grid(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The amplitudes of coefficients c, written into `out`."""
-        out[...] = 0.0
-        for perm in permutations(range(self.grid.N)):
-            out[tuple(self.K[list(perm)])] = _perm_sign(perm) * c
-        return np.fft.ifftn(out, out=out)
+        return _slater_amplitudes(self.K, c, out)
 
     def evolve(self, c: np.ndarray, times) -> list[np.ndarray]:
         """exp(-i t H / hbar) c for each t in `times`, all from one

@@ -76,6 +76,32 @@ def test_build_slater_rejects_non_orthonormal():
         mb.build_slater(grid, [e, 1.0001 * e])
 
 
+def _slater_by_outer_products(grid, orbitals) -> np.ndarray:
+    """det[e_j(x_i)] / sqrt(N!) on the grid as the signed sum of the N!
+    outer products of the orbitals, normalized under the quadrature."""
+    N = grid.N
+    psi = np.zeros((grid.M,) * N, dtype=complex)
+    for perm in permutations(range(N)):
+        term = orbitals[perm[0]]
+        for i in range(1, N):
+            term = np.multiply.outer(term, orbitals[perm[i]])
+        psi += mb._perm_sign(perm) * term
+    psi /= np.sqrt(factorial(N))
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.weight ** N)
+
+
+@pytest.mark.parametrize("N, M", [(2, 64), (3, 32), (4, 16)])
+def test_build_slater_matches_outer_products(N, M):
+    grid = make_grid(d=1, M=M, L=12.0, hbar=1.0 / N, N=N)
+    orbitals = mf.hermite_orbitals(grid, N)
+    state = mb.build_slater(grid, orbitals)
+    want = _slater_by_outer_products(grid, orbitals)
+    assert np.max(np.abs(state.psi - want)) <= 1e-14 * np.max(np.abs(want))
+    # the state is extended from the sorted coordinate tuples, so every
+    # swap of two coordinates negates it exactly
+    assert mb.antisymmetry_defect(state) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -385,6 +411,32 @@ def test_snapshot_round_trip(tmp_path, slater_n2):
     assert np.array_equal(back.psi, state.psi)
     assert back.time == state.time
     assert path.stat().st_size == 32 + 16 * grid.M ** grid.N
+
+
+def test_read_state_names_a_phase_space_field(tmp_path, slater_n2):
+    grid, _, _ = slater_n2
+    path = tmp_path / "husimi_mid.husi"
+    io.write_field(path, np.ones((grid.M, grid.M)), grid)
+    with pytest.raises(ValueError, match=r"needs 64\^64 amplitudes, found "
+                                         r"4096.*phase-space fields") as err:
+        io.read_state(path, L=grid.L)
+    assert "budget" not in str(err.value)
+
+
+def test_field_csv_matches_savetxt(tmp_path):
+    rng = np.random.default_rng(3)
+    qs = np.linspace(-6.0, 6.0, 64, endpoint=False)
+    ps_ = np.linspace(-3.0, 3.0, 64, endpoint=False)
+    values = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-300, 300,
+                                                                  (64, 64))
+    values[0, :3] = [0.0, -0.0, 1e-320]
+    io.field_csv(tmp_path / "field.csv", qs, ps_, values)
+    Q, P = np.meshgrid(qs, ps_, indexing="ij")
+    np.savetxt(tmp_path / "want.csv",
+               np.column_stack([Q.ravel(), P.ravel(), values.ravel()]),
+               delimiter=",", header="q,p,value", comments="")
+    assert ((tmp_path / "field.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def test_read_state_refuses_orbitals_and_truncated_files(tmp_path, slater_n2):
