@@ -69,7 +69,7 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
     under the lattice quadrature; the Gram defect is reported on failure.
     For N >= 2 the state is built from its DFT on the sorted momentum
     tuples, the N x N minors of the orbitals' DFTs (Leibniz sum), placed
-    on the grid by `_slater_amplitudes`.
+    on the grid by the scatter and ifftn of `_SlaterFlow.to_grid`.
     """
     orbitals = [np.asarray(e, dtype=complex) for e in orbitals]
     if len(orbitals) != grid.N:
@@ -96,7 +96,8 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
                 term *= G[perm[i], i]
             c += _perm_sign(perm) * term
         c /= np.sqrt(factorial(N))
-        psi = _slater_amplitudes(K, c, np.empty((grid.M,) * N, dtype=complex))
+        psi = np.empty((grid.M,) * N, dtype=complex)
+        np.fft.ifftn(_antisymmetric_extension(K, c, psi), out=psi)
         # the ifftn is antisymmetric only to rounding; extending its values
         # on the sorted coordinate tuples makes every swap exact
         _antisymmetric_extension(K, psi[tuple(K)], psi)
@@ -199,13 +200,6 @@ def _antisymmetric_extension(K: np.ndarray, values: np.ndarray,
     return out
 
 
-def _slater_amplitudes(K: np.ndarray, c: np.ndarray,
-                       out: np.ndarray) -> np.ndarray:
-    """The amplitudes of the antisymmetric state with DFT c on the sorted
-    momentum tuples K, written into `out`."""
-    return np.fft.ifftn(_antisymmetric_extension(K, c, out), out=out)
-
-
 class _SlaterFlow:
     """exp(-i t H / hbar) of the lattice Hamiltonian of `time_derivative`,
     on the antisymmetric sector, in the sorted plane-wave Slater basis.
@@ -279,7 +273,8 @@ class _SlaterFlow:
 
     def to_grid(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The amplitudes of coefficients c, written into `out`."""
-        return _slater_amplitudes(self.K, c, out)
+        return np.fft.ifftn(_antisymmetric_extension(self.K, c, out),
+                            out=out)
 
     def evolve(self, c: np.ndarray, times) -> list[np.ndarray]:
         """exp(-i t H / hbar) c for each t in `times`, all from one
