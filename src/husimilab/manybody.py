@@ -94,7 +94,10 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
             term = G[perm[0], 0].copy()
             for i in range(1, N):
                 term *= G[perm[i], i]
-            c += _perm_sign(perm) * term
+            if _perm_sign(perm) > 0:
+                c += term
+            else:
+                c -= term
         c /= np.sqrt(factorial(N))
         psi = np.empty((grid.M,) * N, dtype=complex)
         np.fft.ifftn(_antisymmetric_extension(K, c, psi), out=psi)
@@ -194,9 +197,17 @@ def _antisymmetric_extension(K: np.ndarray, values: np.ndarray,
     """`out` holding `values` on the sorted tuples K (columns of
     `_sorted_tuples`), the values times the sign of the ordering on their
     other orderings, and 0 on every tuple with a repeated index."""
-    out[...] = 0.0
-    for perm in permutations(range(K.shape[0])):
-        out[tuple(K[list(perm)])] = _perm_sign(perm) * values
+    N, M = K.shape[0], out.shape[0]
+    flat_out = out.reshape(-1)
+    flat_out[:] = 0.0
+    negated = -values
+    for perm in permutations(range(N)):
+        # row-major offset of the ordering (K[perm[0]], ..., K[perm[-1]])
+        flat = K[perm[0]].astype(np.int64)
+        for i in perm[1:]:
+            flat *= M
+            flat += K[i]
+        flat_out[flat] = values if _perm_sign(perm) > 0 else negated
     return out
 
 
