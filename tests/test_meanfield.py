@@ -163,12 +163,8 @@ def test_hf_step_after_another_dt_matches_a_fresh_step():
     V = Potential.cosine(grid, [0.4, 0.15])
     orbs = np.array(mf.hermite_orbitals(grid, 2))
     runs = [(grid, 0.002), (grid, 0.003), (other, 0.003)]
-
-    def steps():
-        return [mf.hartree_fock_step(mf.MeanFieldState(g, orbs), V, dt)
-                .orbitals for g, dt in runs]
-
-    chained = steps()
+    chained = [mf.hartree_fock_step(mf.MeanFieldState(g, orbs), V, dt)
+               .orbitals for g, dt in runs]
     fresh = []
     for g, dt in runs:
         mf._kinetic_step_factor.cache_clear()
