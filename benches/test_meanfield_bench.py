@@ -22,7 +22,7 @@ STEPS = 100
 
 def _point(N, M):
     cfg = harness.RunConfig(N=N, M=M, hbar=1.0 / N)
-    grid = make_grid(d=1, M=M, L=cfg.L, hbar=cfg.hbar, N=N)
+    grid = make_grid(M=M, L=cfg.L, hbar=cfg.hbar, N=N)
     potential = harness.build_potential(grid, cfg.potential)
     orbitals = harness.build_orbitals(grid, "hermite", None)
     return cfg, grid, potential, orbitals

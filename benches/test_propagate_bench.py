@@ -19,7 +19,7 @@ from husimilab.grid import make_grid
 @pytest.mark.parametrize("N, M", [(2, 64), (3, 64), (4, 32)])
 def test_propagate(benchmark, N, M):
     cfg = harness.RunConfig(N=N, M=M, hbar=1.0 / N)
-    grid = make_grid(d=1, M=M, L=cfg.L, hbar=cfg.hbar, N=N)
+    grid = make_grid(M=M, L=cfg.L, hbar=cfg.hbar, N=N)
     potential = harness.build_potential(grid, cfg.potential)
     state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
                                                          None))

@@ -69,7 +69,7 @@ def cmd_transform(args) -> int:
     io.field_csv(out / "husimi.csv", hus.lattice.qs, hus.lattice.ps,
                  hus.values)
     io.field_csv(out / "wigner.csv", wig.qs, wig.ps, wig.values)
-    print(f"husimi mass/(2 pi hbar)^d = {hus.canonical_mass():.6f}")
+    print(f"husimi mass/(2 pi hbar) = {hus.canonical_mass():.6f}")
     return 0
 
 

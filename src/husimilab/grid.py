@@ -1,10 +1,10 @@
 """Periodic spatial discretization, potentials, and smooth test functions.
 
-All modules share one convention set fixed here: a centered periodic box
-[-L/2, L/2) with M points per axis, quadrature weight dx^d, spectral
-differentiation through the FFT, and the hbar-scaled momentum lattice
-p_k = 2*pi*hbar*k/L on which plane waves e^{i p x / hbar} are exactly
-orthogonal under the lattice quadrature.
+All modules share one convention set fixed here: a centered periodic
+one-dimensional box [-L/2, L/2) with M points, quadrature weight dx per
+coordinate, spectral differentiation through the FFT, and the
+hbar-scaled momentum lattice p_k = 2*pi*hbar*k/L on which plane waves
+e^{i p x / hbar} are exactly orthogonal under the lattice quadrature.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class GridSpec:
     Immutable after construction; safe to share across parallel workers.
     """
 
-    d: int
     M: int
     L: float
     hbar: float
@@ -48,11 +47,6 @@ class GridSpec:
     @property
     def dx(self) -> float:
         return self.L / self.M
-
-    @property
-    def weight(self) -> float:
-        """Quadrature weight of one spatial lattice cell, dx^d."""
-        return self.dx ** self.d
 
     def axis_points(self) -> np.ndarray:
         """Lattice points of one axis, centered: x_i = -L/2 + i dx."""
@@ -72,25 +66,29 @@ def make_grid(d: int = 1, M: int = 64, L: float = 2.0 * np.pi,
               budget: int | None = None) -> GridSpec:
     """Validate and build a GridSpec.
 
-    M must be a power of two (FFT contract), hbar > 0, N >= 1, and the
-    N-body amplitude count M^(dN) must fit the configured memory budget
+    Grids are one-dimensional: `d` is accepted only as the value 1.  M
+    must be a power of two (FFT contract), hbar > 0, N >= 1, and the
+    N-body amplitude count M^N must fit the configured memory budget
     (default 2^26, overridable via the HUSIMI_LAB_BUDGET variable).
     """
+    if d != 1:
+        raise GridError(f"husimilab grids are one-dimensional: got d={d}; "
+                        "drop the d argument")
     if M < 2 or (M & (M - 1)) != 0:
         raise GridError(f"M not power of two: M={M}")
     if L <= 0:
         raise GridError(f"L must be positive, got {L}")
     if hbar <= 0:
         raise GridError(f"hbar must be positive, got {hbar}")
-    if d < 1 or N < 1:
-        raise GridError(f"need d >= 1 and N >= 1, got d={d}, N={N}")
+    if N < 1:
+        raise GridError(f"need N >= 1, got N={N}")
     limit = _active_budget(budget)
-    count = M ** (d * N)
+    count = M ** N
     if count > limit:
         raise GridError(
-            f"amplitude budget exceeded: M^(d*N) = {M}^{d * N} = {count} "
-            f"> {limit} (d={d}, N={N}, M={M})")
-    return GridSpec(d=d, M=M, L=float(L), hbar=float(hbar), N=N)
+            f"amplitude budget exceeded: M^N = {M}^{N} = {count} "
+            f"> {limit} (N={N}, M={M})")
+    return GridSpec(M=M, L=float(L), hbar=float(hbar), N=N)
 
 
 def spectral_derivative(values: np.ndarray, L: float,

@@ -27,7 +27,6 @@ from husimilab.grid import GridError, Potential, make_grid
 
 @dataclass
 class RunConfig:
-    d: int = 1
     M: int = 64
     L: float = 12.0
     hbar: float = 0.5
@@ -110,7 +109,7 @@ def run_experiment(cfg: RunConfig, outdir) -> Path:
 
 def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     rng = np.random.default_rng(cfg.seed)
-    grid = make_grid(d=cfg.d, M=cfg.M, L=cfg.L, hbar=cfg.hbar, N=cfg.N)
+    grid = make_grid(M=cfg.M, L=cfg.L, hbar=cfg.hbar, N=cfg.N)
     potential = build_potential(grid, cfg.potential)
     frame = build_frame(grid, cfg.frame)
     orbitals = build_orbitals(grid, cfg.orbital_family, rng)
@@ -159,7 +158,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     hf_end = mf.hartree_fock_evolve(hf0, potential, cfg.dt, steps)
     horizon = max(cfg.horizon, 1e-9)
     _record(rows, "hf_trace_drift",
-            abs(np.real(np.trace(hf_end.omega())) * grid.weight - cfg.N),
+            abs(np.real(np.trace(hf_end.omega())) * grid.dx - cfg.N),
             1e-8, cfg, hf_end.time)
     _record(rows, "hf_idempotency", hf_end.idempotency_defect(), 1e-8, cfg,
             hf_end.time)
@@ -234,12 +233,12 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
 # ---------------------------------------------------------------------------
 
 def coupled_sweep_configs(base: RunConfig, Ns=(2, 3, 4)) -> list[RunConfig]:
-    """hbar = N^(-1/d): the d = 1 analogue of the scaling coupling."""
+    """hbar = 1/N: the one-dimensional scaling coupling."""
     out = []
     for n in Ns:
         cfg = RunConfig.from_dict(base.to_dict())
         cfg.N = int(n)
-        cfg.hbar = float(n) ** (-1.0 / base.d)
+        cfg.hbar = 1.0 / n
         out.append(cfg)
     return out
 
@@ -292,7 +291,7 @@ def aggregate_sweep(run_dirs) -> dict:
     """Collect per-run summaries into rate tables and ordering checks.
 
     The paper's headline is that the mean-field residue falls below the
-    semiclassical one as N grows on the coupled line hbar = N^(-1/d).
+    semiclassical one as N grows on the coupled line hbar = 1/N.
     Each row with N >= 2 carries their ratio, `meanfield_over_
     semiclassical`, and the report says whether it decreases in N.  The
     pointwise `meanfield_below_semiclassical` is reported, not required.
@@ -338,15 +337,4 @@ def aggregate_sweep(run_dirs) -> dict:
             for a, b in zip(by_n, by_n[1:]) if a["N"] < b["N"])
         if len({r["N"] for r in by_n}) >= 2 else None)
     report["monotone_decreasing"] = monotone
-    # d-adapted reference exponents for the alpha sweeps (reported only)
-    d = 1
-    report["reference_exponents"] = {
-        "semiclassical": {str(a2): 0.5 + d * (a2 - 1.0)
-                          for a2 in (0.55, 0.65, 0.75, 0.85, 0.95)},
-        "meanfield": {str(a1): 0.5 * d * (a1 - 0.5) + 0.5 * d
-                      for a1 in (0.55, 0.65, 0.75, 0.85, 0.95)},
-        "negative_exponent_flag": {
-            str(a2): (0.5 + d * (a2 - 1.0)) <= 0.0
-            for a2 in (0.55, 0.65, 0.75, 0.85, 0.95)},
-    }
     return report

@@ -2,13 +2,13 @@
 reduced density matrices, and kinetic-energy diagnostics.
 
 Amplitudes are stored as an (M,)*N complex array in coordinate order
-(x_1, ..., x_N) on the shared periodic grid (d = 1 for N >= 2; a single
-particle may live in any d).  The propagator is the exact flow
-exp(-i t H / hbar) of the lattice Hamiltonian of `time_derivative`.  For
-N >= 2 it runs on the antisymmetric sector in the sorted plane-wave
-Slater basis, with H a sparse real symmetric matrix and the exponential
-a Chebyshev series; for N = 1 it is the FFT phase flow.  Antisymmetry is
-checked on input, and the flow keeps it exactly in the basis.
+(x_1, ..., x_N) on the shared one-dimensional periodic grid.  The
+propagator is the exact flow exp(-i t H / hbar) of the lattice
+Hamiltonian of `time_derivative`.  It runs on the antisymmetric sector
+in the sorted plane-wave Slater basis, with H a sparse real symmetric
+matrix (diagonal for N = 1) and the exponential a Chebyshev series.
+Antisymmetry is checked on input, and the flow keeps it exactly in the
+basis.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ class ManyBodyState:
     time: float = 0.0
 
     def __post_init__(self):
-        expected = (self.grid.M,) * (self.grid.d * self.grid.N)
+        expected = (self.grid.M,) * self.grid.N
         if self.psi.shape != expected:
             raise GridError(f"amplitude shape {self.psi.shape} != {expected}")
 
     def norm(self) -> float:
-        w = self.grid.weight ** self.grid.N
+        w = self.grid.dx ** self.grid.N
         return float(np.sqrt(np.sum(np.abs(self.psi) ** 2) * w))
 
     def copy(self) -> "ManyBodyState":
@@ -48,18 +48,15 @@ class ManyBodyState:
 
 def antisymmetry_defect(state: ManyBodyState) -> float:
     """Max violation of psi(swap pair) = -psi over all coordinate pairs."""
-    if state.grid.N == 1:
-        return 0.0
     return _swap_defect(state, combinations(range(state.grid.N), 2))
 
 
 def _swap_defect(state: ManyBodyState, pairs) -> float:
-    """max |psi(swap i, j) + psi| over the coordinate pairs (i, j)."""
-    if state.grid.d != 1:
-        raise GridError("antisymmetry check implemented for d = 1")
+    """max |psi(swap i, j) + psi| over the coordinate pairs (i, j); 0 for
+    no pairs."""
     psi = state.psi
-    return max(float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)))
-               for i, j in pairs)
+    return max((float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)))
+                for i, j in pairs), default=0.0)
 
 
 def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
@@ -67,43 +64,38 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
 
     psi(x_1..x_N) = det[e_j(x_i)] / sqrt(N!).  Orbitals must be orthonormal
     under the lattice quadrature; the Gram defect is reported on failure.
-    For N >= 2 the state is built from its DFT on the sorted momentum
-    tuples, the N x N minors of the orbitals' DFTs (Leibniz sum), placed
-    on the grid by the scatter and ifftn of `_SlaterFlow.to_grid`.
+    The state is built from its DFT on the sorted momentum tuples, the
+    N x N minors of the orbitals' DFTs (Leibniz sum), placed on the grid
+    by the scatter and ifftn of `_SlaterFlow.to_grid`.
     """
     orbitals = [np.asarray(e, dtype=complex) for e in orbitals]
     if len(orbitals) != grid.N:
         raise GridError(f"need {grid.N} orbitals, got {len(orbitals)}")
-    if grid.N > 1 and grid.d != 1:
-        raise GridError("N-body Slater construction implemented for d = 1")
     E = np.stack(orbitals)  # (N, M)
-    gram = (E.conj() @ E.T) * grid.weight
+    gram = (E.conj() @ E.T) * grid.dx
     defect = np.max(np.abs(gram - np.eye(grid.N)))
     if defect > 1e-10:
         raise GridError(f"orbitals not orthonormal: Gram defect {defect:.3e}")
     N = grid.N
-    if N == 1:
-        psi = orbitals[0].copy()
-    else:
-        # fftn(psi)[K] = det[e_hat_j(k_i)] / sqrt(N!) on each sorted tuple
-        # K; psi vanishes off the antisymmetric extension of those values
-        K = _sorted_tuples(grid.M, N)
-        G = np.fft.fft(E, axis=1)[:, K]  # G[j, i, r] = e_hat_j(K[i, r])
-        c = np.zeros(K.shape[1], dtype=complex)
-        for perm in permutations(range(N)):
-            term = G[perm[0], 0].copy()
-            for i in range(1, N):
-                term *= G[perm[i], i]
-            if _perm_sign(perm) > 0:
-                c += term
-            else:
-                c -= term
-        c /= np.sqrt(factorial(N))
-        psi = np.empty((grid.M,) * N, dtype=complex)
-        np.fft.ifftn(_antisymmetric_extension(K, c, psi), out=psi)
-        # the ifftn is antisymmetric only to rounding; extending its values
-        # on the sorted coordinate tuples makes every swap exact
-        _antisymmetric_extension(K, psi[tuple(K)], psi)
+    # fftn(psi)[K] = det[e_hat_j(k_i)] / sqrt(N!) on each sorted tuple K;
+    # psi vanishes off the antisymmetric extension of those values
+    K = _sorted_tuples(grid.M, N)
+    G = np.fft.fft(E, axis=1)[:, K]  # G[j, i, r] = e_hat_j(K[i, r])
+    c = np.zeros(K.shape[1], dtype=complex)
+    for perm in permutations(range(N)):
+        term = G[perm[0], 0].copy()
+        for i in range(1, N):
+            term *= G[perm[i], i]
+        if _perm_sign(perm) > 0:
+            c += term
+        else:
+            c -= term
+    c /= np.sqrt(factorial(N))
+    psi = np.empty((grid.M,) * N, dtype=complex)
+    np.fft.ifftn(_antisymmetric_extension(K, c, psi), out=psi)
+    # the ifftn is antisymmetric only to rounding; extending its values on
+    # the sorted coordinate tuples makes every swap exact
+    _antisymmetric_extension(K, psi[tuple(K)], psi)
     state = ManyBodyState(grid, psi, 0.0)
     n = state.norm()
     state.psi /= n
@@ -130,8 +122,6 @@ def _perm_sign(perm) -> int:
 def pair_potential_table(grid: GridSpec, potential: Potential) -> np.ndarray:
     """W(x_1..x_N) = (1/2N) sum_{i/=j} V(x_i - x_j) on the N-body lattice."""
     N, M = grid.N, grid.M
-    if N == 1:
-        return np.zeros((M,) * grid.d)
     vtab = potential.centered_values()  # V at lattice differences
     idx = np.arange(M)
     W = np.zeros((M,) * N)
@@ -146,9 +136,8 @@ def _axis_k2(grid: GridSpec) -> list[np.ndarray]:
     """|k|^2 of each N-body axis (FFT order), shaped to broadcast on the
     amplitudes; their sum is the N-body k^2 table."""
     k2 = grid.wavenumbers() ** 2
-    naxes = grid.d * grid.N
-    return [k2.reshape([grid.M if b == a else 1 for b in range(naxes)])
-            for a in range(naxes)]
+    return [k2.reshape([grid.M if b == a else 1 for b in range(grid.N)])
+            for a in range(grid.N)]
 
 
 def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
@@ -160,19 +149,18 @@ def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
     if bad:
         raise PropagationError(f"non-finite input amplitudes: {bad} of "
                                f"{state.psi.size}")
-    if state.grid.N > 1:
-        # the N - 1 adjacent transpositions generate S_N, so they decide
-        # antisymmetry; the defect of any other swap (i, j) is at most
-        # 2 |i - j| - 1 times theirs
-        defect = _swap_defect(state, [(i, i + 1)
-                                      for i in range(state.grid.N - 1)])
-        scale = float(np.max(np.abs(state.psi)))
-        if defect > 1e-10 * scale:
-            raise GridError(
-                f"input state is not antisymmetric: max |psi(swap) + psi| = "
-                f"{defect:.3e} against max |psi| = {scale:.3e}; the exact "
-                "flow holds only the antisymmetric sector, so antisymmetrize "
-                "the state first")
+    # the N - 1 adjacent transpositions generate S_N, so they decide
+    # antisymmetry; the defect of any other swap (i, j) is at most
+    # 2 |i - j| - 1 times theirs
+    defect = _swap_defect(state, [(i, i + 1)
+                                  for i in range(state.grid.N - 1)])
+    scale = float(np.max(np.abs(state.psi)))
+    if defect > 1e-10 * scale:
+        raise GridError(
+            f"input state is not antisymmetric: max |psi(swap) + psi| = "
+            f"{defect:.3e} against max |psi| = {scale:.3e}; the exact flow "
+            "holds only the antisymmetric sector, so antisymmetrize the "
+            "state first")
 
 
 def _sorted_tuples(M: int, N: int) -> np.ndarray:
@@ -231,8 +219,6 @@ class _SlaterFlow:
     """
 
     def __init__(self, grid: GridSpec, potential: Potential):
-        if grid.d != 1:
-            raise GridError("the exact N-body flow is implemented for d = 1")
         N, M = grid.N, grid.M
         vhat = potential.centered_spectrum.real / M
         modes = [m for m in range(1, M) if abs(vhat[m]) > 1e-15]
@@ -339,9 +325,14 @@ def _jacobi_anger(lo: float, hi: float, times, hbar: float):
     1e-18.
     """
     centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    R = np.asarray(times, dtype=float) * half / hbar
-    J = special.jv(np.arange(int(2 * np.max(np.abs(R))) + 40)[:, None], R)
-    terms = int(np.flatnonzero(np.max(np.abs(J), axis=1) > 1e-18)[-1]) + 1
+    R = np.array(times, dtype=float, ndmin=1) * half / hbar
+    # for k > max |R| every |J_k(R_s)| falls monotonically in k, so the
+    # table grows by 8 orders until its last row is at or below the cut
+    J = special.jv(np.arange(int(abs(R).max()) + 8)[:, None], R)
+    while abs(J[-1]).max() > 1e-18:
+        J = np.vstack([J, special.jv(np.arange(len(J), len(J) + 8)[:, None],
+                                     R)])
+    terms = int(np.flatnonzero(abs(J).max(axis=1) > 1e-18)[-1]) + 1
     return centre, (2.0 / half if half > 0 else 0.0), J[:terms]
 
 
@@ -365,12 +356,10 @@ def _check_hamiltonian_budget(M: int, N: int, modes: int) -> None:
 
 def propagate(state: ManyBodyState, potential: Potential, dt: float,
               steps: int) -> ManyBodyState:
-    """The exact flow of H over time dt * steps.
+    """The exact flow of H over time dt * steps, through `_SlaterFlow`.
 
-    For N >= 2 the state moves through `_SlaterFlow`; for N = 1, in any
-    d, there is no pair term and the flow is the FFT phase
-    exp(-i t hbar k^2 / 2).  Non-finite and (for N >= 2) non-antisymmetric
-    inputs are refused before anything is built.
+    Non-finite and non-antisymmetric inputs are refused before anything
+    is built.
     """
     return propagate_trajectory(state, potential, dt, steps,
                                 max(steps, 1))[-1]
@@ -402,20 +391,14 @@ def propagate_trajectory(state: ManyBodyState, potential: Potential,
         return [state.copy()]
     g = state.grid
     counts = list(range(store_every, steps, store_every)) + [steps]
-    if g.N == 1:
-        omega = 0.5 * g.hbar * sum(_axis_k2(g))
-        psi_hat = np.fft.fftn(state.psi)
-        evolved = [np.fft.ifftn(psi_hat * np.exp(-1j * dt * k * omega))
-                   for k in counts]
-    else:
-        # The results are allocated before the flow's temporaries, so that
-        # freeing those leaves heap space later stages reuse: the peak RSS
-        # of an N=3, M=64 run measured 123.0 MB the other way, 119.5 so.
-        evolved = [np.empty_like(state.psi, dtype=complex) for _ in counts]
-        flow = _SlaterFlow(g, potential)
-        for c, psi in zip(flow.evolve(flow.to_basis(state.psi),
-                                      [dt * k for k in counts]), evolved):
-            flow.to_grid(c, psi)
+    # The results are allocated before the flow's temporaries, so that
+    # freeing those leaves heap space later stages reuse: the peak RSS of
+    # an N=3, M=64 run measured 123.0 MB the other way, 119.5 so.
+    evolved = [np.empty_like(state.psi, dtype=complex) for _ in counts]
+    flow = _SlaterFlow(g, potential)
+    for c, psi in zip(flow.evolve(flow.to_basis(state.psi),
+                                  [dt * k for k in counts]), evolved):
+        flow.to_grid(c, psi)
     return [state.copy()] + [ManyBodyState(g, psi, state.time + dt * k)
                              for psi, k in zip(evolved, counts)]
 
@@ -433,20 +416,20 @@ class OneBodyKernel:
     trace_target: float
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)) * self.grid.weight)
+        return float(np.real(np.trace(self.matrix)) * self.grid.dx)
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def occupations(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix * self.grid.weight)
+        return np.linalg.eigvalsh(self.matrix * self.grid.dx)
 
 
 def gamma1(state: ManyBodyState) -> OneBodyKernel:
     """One-particle reduced density matrix, trace N."""
     g = state.grid
-    mat = state.psi.reshape(g.M ** g.d, -1)
-    kernel = g.N * (mat @ mat.conj().T) * g.weight ** (g.N - 1)
+    mat = state.psi.reshape(g.M, -1)
+    kernel = g.N * (mat @ mat.conj().T) * g.dx ** (g.N - 1)
     return OneBodyKernel(kernel, g, float(g.N))
 
 
@@ -460,11 +443,9 @@ class Gamma2View:
     def __init__(self, state: ManyBodyState):
         if state.grid.N < 2:
             raise GridError("gamma2 requires N >= 2")
-        if state.grid.d != 1:
-            raise GridError("gamma2 contractions implemented for d = 1")
         self.state = state
         g = state.grid
-        self._pref = g.N * (g.N - 1) * g.weight ** (g.N - 2)
+        self._pref = g.N * (g.N - 1) * g.dx ** (g.N - 2)
 
     def partial_diag(self) -> np.ndarray:
         """A[u1, w1, y] = gamma2(u1, y; w1, y), the kernel of every residue
@@ -490,15 +471,15 @@ def kinetic_energy(state: ManyBodyState) -> float:
     """(hbar^2 / 2) sum_j ||grad_j psi||^2 under the lattice quadrature."""
     g = state.grid
     power = np.abs(np.fft.fftn(state.psi)) ** 2
-    # Parseval: sum |psi_hat|^2 / M^(naxes) * weight^N = ||psi||^2
-    norm_factor = g.weight ** g.N / g.M ** (g.d * g.N)
+    # Parseval: sum |psi_hat|^2 / M^N * dx^N = ||psi||^2
+    norm_factor = g.dx ** g.N / g.M ** g.N
     return float(0.5 * g.hbar ** 2
                  * np.sum(sum(_axis_k2(g)) * power) * norm_factor)
 
 
 def interaction_energy(state: ManyBodyState, potential: Potential) -> float:
     W = pair_potential_table(state.grid, potential)
-    w = state.grid.weight ** state.grid.N
+    w = state.grid.dx ** state.grid.N
     return float(np.sum(W * np.abs(state.psi) ** 2) * w)
 
 
@@ -510,7 +491,7 @@ def momentum_first_moment(state: ManyBodyState) -> float:
     """(1/N) sum_j hbar ||grad_j psi||, a per-particle momentum scale."""
     g = state.grid
     power = np.abs(np.fft.fftn(state.psi)) ** 2
-    norm_factor = g.weight ** g.N / g.M ** (g.d * g.N)
+    norm_factor = g.dx ** g.N / g.M ** g.N
     total = sum(g.hbar * np.sqrt(np.sum(k2 * power) * norm_factor)
                 for k2 in _axis_k2(g))
     return total / g.N

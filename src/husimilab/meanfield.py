@@ -22,10 +22,10 @@ self-consistent force
 
     F(q) = -force_scale * (dV/dq * rho)(q),     rho(q) = sum_p m dp,
 
-where force_scale = 1/(N (2 pi hbar)^d) makes the equation the exact
+where force_scale = 1/(2 pi hbar N) makes the equation the exact
 residue-free limit of the reformulated phase-space identity when the
 initial datum carries the Husimi normalization (it reduces to the usual
-1/(2 pi)^d under the coupling hbar^d = 1/N).  Each split step moves
+1/(2 pi) under the coupling hbar = 1/N).  Each split step moves
 every lattice line by one constant shift s (in cells), so periodic cubic
 B-spline interpolation at x - s is a DFT multiplier along the line:
 
@@ -137,11 +137,11 @@ class MeanFieldState:
         return np.sum(np.abs(self.orbitals) ** 2, axis=0) / len(self.orbitals)
 
     def orthonormality_defect(self) -> float:
-        gram = (np.conj(self.orbitals) @ self.orbitals.T) * self.grid.weight
+        gram = (np.conj(self.orbitals) @ self.orbitals.T) * self.grid.dx
         return float(np.max(np.abs(gram - np.eye(len(self.orbitals)))))
 
     def idempotency_defect(self) -> float:
-        om = self.omega() * self.grid.weight
+        om = self.omega() * self.grid.dx
         return float(np.max(np.abs(om @ om - om)))
 
 
@@ -275,7 +275,7 @@ def norm_gaps(gamma_kernel: OneBodyKernel, omega_kernel: OneBodyKernel):
     if gamma_kernel.grid is not omega_kernel.grid and \
             gamma_kernel.grid != omega_kernel.grid:
         raise GridError("kernels live on different grids")
-    diff = (gamma_kernel.matrix - omega_kernel.matrix) * gamma_kernel.grid.weight
+    diff = (gamma_kernel.matrix - omega_kernel.matrix) * gamma_kernel.grid.dx
     sv = np.linalg.svd(diff, compute_uv=False)
     return float(np.sqrt(np.sum(sv ** 2))), float(np.sum(sv))
 
@@ -338,7 +338,7 @@ class VlasovState:
 
 def vlasov_from_husimi(field: HusimiField, grid: GridSpec) -> VlasovState:
     """Initial Vlasov datum: the one-particle Husimi field itself."""
-    scale = 1.0 / (grid.N * (2.0 * np.pi * grid.hbar) ** grid.d)
+    scale = 1.0 / (grid.N * (2.0 * np.pi * grid.hbar))
     return VlasovState(field.lattice, np.clip(field.values, 0.0, None).copy(),
                        0.0, scale)
 

@@ -1,18 +1,18 @@
 """Coherent-state frames and phase-space transforms.
 
-Conventions (d = 1 throughout the transforms; prefactors are written with
-the general dimension d of the grid):
+Conventions, on the one-dimensional grid, so one (q, p) pair per
+particle:
 
 * coherent state  f_qp(y) = w(y - q) e^{i p y / hbar} with the window w a
   normalized sample of f(./sqrt(hbar)) on the grid,
 * Husimi          m(q, p) = <f_qp, gamma f_qp>, so that the canonical
-  phase-space integral (2 pi hbar)^(-d) sum m dq dp equals Tr gamma = N
+  phase-space integral (2 pi hbar)^(-1) sum m dq dp equals Tr gamma = N
   exactly when (q, p) runs over the full grid x momentum lattice,
 * Wigner          W(x, p) = (1/N) sum_y gamma(x + y/2; x - y/2)
   e^{-i p y / hbar} dy on the half-spaced momentum lattice pi hbar k / L,
-  normalized so (2 pi hbar)^(-d) sum W dx dp = Tr gamma / N,
+  normalized so (2 pi hbar)^(-1) sum W dx dp = Tr gamma / N,
 * bridge          m = W * G with the Gaussian window and
-  G(q, p) = (pi hbar)^(-d) exp(-(q^2 + p^2)/hbar).
+  G(q, p) = (pi hbar)^(-1) exp(-(q^2 + p^2)/hbar).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class PhaseSpaceLattice:
     qs: np.ndarray
     ps: np.ndarray
     hbar: float
-    d: int = 1
 
     @property
     def dq(self) -> float:
@@ -51,8 +50,8 @@ class PhaseSpaceLattice:
 
     @property
     def canonical(self) -> float:
-        """(2 pi hbar)^d, the phase-space cell of one quantum state."""
-        return (2.0 * np.pi * self.hbar) ** self.d
+        """2 pi hbar, the phase-space cell of one quantum state."""
+        return 2.0 * np.pi * self.hbar
 
     def undersampled(self) -> bool:
         scale = np.sqrt(self.hbar)
@@ -66,8 +65,7 @@ def natural_lattice(grid: GridSpec) -> PhaseSpaceLattice:
     marginal identities machine-precision statements.
     """
     lat = PhaseSpaceLattice(grid.axis_points(),
-                            np.sort(grid.momentum_lattice()), grid.hbar,
-                            grid.d)
+                            np.sort(grid.momentum_lattice()), grid.hbar)
     if lat.undersampled():
         warnings.warn("phase-space lattice coarser than sqrt(hbar); "
                       "transform undersampled", stacklevel=2)
@@ -114,7 +112,7 @@ def _finish_frame(grid: GridSpec, raw: np.ndarray,
 
 
 def gaussian_frame(grid: GridSpec) -> CoherentFrame:
-    """f(x) = pi^(-d/4) exp(-|x|^2 / 2); the window the bridge requires."""
+    """f(x) = pi^(-1/4) exp(-x^2 / 2); the window the bridge requires."""
     delta = _centered_offsets(grid)
     raw = np.exp(-delta ** 2 / (2.0 * grid.hbar))
     return _finish_frame(grid, raw, "gaussian")
@@ -143,7 +141,7 @@ class HusimiField:
         return float(np.sum(self.values) * self.lattice.cell)
 
     def canonical_mass(self) -> float:
-        """(2 pi hbar)^(-d) integral of the field."""
+        """(2 pi hbar)^(-1) integral of the field."""
         return self.mass() / self.lattice.canonical
 
 
@@ -245,7 +243,7 @@ def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
 
     Uses the full natural lattice for the inner (q2, p2) sum, where
     coherent-state completeness is exact, so the marginal identity
-    (2 pi hbar)^(-d) sum_{q2 p2} m2 dq2 dp2 = (N-1) m1 holds to roundoff.
+    (2 pi hbar)^(-1) sum_{q2 p2} m2 dq2 dp2 = (N-1) m1 holds to roundoff.
     """
     g = state.grid
     m1 = husimi1(gamma1(state), frame)
@@ -267,7 +265,7 @@ def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
         marg = m2.sum(axis=1) * lattice.cell / lattice.canonical
         m1_flat = m1.values.reshape(-1)
         marg_defect = float(np.max(np.abs(marg - (g.N - 1) * m1_flat)))
-        total = float(m2.sum() * lattice.cell ** 2 / (2.0 * np.pi) ** (2 * g.d))
+        total = float(m2.sum() * lattice.cell ** 2 / (2.0 * np.pi) ** 2)
     else:
         qi = rng.integers(0, len(lattice.qs), n_marginal)
         pi = rng.integers(0, len(lattice.ps), n_marginal)
@@ -281,7 +279,7 @@ def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
             ref = (g.N - 1) * m1.values[qi[a], pi[a]]
             marg_defect = max(marg_defect, abs(marg - ref))
 
-    coupled = abs(g.hbar ** g.d * g.N - 1.0) < 1e-9
+    coupled = abs(g.hbar * g.N - 1.0) < 1e-9
     return {
         "symmetry_defect": sym_defect,
         "marginal_defect": marg_defect,
@@ -302,7 +300,6 @@ class WignerField:
     ps: np.ndarray
     hbar: float
     trace_target: float
-    d: int = 1
 
     @property
     def dq(self) -> float:
@@ -316,7 +313,7 @@ class WignerField:
         return float(np.sum(self.values) * self.dq * self.dp)
 
     def canonical_mass(self) -> float:
-        return self.mass() / (2.0 * np.pi * self.hbar) ** self.d
+        return self.mass() / (2.0 * np.pi * self.hbar)
 
 
 def wigner1(kernel: OneBodyKernel, grid: GridSpec) -> WignerField:
@@ -333,13 +330,13 @@ def wigner1(kernel: OneBodyKernel, grid: GridSpec) -> WignerField:
     ps = np.pi * grid.hbar * np.fft.fftfreq(M, d=1.0 / M) / grid.L
     order = np.argsort(ps)
     return WignerField(spectrum[order].T.real, grid.axis_points(), ps[order],
-                       grid.hbar, kernel.trace_target, grid.d)
+                       grid.hbar, kernel.trace_target)
 
 
 def wigner_position_marginal(wf: WignerField) -> np.ndarray:
-    """N (2 pi hbar)^(-d) sum_p W dp; equals the density gamma(x; x)."""
+    """N (2 pi hbar)^(-1) sum_p W dp; equals the density gamma(x; x)."""
     return (wf.values.sum(axis=1) * wf.dp * wf.trace_target
-            / (2.0 * np.pi * wf.hbar) ** wf.d)
+            / (2.0 * np.pi * wf.hbar))
 
 
 def gaussian_wigner_closed_form(qs, ps, width: float, x0: float, p0: float,
@@ -374,7 +371,7 @@ def convolution_bridge_check(wf: WignerField, kernel: OneBodyKernel,
     for shift in (-1, 0, 1):
         gq += np.exp(-((dq_mat + shift * g.L) ** 2) / hbar)
     gp = np.exp(-((ps[:, None] - ps[None, :]) ** 2) / hbar)
-    conv = (gq @ W @ gp.T) * dq * dp / (np.pi * hbar) ** g.d
+    conv = (gq @ W @ gp.T) * dq * dp / (np.pi * hbar)
     prefactor = 1.0  # N (N-1) ... (N-k+1) / N^k at k = 1
     defect = 0.0
     for a, q in enumerate(qs):
@@ -434,7 +431,7 @@ def localized_number_check(kernel: OneBodyKernel, radius: float) -> dict:
     """Double integral of the density over balls |x - q| <= sqrt(hbar) R.
 
     Fubini makes it exactly (lattice ball volume) x N; the returned ratio
-    to hbar^(-d/2) is the scale the localization bound controls.
+    to hbar^(-1/2) is the scale the localization bound controls.
     """
     g = kernel.grid
     delta = _centered_offsets(g)
@@ -444,6 +441,6 @@ def localized_number_check(kernel: OneBodyKernel, radius: float) -> dict:
     return {
         "value": value,
         "ball_volume": float(ball),
-        "ratio_to_scale": value * g.hbar ** (g.d / 2.0),
+        "ratio_to_scale": value * g.hbar ** 0.5,
         "hbar": g.hbar,
     }

@@ -7,7 +7,7 @@ Husimi field m of an N-body state on the periodic grid,
     d/dt m + p . d/dq m
         = d/dq . Rk + c [ d/dp . ((V' * rho) m) + d/dp . Rs + d/dp . Rm ],
 
-with c = 1/(N (2 pi hbar)^d), rho(q) = sum_p m dp, and
+with c = 1/(2 pi hbar N), rho(q) = sum_p m dp, and
 
     Rk(q,p) = hbar Im <f_qp, gamma1 d/dq f_qp>,
     Rs(q,p) = (1/N) sum f_qp(w1) conj(f_qp(u1))
@@ -90,13 +90,12 @@ def _window_mode_factors(frame: CoherentFrame, ks: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(ks, _centered_offsets(g))) @ kappa * g.dx
 
 
-def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray):
-    """A and its w2-transform Ahat[:, :, k] = sum_w2 A e^{-i k w2} dx."""
+def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray) -> np.ndarray:
+    """The w2-transform Ahat[:, :, k] = sum_w2 A e^{-i k w2} dx of A."""
     A = Gamma2View(state).partial_diag()
     x = state.grid.axis_points()
     phases = np.exp(-1j * np.outer(x, ks))
-    Ahat = np.tensordot(A, phases, axes=([2], [0])) * state.grid.dx
-    return A, Ahat
+    return np.tensordot(A, phases, axes=([2], [0])) * state.grid.dx
 
 
 @dataclass
@@ -117,7 +116,9 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     every contraction separates: the segment average S needs only
     w2-transforms of A at the active modes, and the smeared gradient
     D(q, w2) becomes a phase in q times kappa_hat(k), so each mode costs
-    one bilinear transform.
+    one bilinear transform.  The transform is linear in its kernel, so
+    the gamma1 (x) rho part of Rm is one transform of gamma1 times the
+    smeared force f(q) = sum_k i k c_k kappa_hat(k) rho_hat(k) e^{i k q}.
     """
     g = state.grid
     lattice = natural_lattice(g)
@@ -130,7 +131,7 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
         zero = np.zeros((nq, npts))
         return InteractionResidues(zero, zero.copy(), lattice)
 
-    A, Ahat = _gamma2_partial_hat(state, ks)
+    Ahat = _gamma2_partial_hat(state, ks)
     kappa_hat = _window_mode_factors(frame, ks)
     x = g.axis_points()
     nodes, weights = gauss_legendre_unit()
@@ -149,19 +150,17 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
 
     # per-mode smeared-gradient pieces for the Rs subtraction and Rm
     term2 = np.zeros((nq, npts), dtype=complex)
-    rm = np.zeros((nq, npts), dtype=complex)
+    force = np.zeros(nq, dtype=complex)
     for a, (k, c) in enumerate(zip(ks, cs)):
         phase_q = np.exp(1j * k * lattice.qs)
         factor = 1j * k * c * kappa_hat[a]
         Bk = bilinear_phase_field(Ahat[:, :, a], frame.window, frame.window, g)
         term2 += factor * phase_q[:, None] * Bk
-        defect_kernel = Ahat[:, :, a] - kern.matrix * rho_hat[a]
-        Bk_m = bilinear_phase_field(defect_kernel, frame.window,
-                                    frame.window, g)
-        rm += factor * phase_q[:, None] * Bk_m
+        force += factor * rho_hat[a] * phase_q
+    B1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
     pref = 1.0 / g.N
     rs = pref * (term1 - term2)
-    rm = pref * rm
+    rm = pref * (term2 - force[:, None] * B1)
     return InteractionResidues(rs.real, rm.real, lattice)
 
 
@@ -229,10 +228,10 @@ def _husimi_time_derivative(state: ManyBodyState, frame: CoherentFrame,
     Husimi transform is linear in the kernel.
     """
     g = state.grid
-    mat = state.psi.reshape(g.M ** g.d, -1)
+    mat = state.psi.reshape(g.M, -1)
     dmat = time_derivative(state, potential).reshape(mat.shape)
     xdot = dmat @ mat.conj().T
-    dgamma = g.N * (xdot + xdot.conj().T) * g.weight ** (g.N - 1)
+    dgamma = g.N * (xdot + xdot.conj().T) * g.dx ** (g.N - 1)
     return bilinear_phase_field(dgamma, frame.window, frame.window, g).real
 
 
@@ -261,7 +260,7 @@ def reformulation_consistency(fields: SnapshotFields, frame: CoherentFrame,
         "meanfield_residue": 0.0,
     }
     if fields.interaction is not None:
-        c_int = 1.0 / (g.N * (2.0 * np.pi * g.hbar) ** g.d)
+        c_int = 1.0 / (g.N * (2.0 * np.pi * g.hbar))
         force = mean_field_force_term(m, lattice, potential, g)
         parts["mean_field"] = -c_int * _paired(phi_q.values, phi_p.grad,
                                                force, lattice)

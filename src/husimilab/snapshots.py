@@ -4,7 +4,7 @@ Snapshot layout: a 32-byte header
 
     magic   4 bytes  b"HUSI"
     version u16      1
-    d       u16
+    d       u16      1, the dimension of the grid
     M       u32
     N       u32
     time    f64
@@ -40,7 +40,7 @@ assert HEADER.size == 32
 def write_state(path, state: ManyBodyState) -> None:
     g = state.grid
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 1, g.d, g.M, g.N, state.time, g.hbar))
+        fh.write(HEADER.pack(MAGIC, 1, 1, g.M, g.N, state.time, g.hbar))
         fh.write(np.ascontiguousarray(state.psi, dtype="<c16").tobytes())
 
 
@@ -51,22 +51,25 @@ def read_state(path, L: float) -> ManyBodyState:
             raise ValueError(f"bad magic {magic!r}")
         if version != 1:
             raise ValueError(f"not a wavefunction snapshot (version {version})")
+        if d != 1:
+            raise ValueError(f"{path}: header has d={d}; husimilab states "
+                             "live on a one-dimensional grid (d=1)")
         # the count is checked before make_grid, which would refuse the
         # header of a phase-space field (p points in the N slot) as a
         # budget overrun
         found = (os.fstat(fh.fileno()).st_size - HEADER.size) // 16
-        expected = M ** (d * N)
+        expected = M ** N
         if found != expected:
-            needs = expected if expected < 2 ** 63 else f"{M}^{d * N}"
+            needs = expected if expected < 2 ** 63 else f"{M}^{N}"
             raise ValueError(
-                f"{path}: header (d={d}, M={M}, N={N}) needs {needs} "
-                f"amplitudes, found {found}; the file is truncated or not an "
-                "N-body state (orbital snapshots hold N orbitals of M^d "
-                "amplitudes, phase-space fields M q-points by N p-points, "
-                "under the same header)")
-        grid = make_grid(d=d, M=M, L=L, hbar=hbar, N=N)
+                f"{path}: header (M={M}, N={N}) needs {needs} amplitudes, "
+                f"found {found}; the file is truncated or not an N-body state "
+                "(orbital snapshots hold N orbitals of M amplitudes, "
+                "phase-space fields M q-points by N p-points, under the same "
+                "header)")
+        grid = make_grid(M=M, L=L, hbar=hbar, N=N)
         psi = np.frombuffer(fh.read(), dtype="<c16")
-    return ManyBodyState(grid, psi.reshape((M,) * (d * N)).copy(), time)
+    return ManyBodyState(grid, psi.reshape((M,) * N).copy(), time)
 
 
 def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,
@@ -74,7 +77,7 @@ def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,
     """Mean-field orbitals: N one-body kernels-worth of vectors, concatenated."""
     n = orbitals.shape[0]
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 1, grid.d, grid.M, n, time, grid.hbar))
+        fh.write(HEADER.pack(MAGIC, 1, 1, grid.M, n, time, grid.hbar))
         fh.write(np.ascontiguousarray(orbitals, dtype="<c16").tobytes())
 
 
@@ -83,7 +86,7 @@ def write_field(path, values: np.ndarray, grid: GridSpec,
     """One-particle phase-space field in the snapshot format, with the q
     and p point counts in the M and N slots."""
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 1, grid.d, values.shape[0],
+        fh.write(HEADER.pack(MAGIC, 1, 1, values.shape[0],
                              values.shape[1], time, grid.hbar))
         fh.write(np.ascontiguousarray(values.astype(complex),
                                       dtype="<c16").tobytes())

@@ -8,7 +8,7 @@ from husimilab.grid import (GridError, Potential, bump_test_function,
 
 
 def test_make_grid_basic():
-    grid = make_grid(d=1, M=64, L=2.0 * np.pi, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=2.0 * np.pi, hbar=0.5, N=2)
     assert grid.dx == pytest.approx(2.0 * np.pi / 64)
     assert grid.dx * grid.M == pytest.approx(grid.L)
 
@@ -20,7 +20,12 @@ def test_make_grid_rejects_non_power_of_two():
 
 def test_make_grid_rejects_budget():
     with pytest.raises(GridError, match="budget"):
-        make_grid(d=1, M=4096, L=2.0 * np.pi, hbar=0.1, N=3, budget=2 ** 26)
+        make_grid(M=4096, L=2.0 * np.pi, hbar=0.1, N=3, budget=2 ** 26)
+
+
+def test_make_grid_refuses_a_second_dimension():
+    with pytest.raises(GridError, match="one-dimensional: got d=2"):
+        make_grid(d=2, M=16, L=6.0, hbar=0.5, N=1)
 
 
 def test_budget_env_override(monkeypatch):

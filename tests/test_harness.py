@@ -37,6 +37,12 @@ def test_fit_slope_refuses_a_non_positive_value():
         harness.fit_slope(records, "hbar", "kinetic")
 
 
+def test_from_dict_refuses_a_config_holding_d():
+    old = dict(harness.RunConfig().to_dict(), d=1)
+    with pytest.raises(GridError, match=r"unknown config keys \['d'\]"):
+        harness.RunConfig.from_dict(old)
+
+
 def _write_summary(run_dir, N, hbar, kinetic, semiclassical, meanfield):
     run_dir.mkdir()
     (run_dir / "summary.json").write_text(json.dumps({

@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.linalg import expm
 
 from husimilab import manybody as mb
@@ -12,7 +13,7 @@ from husimilab.grid import BUDGET_ENV_VAR, GridError, Potential, make_grid
 
 
 def _antisymmetrized(psi: np.ndarray) -> np.ndarray:
-    """sum over sigma of sign(sigma) psi(x_sigma), for d = 1."""
+    """sum over sigma of sign(sigma) psi(x_sigma)."""
     return sum(mb._perm_sign(p) * np.transpose(psi, p)
                for p in permutations(range(psi.ndim)))
 
@@ -32,13 +33,13 @@ def _strang(state, potential, dt: float, steps: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def slater_n2():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     orbitals = mf.hermite_orbitals(grid, 2)
     return grid, orbitals, mb.build_slater(grid, orbitals)
 
 
 def test_single_orbital_slater_is_the_orbital():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     orb = mb.gaussian_orbital(grid, width=0.8)
     state = mb.build_slater(grid, [orb])
     phase = state.psi[np.argmax(np.abs(orb))] / orb[np.argmax(np.abs(orb))]
@@ -70,7 +71,7 @@ def test_gamma1_occupations_in_unit_interval(slater_n2):
 
 
 def test_build_slater_rejects_non_orthonormal():
-    grid = make_grid(d=1, M=32, L=8.0, hbar=0.5, N=2)
+    grid = make_grid(M=32, L=8.0, hbar=0.5, N=2)
     e = mb.gaussian_orbital(grid, width=1.0)
     with pytest.raises(GridError, match="Gram defect"):
         mb.build_slater(grid, [e, 1.0001 * e])
@@ -87,12 +88,12 @@ def _slater_by_outer_products(grid, orbitals) -> np.ndarray:
             term = np.multiply.outer(term, orbitals[perm[i]])
         psi += mb._perm_sign(perm) * term
     psi /= np.sqrt(factorial(N))
-    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.weight ** N)
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx ** N)
 
 
 @pytest.mark.parametrize("N, M", [(2, 64), (3, 32), (4, 16)])
 def test_build_slater_matches_outer_products(N, M):
-    grid = make_grid(d=1, M=M, L=12.0, hbar=1.0 / N, N=N)
+    grid = make_grid(M=M, L=12.0, hbar=1.0 / N, N=N)
     orbitals = mf.hermite_orbitals(grid, N)
     state = mb.build_slater(grid, orbitals)
     want = _slater_by_outer_products(grid, orbitals)
@@ -114,7 +115,7 @@ def test_zero_steps_is_identity(slater_n2):
 
 
 def test_free_gaussian_matches_closed_form():
-    grid = make_grid(d=1, M=256, L=24.0, hbar=0.5, N=1)
+    grid = make_grid(M=256, L=24.0, hbar=0.5, N=1)
     psi0 = mb.free_gaussian_evolution(grid, 1.0, -2.0, 0.8, 0.0)
     state = mb.ManyBodyState(grid, psi0.copy())
     out = mb.propagate(state, Potential.zero(grid), dt=0.005, steps=200)
@@ -134,7 +135,7 @@ def test_energy_and_norm_conserved_interacting(slater_n2):
 
 
 def test_nan_detection_reports_step():
-    grid = make_grid(d=1, M=32, L=8.0, hbar=0.5, N=1)
+    grid = make_grid(M=32, L=8.0, hbar=0.5, N=1)
     psi = mb.gaussian_orbital(grid, width=0.8)
     state = mb.ManyBodyState(grid, psi.copy())
     state.psi[3] = np.nan
@@ -143,7 +144,7 @@ def test_nan_detection_reports_step():
 
 
 def test_nan_detection_through_merged_kicks_n3():
-    grid = make_grid(d=1, M=32, L=8.0, hbar=1.0 / 3.0, N=3)
+    grid = make_grid(M=32, L=8.0, hbar=1.0 / 3.0, N=3)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
     state.psi[3, 7, 11] = np.nan
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
@@ -165,9 +166,9 @@ def test_non_antisymmetric_input_rejected(slater_n2):
 def test_input_antisymmetric_in_one_pair_only_rejected():
     """Antisymmetric under swapping particles 1 and 2 but not 2 and 3: the
     input check, which tests adjacent swaps only, still refuses it."""
-    grid = make_grid(d=1, M=16, L=12.0, hbar=1.0 / 3.0, N=3)
+    grid = make_grid(M=16, L=12.0, hbar=1.0 / 3.0, N=3)
     orbs = mf.hermite_orbitals(grid, 3)
-    pair = mb.build_slater(make_grid(d=1, M=16, L=12.0, hbar=1.0 / 3.0, N=2),
+    pair = mb.build_slater(make_grid(M=16, L=12.0, hbar=1.0 / 3.0, N=2),
                            orbs[:2]).psi
     state = mb.ManyBodyState(grid, pair[:, :, None] * orbs[2][None, None, :])
     assert np.max(np.abs(np.swapaxes(state.psi, 0, 1) + state.psi)) == 0.0
@@ -176,7 +177,7 @@ def test_input_antisymmetric_in_one_pair_only_rejected():
 
 
 def test_hamiltonian_over_budget_rejected(monkeypatch):
-    grid = make_grid(d=1, M=32, L=12.0, hbar=1.0 / 3.0, N=3)
+    grid = make_grid(M=32, L=12.0, hbar=1.0 / 3.0, N=3)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
     V = Potential.cosine(grid, [0.4, 0.15])
     # C(32, 3) (1 + 3 * 4) = 64480 entries; the grid's 32^3 amplitudes fit
@@ -201,27 +202,25 @@ def test_trajectory_rejects_store_every_below_one(slater_n2, store_every):
 
 
 @pytest.mark.parametrize("dt", [0.03, -0.03])
-@pytest.mark.parametrize("d, N, M", [(1, 1, 32), (1, 2, 16), (1, 3, 16),
-                                     (2, 1, 16)])
-def test_free_step_matches_fft_oracle(d, N, M, dt):
-    """One free step is the FFT split-step kinetic flow on every axis."""
-    grid = make_grid(d=d, M=M, L=6.0, hbar=0.5, N=N)
+@pytest.mark.parametrize("N, M", [(1, 32), (2, 16), (3, 16)])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_free_step_matches_fft_oracle(steps, N, M, dt):
+    """Free steps are the FFT split-step kinetic flow on every axis; at
+    N = 1 too, where the Slater-basis H is diagonal."""
+    grid = make_grid(M=M, L=6.0, hbar=0.5, N=N)
     rng = np.random.default_rng(11)
-    shape = (M,) * (d * N)
-    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if N > 1:
-        psi = _antisymmetrized(psi)
+    shape = (M,) * N
+    psi = _antisymmetrized(rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
     out = mb.propagate(mb.ManyBodyState(grid, psi.copy()),
-                       Potential.zero(grid), dt, 1)
+                       Potential.zero(grid), dt, steps)
     k2 = grid.wavenumbers() ** 2
-    total = np.zeros(shape)
-    for a in range(d * N):
-        total = total + k2.reshape([M if b == a else 1
-                                    for b in range(d * N)])
-    oracle = np.fft.ifftn(np.exp(-0.5j * dt * grid.hbar * total)
+    total = sum(k2.reshape([M if b == a else 1 for b in range(N)])
+                for a in range(N))
+    oracle = np.fft.ifftn(np.exp(-0.5j * steps * dt * grid.hbar * total)
                           * np.fft.fftn(psi))
     assert np.max(np.abs(out.psi - oracle)) < 1e-13 * np.max(np.abs(oracle))
-    assert out.time == pytest.approx(dt)
+    assert out.time == pytest.approx(steps * dt)
 
 
 def test_strang_step_is_second_order(slater_n2):
@@ -233,7 +232,7 @@ def test_strang_step_is_second_order(slater_n2):
     strang = [_strang(state, V, horizon / n, n) for n in (25, 50, 100)]
     for target in (ref, exact):
         errs = [np.sqrt(np.sum(np.abs(psi - target) ** 2)
-                        * grid.weight ** grid.N) for psi in strang]
+                        * grid.dx ** grid.N) for psi in strang]
         for coarse, fine in zip(errs, errs[1:]):
             assert 3.6 <= coarse / fine <= 4.4
 
@@ -241,7 +240,7 @@ def test_strang_step_is_second_order(slater_n2):
 @pytest.mark.parametrize("kind", ["cosine", "gaussian_bump"])
 @pytest.mark.parametrize("N, hbar", [(2, 0.5), (3, 1.0 / 3.0)])
 def test_hamiltonian_matches_time_derivative(N, hbar, kind):
-    grid = make_grid(d=1, M=32, L=12.0, hbar=hbar, N=N)
+    grid = make_grid(M=32, L=12.0, hbar=hbar, N=N)
     V = (Potential.cosine(grid, [0.4, 0.15]) if kind == "cosine"
          else Potential.gaussian_bump(grid, 0.8, 1.5))
     rng = np.random.default_rng(5)
@@ -261,7 +260,7 @@ def test_hamiltonian_matches_time_derivative(N, hbar, kind):
 def test_propagate_matches_dense_exponential(N, M, t):
     """exp(t G) with G = `time_derivative` on the antisymmetric sector,
     assembled column by column on antisymmetrized position deltas."""
-    grid = make_grid(d=1, M=M, L=6.0, hbar=0.5, N=N)
+    grid = make_grid(M=M, L=6.0, hbar=0.5, N=N)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     columns = []
     for x in combinations(range(M), N):
@@ -281,6 +280,17 @@ def test_propagate_matches_dense_exponential(N, M, t):
     assert got.time == pytest.approx(t)
     assert (np.max(np.abs(got.psi.ravel() - want))
             < 1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("R", [0.0, 1e-3, 0.5, 7.0, 130.0])
+def test_jacobi_anger_table_matches_the_fixed_order_evaluation(R):
+    """The table equals int(2R) + 40 Bessel orders cut after the last row
+    above 1e-18, bit for bit, alone and with a time of the opposite sign."""
+    for times in ([R], [R, -0.5 * R]):
+        _, _, got = mb._jacobi_anger(-1.0, 1.0, times, 1.0)
+        J = special.jv(np.arange(int(2 * R) + 40)[:, None], times)
+        keep = np.flatnonzero(np.max(np.abs(J), axis=1) > 1e-18)[-1] + 1
+        assert np.array_equal(got, J[:keep])
 
 
 def test_propagate_ignores_the_global_rng(slater_n2):
@@ -305,7 +315,7 @@ def slaters():
     rng = np.random.default_rng(7)
     out = []
     for N in (2, 3):
-        grid = make_grid(d=1, M=32, L=12.0, hbar=1.0 / N, N=N)
+        grid = make_grid(M=32, L=12.0, hbar=1.0 / N, N=N)
         q, _ = np.linalg.qr(rng.standard_normal((grid.M, N))
                             + 1j * rng.standard_normal((grid.M, N)))
         orbitals = [q[:, j] / np.sqrt(grid.dx) for j in range(N)]
@@ -336,7 +346,7 @@ def test_gamma2_antisymmetry():
     """On a random antisymmetric N = 3 state, not a Slater determinant,
     gamma2(u,y; w,y) vanishes at u = y and at w = y (Pauli) and is
     Hermitian in (u, w)."""
-    grid = make_grid(d=1, M=8, L=6.0, hbar=1.0 / 3.0, N=3)
+    grid = make_grid(M=8, L=6.0, hbar=1.0 / 3.0, N=3)
     rng = np.random.default_rng(8)
     psi = _antisymmetrized(rng.standard_normal((8,) * 3)
                            + 1j * rng.standard_normal((8,) * 3))
@@ -355,7 +365,7 @@ def test_gamma2_antisymmetry():
 # ---------------------------------------------------------------------------
 
 def test_kinetic_energy_matches_quadrature_oracle():
-    grid = make_grid(d=1, M=128, L=16.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=16.0, hbar=0.5, N=1)
     width, x0, p0 = 0.9, 0.5, 0.7
     psi = mb.gaussian_orbital(grid, width=width, x0=x0, p0=p0)
     state = mb.ManyBodyState(grid, psi.copy())
@@ -377,7 +387,7 @@ def test_time_derivative_matches_centered_difference_of_propagate(slater_n2):
 
 
 def test_free_kinetic_constant():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     V0 = Potential.zero(grid)
     traj = mb.propagate_trajectory(state, V0, dt=0.01, steps=40,
@@ -387,7 +397,7 @@ def test_free_kinetic_constant():
 
 
 def test_kinetic_growth_bound_interacting():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     traj = mb.propagate_trajectory(state, V, dt=0.004, steps=250,
@@ -437,6 +447,15 @@ def test_field_csv_matches_savetxt(tmp_path):
                delimiter=",", header="q,p,value", comments="")
     assert ((tmp_path / "field.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
+
+
+def test_read_state_refuses_a_header_with_d_2(tmp_path, slater_n2):
+    grid, _, state = slater_n2
+    path = tmp_path / "state.husi"
+    path.write_bytes(io.HEADER.pack(io.MAGIC, 1, 2, grid.M, 1, 0.0, grid.hbar)
+                     + state.psi.astype("<c16").tobytes())
+    with pytest.raises(ValueError, match="header has d=2"):
+        io.read_state(path, L=grid.L)
 
 
 def test_read_state_refuses_orbitals_and_truncated_files(tmp_path, slater_n2):

@@ -15,7 +15,7 @@ from husimilab.grid import GridError, Potential, make_grid
 # ---------------------------------------------------------------------------
 
 def test_orbital_families_orthonormal():
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.5, N=3)
+    grid = make_grid(M=128, L=12.0, hbar=0.5, N=3)
     for family in (mf.plane_wave_orbitals(grid, 3),
                    mf.hermite_orbitals(grid, 3)):
         E = np.stack(family)
@@ -24,7 +24,7 @@ def test_orbital_families_orthonormal():
 
 
 def test_commutator_norms_reported():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     for family in ("plane", "hermite"):
         orbs = (mf.plane_wave_orbitals(grid, 2) if family == "plane"
                 else mf.hermite_orbitals(grid, 2))
@@ -42,7 +42,7 @@ def test_commutator_norms_reported():
 # ---------------------------------------------------------------------------
 
 def test_single_orbital_reduces_to_free_propagation():
-    grid = make_grid(d=1, M=128, L=16.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=16.0, hbar=0.5, N=1)
     V = Potential.gaussian_bump(grid, 1.0, 1.2)
     width, x0, p0 = 0.6, -0.5, 0.3
     orb = mb.gaussian_orbital(grid, width=width, x0=x0, p0=p0)
@@ -54,7 +54,7 @@ def test_single_orbital_reduces_to_free_propagation():
 
 
 def test_single_orbital_cancellation_random_initial():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     V = Potential.cosine(grid, [0.5, 0.2])
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -66,7 +66,7 @@ def test_single_orbital_cancellation_random_initial():
 
 
 def test_trace_conserved_over_thousand_steps():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     state = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 2)))
     out = mf.hartree_fock_evolve(state, V, dt=0.001, steps=1000)
@@ -76,7 +76,7 @@ def test_trace_conserved_over_thousand_steps():
 
 
 def test_free_orbitals_match_dispersion():
-    grid = make_grid(d=1, M=128, L=16.0, hbar=0.5, N=2)
+    grid = make_grid(M=128, L=16.0, hbar=0.5, N=2)
     V = Potential.zero(grid)
     packets = ((0.7, -2.0, 0.4), (1.1, 2.0, -0.3))
     raw = np.stack([mb.gaussian_orbital(grid, width=w, x0=x0, p0=p0)
@@ -103,7 +103,7 @@ def test_free_orbitals_match_dispersion():
 
 
 def test_hf_energy_conserved():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=3)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=3)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     state = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 3)))
     e0 = mf.hf_energy(state, V)
@@ -113,7 +113,7 @@ def test_hf_energy_conserved():
 
 def test_hf_step_second_order():
     """Halving dt cuts the change in omega by 4 (2 for a first-order step)."""
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=3)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=3)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     state = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 3)))
     omegas = [mf.hartree_fock_evolve(state, V, 0.5 / n, n).omega()
@@ -144,7 +144,7 @@ def test_hf_kick_matches_expm(diagonal, angle):
 
 
 def test_hf_evolve_is_chained_steps():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=1.0 / 3.0, N=3)
+    grid = make_grid(M=64, L=12.0, hbar=1.0 / 3.0, N=3)
     V = Potential.cosine(grid, [0.4, 0.15])
     state = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 3)))
     chained = state
@@ -158,8 +158,8 @@ def test_hf_evolve_is_chained_steps():
 def test_hf_step_after_another_dt_matches_a_fresh_step():
     """The kinetic phase built for one (grid, dt) is not reused for
     another dt or another grid."""
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
-    other = make_grid(d=1, M=64, L=12.0, hbar=0.25, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
+    other = make_grid(M=64, L=12.0, hbar=0.25, N=2)
     V = Potential.cosine(grid, [0.4, 0.15])
     orbs = np.array(mf.hermite_orbitals(grid, 2))
     runs = [(grid, 0.002), (grid, 0.003), (other, 0.003)]
@@ -177,7 +177,7 @@ def test_hf_step_after_another_dt_matches_a_fresh_step():
 
 
 def test_hf_aborts_on_orthonormality_loss():
-    grid = make_grid(d=1, M=32, L=8.0, hbar=0.5, N=2)
+    grid = make_grid(M=32, L=8.0, hbar=0.5, N=2)
     V = Potential.zero(grid)
     orbs = np.array(mf.hermite_orbitals(grid, 2))
     orbs[1] *= 1.001  # corrupt normalization beyond the abort threshold
@@ -191,7 +191,7 @@ def test_hf_aborts_on_orthonormality_loss():
 # ---------------------------------------------------------------------------
 
 def test_norm_gaps_zero_for_identical():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     kern = mb.gamma1(state)
     hf = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 2)))
@@ -200,7 +200,7 @@ def test_norm_gaps_zero_for_identical():
 
 
 def test_norm_gaps_rank_one_perturbation():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     hf = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 2)))
     kern = hf.omega_kernel()
     g = mb.gaussian_orbital(grid, width=0.33, x0=2.0)
@@ -212,7 +212,7 @@ def test_norm_gaps_rank_one_perturbation():
 
 
 def test_norm_gaps_interacting_reported():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     orbs = mf.hermite_orbitals(grid, 2)
     many = mb.propagate(mb.build_slater(grid, orbs), V, 0.002, 250)
@@ -230,7 +230,7 @@ def test_norm_gaps_interacting_reported():
 
 @pytest.fixture()
 def gaussian_blob():
-    grid = make_grid(d=1, M=256, L=16.0, hbar=0.5, N=1)
+    grid = make_grid(M=256, L=16.0, hbar=0.5, N=1)
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = np.exp(-((Q + 2.0) ** 2 + (P - 1.0) ** 2) / (2.0 * 0.5))
@@ -274,7 +274,7 @@ def test_vlasov_cfl_checks_the_applied_kick():
     start-of-step force passes the CFL bound.  After the half q-transport
     it does not: the kick the step would apply moves the p lines by about
     eight cells, and the step refuses it."""
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = (np.exp(-(Q + 3.0) ** 2 - (P - 2.0) ** 2)
@@ -407,7 +407,7 @@ def test_vlasov_rotation_period_matches_characteristics():
     force depends on rho only through |rho_hat_1|, which the test checks
     stays within 5% of its initial value.
     """
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     lattice = ps.natural_lattice(grid)
     V = Potential.cosine(grid, [-1.2])  # attractive pair potential
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
@@ -467,7 +467,7 @@ def test_vlasov_rotation_period_matches_characteristics():
 # ---------------------------------------------------------------------------
 
 def test_distance_identical_fields():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     m = np.exp(-(Q ** 2 + P ** 2))
@@ -476,7 +476,7 @@ def test_distance_identical_fields():
 
 
 def test_distance_one_cell_shift():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     m = np.exp(-(Q ** 2 + P ** 2))
@@ -487,7 +487,7 @@ def test_distance_one_cell_shift():
 
 
 def test_distance_renormalization_flag():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     m = np.exp(-(Q ** 2 + P ** 2))

@@ -17,7 +17,7 @@ CENTER_Q, CENTER_P = -1.5, 0.8  # center on the M=128, L=12 lattice
 
 @pytest.fixture(scope="module")
 def coherent_setup():
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     frame = ps.gaussian_frame(grid)
     psi = mb.gaussian_orbital(grid, width=grid.hbar, x0=CENTER_Q, p0=CENTER_P)
     kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
@@ -66,7 +66,7 @@ def test_reproducing_kernel_peak(coherent_setup):
 
 
 def test_husimi_canonical_mass_is_particle_number():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     field = ps.husimi1(mb.gamma1(state), frame)
@@ -74,7 +74,7 @@ def test_husimi_canonical_mass_is_particle_number():
 
 
 def test_husimi_positivity_and_bound_random_states():
-    grid = make_grid(d=1, M=32, L=10.0, hbar=0.5, N=2)
+    grid = make_grid(M=32, L=10.0, hbar=0.5, N=2)
     rng = np.random.default_rng(21)
     for frame in (ps.gaussian_frame(grid), ps.bump_frame(grid)):
         for _ in range(10):
@@ -98,7 +98,7 @@ def test_fft_path_matches_direct_oracle(coherent_setup):
 
 def test_undersampled_lattice_warns():
     # dq = 12 / 8 = 1.5 > sqrt(0.1)
-    grid = make_grid(d=1, M=8, L=12.0, hbar=0.1, N=1)
+    grid = make_grid(M=8, L=12.0, hbar=0.1, N=1)
     with pytest.warns(UserWarning, match="undersampled"):
         lattice = ps.natural_lattice(grid)
     assert lattice.undersampled()
@@ -110,7 +110,7 @@ def test_undersampled_lattice_warns():
 
 @pytest.fixture(scope="module")
 def husimi2_setup():
-    grid = make_grid(d=1, M=32, L=10.0, hbar=0.5, N=2)
+    grid = make_grid(M=32, L=10.0, hbar=0.5, N=2)
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     return grid, frame, state
@@ -126,7 +126,7 @@ def test_husimi2_symmetry_and_marginal(husimi2_setup):
 
 def test_husimi2_coupled_total_mass():
     # hbar = 1/N preset: total mass over (2 pi)^(2d) equals N(N-1)/N^2
-    grid = make_grid(d=1, M=32, L=10.0, hbar=0.5, N=2)
+    grid = make_grid(M=32, L=10.0, hbar=0.5, N=2)
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     report = ps.husimi2_marginal_check(state, frame,
@@ -137,7 +137,7 @@ def test_husimi2_coupled_total_mass():
 
 
 def test_husimi2_n3_marginal():
-    grid = make_grid(d=1, M=16, L=10.0, hbar=0.5, N=3)
+    grid = make_grid(M=16, L=10.0, hbar=0.5, N=3)
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
     rng = np.random.default_rng(4)
@@ -153,7 +153,7 @@ def test_husimi2_n3_marginal():
 
 def test_wigner_closed_form_and_positivity():
     # a centered packet keeps box-truncation tails below the tolerance
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     q0 = -0.5625
     psi = mb.gaussian_orbital(grid, width=grid.hbar, x0=q0, p0=CENTER_P)
     kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
@@ -201,7 +201,7 @@ def test_bridge_refuses_non_gaussian_frame(coherent_setup):
 
 def test_moments_gaussian_closed_form():
     # packet far from q = 0 so the |q| kink quadrature error stays small
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     frame = ps.gaussian_frame(grid)
     q0, p0, hbar = -2.4375, 0.8, grid.hbar
     psi = mb.gaussian_orbital(grid, width=hbar, x0=q0, p0=p0)
@@ -218,7 +218,7 @@ def test_moments_gaussian_closed_form():
 
 
 def test_free_evolution_preserves_p2_moment():
-    grid = make_grid(d=1, M=128, L=20.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=20.0, hbar=0.5, N=1)
     frame = ps.gaussian_frame(grid)
     psi = mb.gaussian_orbital(grid, width=0.8, x0=-3.0, p0=1.0)
     st = mb.ManyBodyState(grid, psi.copy())
@@ -229,7 +229,7 @@ def test_free_evolution_preserves_p2_moment():
 
 
 def test_moment_growth_check_interacting():
-    grid = make_grid(d=1, M=64, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     frame = ps.gaussian_frame(grid)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
@@ -358,7 +358,7 @@ def test_oscillation_quadrature_matches_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_localized_number_is_ball_volume_times_n():
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.5, N=1)
+    grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     psi = mb.gaussian_orbital(grid, width=0.9)
     kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
     out = ps.localized_number_check(kern, radius=1.0)
@@ -369,7 +369,7 @@ def test_localized_number_coupled_sweep_ratio():
     # hbar = 1/N preset; gamma1 of the Slater family without the N-body array
     ratios = []
     for N in (2, 4):
-        grid = make_grid(d=1, M=128, L=12.0, hbar=1.0 / N, N=N,
+        grid = make_grid(M=128, L=12.0, hbar=1.0 / N, N=N,
                          budget=2 ** 30)
         hf = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, N)))
         out = ps.localized_number_check(hf.omega_kernel(), radius=1.0)
@@ -378,10 +378,10 @@ def test_localized_number_coupled_sweep_ratio():
 
 
 def test_localized_number_doubling_radius():
-    grid = make_grid(d=1, M=128, L=12.0, hbar=0.5, N=2)
+    grid = make_grid(M=128, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     kern = mb.gamma1(state)
     small = ps.localized_number_check(kern, radius=1.0)["value"]
     large = ps.localized_number_check(kern, radius=2.0)["value"]
-    assert large <= 2.0 ** grid.d * small * (1.0 + 2.0 * grid.dx)
+    assert large <= 2.0 * small * (1.0 + 2.0 * grid.dx)
     assert large >= small  # monotone in R

@@ -17,7 +17,7 @@ POINTS = [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)]
 
 
 def _snapshot(n, hbar):
-    grid = make_grid(d=1, M=64, L=12.0, hbar=hbar, N=n)
+    grid = make_grid(M=64, L=12.0, hbar=hbar, N=n)
     potential = harness.build_potential(
         grid, {"kind": "cosine", "amplitudes": [0.4, 0.15]})
     frame = harness.build_frame(grid, "gaussian")
