@@ -1,0 +1,66 @@
+"""Timings of the N-body kernels a `husimilab simulate` run calls besides
+`propagate`: `build_slater`, `gamma1`, `Gamma2View.partial_diag` and
+`total_energy`, at (N, M) = (3, 64) and (4, 32).  Hermite orbitals,
+default cosine V, L = 12, coupled line hbar = 1/N; the reduced density
+matrices and the energy are taken on the state propagated to t = 0.1,
+the run's residue snapshot.  `total_energy` uses the Hamiltonian of the
+run's flow, which the warm-up round builds, as the run's propagation
+does.
+
+    PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
+"""
+
+import pytest
+
+from husimilab import harness
+from husimilab import manybody as mb
+from husimilab.grid import make_grid
+
+POINTS = [(3, 64), (4, 32)]
+
+
+def _point(N, M):
+    cfg = harness.RunConfig(N=N, M=M, hbar=1.0 / N)
+    grid = make_grid(M=M, L=cfg.L, hbar=cfg.hbar, N=N)
+    potential = harness.build_potential(grid, cfg.potential)
+    orbitals = harness.build_orbitals(grid, "hermite", None)
+    return cfg, grid, potential, orbitals
+
+
+def _snapshot(N, M):
+    cfg, grid, potential, orbitals = _point(N, M)
+    state = mb.propagate(mb.build_slater(grid, orbitals), potential, cfg.dt,
+                         round(0.5 * cfg.horizon / cfg.dt))
+    return state, potential
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_build_slater(benchmark, N, M):
+    _, grid, _, orbitals = _point(N, M)
+    out = benchmark.pedantic(mb.build_slater, args=(grid, orbitals),
+                             rounds=10, warmup_rounds=1)
+    assert abs(out.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_gamma1(benchmark, N, M):
+    state, _ = _snapshot(N, M)
+    out = benchmark.pedantic(mb.gamma1, args=(state,), rounds=10,
+                             warmup_rounds=1)
+    assert abs(out.trace() - N) < 1e-10
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_partial_diag(benchmark, N, M):
+    state, _ = _snapshot(N, M)
+    out = benchmark.pedantic(mb.Gamma2View(state).partial_diag, rounds=10,
+                             warmup_rounds=1)
+    assert out.shape == (M, M, M)
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_total_energy(benchmark, N, M):
+    state, potential = _snapshot(N, M)
+    out = benchmark.pedantic(mb.total_energy, args=(state, potential),
+                             rounds=10, warmup_rounds=1)
+    assert out > 0

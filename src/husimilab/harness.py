@@ -119,8 +119,6 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     # ---- N-body propagation and conservation ------------------------------
     steps = max(1, int(round(cfg.horizon / cfg.dt)))
     half = steps // 2
-    # drop the trajectory's copy of state0 at once rather than hold it
-    # through the run
     later = mb.propagate_trajectory(state0, potential, cfg.dt, steps,
                                     max(half, 1))[1:]
     mid, end = (later[0] if half else state0), later[-1]

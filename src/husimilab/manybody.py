@@ -1,19 +1,21 @@
-"""N-body wavefunctions: Slater initial data, exact propagation,
-reduced density matrices, and kinetic-energy diagnostics.
+"""N-body states: Slater initial data, exact propagation, reduced density
+matrices and energies.
 
-Amplitudes are stored as an (M,)*N complex array in coordinate order
-(x_1, ..., x_N) on the shared one-dimensional periodic grid.  The
-propagator is the exact flow exp(-i t H / hbar) of the lattice
-Hamiltonian of `time_derivative`.  It runs on the antisymmetric sector
-in the sorted plane-wave Slater basis, with H a sparse real symmetric
-matrix (diagonal for N = 1) and the exponential a Chebyshev series.
-Antisymmetry is checked on input, and the flow keeps it exactly in the
-basis.
+A state is stored as its coefficients in the orthonormal basis of sorted
+plane-wave Slater determinants, a_K = fftn(psi)[K] sqrt(N! dx^N / M^N)
+for lattice amplitudes psi, with K over the momentum tuples
+k_1 < ... < k_N of `_sorted_tuples`; ||a|| is the lattice norm.  The
+vector is antisymmetric by construction.  gamma1, gamma2 on its
+y-diagonal, the norm and the energy a^H H a are read off it, and the M^N
+grid amplitudes are an export (`ManyBodyState.to_grid`) for the
+antisymmetry record and the tests.  The propagator is the exact flow
+exp(-i t H / hbar) of the lattice Hamiltonian (`_SlaterFlow`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -29,34 +31,41 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class ManyBodyState:
+    """Coefficients a_K in the sorted Slater basis (module docstring)."""
+
     grid: GridSpec
-    psi: np.ndarray
+    coeffs: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        expected = (self.grid.M,) * self.grid.N
-        if self.psi.shape != expected:
-            raise GridError(f"amplitude shape {self.psi.shape} != {expected}")
+        expected = (comb(self.grid.M, self.grid.N),)
+        if self.coeffs.shape != expected:
+            raise GridError(f"coefficient shape {self.coeffs.shape} != "
+                            f"{expected}")
 
     def norm(self) -> float:
-        w = self.grid.dx ** self.grid.N
-        return float(np.sqrt(np.sum(np.abs(self.psi) ** 2) * w))
+        return float(np.linalg.norm(self.coeffs))
 
     def copy(self) -> "ManyBodyState":
-        return ManyBodyState(self.grid, self.psi.copy(), self.time)
+        return ManyBodyState(self.grid, self.coeffs.copy(), self.time)
+
+    def to_grid(self) -> np.ndarray:
+        """The lattice amplitudes psi(x_1, ..., x_N), an (M,)*N array."""
+        g = self.grid
+        scale = np.sqrt(factorial(g.N) * g.dx ** g.N / g.M ** g.N)
+        psi = _antisymmetric_extension(g, self.coeffs / scale,
+                                       g.N).reshape((g.M,) * g.N)
+        return np.fft.ifftn(psi, out=psi)
 
 
 def antisymmetry_defect(state: ManyBodyState) -> float:
-    """Max violation of psi(swap pair) = -psi over all coordinate pairs."""
-    return _swap_defect(state, combinations(range(state.grid.N), 2))
-
-
-def _swap_defect(state: ManyBodyState, pairs) -> float:
-    """max |psi(swap i, j) + psi| over the coordinate pairs (i, j); 0 for
-    no pairs."""
-    psi = state.psi
-    return max((float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)))
-                for i, j in pairs), default=0.0)
+    """Max violation of psi(swap pair) = -psi over all coordinate pairs of
+    the grid export; 0 for N = 1.  Taken one x_1 slab at a time, so no
+    temporary holds M^N values."""
+    psi = state.to_grid()
+    return max((float(np.max(np.abs(np.swapaxes(psi, i, j)[x] + psi[x])))
+                for i, j in combinations(range(state.grid.N), 2)
+                for x in range(state.grid.M)), default=0.0)
 
 
 def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
@@ -64,9 +73,8 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
 
     psi(x_1..x_N) = det[e_j(x_i)] / sqrt(N!).  Orbitals must be orthonormal
     under the lattice quadrature; the Gram defect is reported on failure.
-    The state is built from its DFT on the sorted momentum tuples, the
-    N x N minors of the orbitals' DFTs (Leibniz sum), placed on the grid
-    by the scatter and ifftn of `_SlaterFlow.to_grid`.
+    The coefficient on each sorted tuple K is, up to the normalization, the
+    N x N minor det[e_hat_j(k_i)] of the orbitals' DFTs (Leibniz sum).
     """
     orbitals = [np.asarray(e, dtype=complex) for e in orbitals]
     if len(orbitals) != grid.N:
@@ -77,29 +85,19 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
     if defect > 1e-10:
         raise GridError(f"orbitals not orthonormal: Gram defect {defect:.3e}")
     N = grid.N
-    # fftn(psi)[K] = det[e_hat_j(k_i)] / sqrt(N!) on each sorted tuple K;
-    # psi vanishes off the antisymmetric extension of those values
-    K = _sorted_tuples(grid.M, N)
-    G = np.fft.fft(E, axis=1)[:, K]  # G[j, i, r] = e_hat_j(K[i, r])
-    c = np.zeros(K.shape[1], dtype=complex)
+    G = np.fft.fft(E, axis=1)[:, _sorted_tuples(grid.M, N)]
+    # G[j, i, r] = e_hat_j(K[i, r])
+    a = np.zeros(G.shape[2], dtype=complex)
     for perm in permutations(range(N)):
         term = G[perm[0], 0].copy()
         for i in range(1, N):
             term *= G[perm[i], i]
         if _perm_sign(perm) > 0:
-            c += term
+            a += term
         else:
-            c -= term
-    c /= np.sqrt(factorial(N))
-    psi = np.empty((grid.M,) * N, dtype=complex)
-    np.fft.ifftn(_antisymmetric_extension(K, c, psi), out=psi)
-    # the ifftn is antisymmetric only to rounding; extending its values on
-    # the sorted coordinate tuples makes every swap exact
-    _antisymmetric_extension(K, psi[tuple(K)], psi)
-    state = ManyBodyState(grid, psi, 0.0)
-    n = state.norm()
-    state.psi /= n
-    return state
+            a -= term
+    a /= np.linalg.norm(a)
+    return ManyBodyState(grid, a, 0.0)
 
 
 def _perm_sign(perm) -> int:
@@ -119,54 +117,22 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def pair_potential_table(grid: GridSpec, potential: Potential) -> np.ndarray:
-    """W(x_1..x_N) = (1/2N) sum_{i/=j} V(x_i - x_j) on the N-body lattice."""
-    N, M = grid.N, grid.M
-    vtab = potential.centered_values()  # V at lattice differences
-    idx = np.arange(M)
-    W = np.zeros((M,) * N)
-    for i, j in combinations(range(N), 2):
-        diff = (idx.reshape([-1 if a == i else 1 for a in range(N)])
-                - idx.reshape([-1 if a == j else 1 for a in range(N)])) % M
-        W = W + vtab[diff] / N
-    return W
-
-
-def _axis_k2(grid: GridSpec) -> list[np.ndarray]:
-    """|k|^2 of each N-body axis (FFT order), shaped to broadcast on the
-    amplitudes; their sum is the N-body k^2 table."""
-    k2 = grid.wavenumbers() ** 2
-    return [k2.reshape([grid.M if b == a else 1 for b in range(grid.N)])
-            for a in range(grid.N)]
-
-
 def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
     """Refuse what the exact flow cannot take, before anything is built."""
     if steps < 0:
         raise GridError(f"steps must be >= 0, got {steps}; to propagate "
                         "backward in time pass a negative dt")
-    bad = int(np.count_nonzero(~np.isfinite(state.psi)))
+    bad = int(np.count_nonzero(~np.isfinite(state.coeffs)))
     if bad:
-        raise PropagationError(f"non-finite input amplitudes: {bad} of "
-                               f"{state.psi.size}")
-    # the N - 1 adjacent transpositions generate S_N, so they decide
-    # antisymmetry; the defect of any other swap (i, j) is at most
-    # 2 |i - j| - 1 times theirs
-    defect = _swap_defect(state, [(i, i + 1)
-                                  for i in range(state.grid.N - 1)])
-    scale = float(np.max(np.abs(state.psi)))
-    if defect > 1e-10 * scale:
-        raise GridError(
-            f"input state is not antisymmetric: max |psi(swap) + psi| = "
-            f"{defect:.3e} against max |psi| = {scale:.3e}; the exact flow "
-            "holds only the antisymmetric sector, so antisymmetrize the "
-            "state first")
+        raise PropagationError(f"non-finite input coefficients: {bad} of "
+                               f"{state.coeffs.size}")
 
 
+@lru_cache(maxsize=1)
 def _sorted_tuples(M: int, N: int) -> np.ndarray:
-    """Every momentum-index tuple k_1 < ... < k_N of range(M), as an
-    (N, C(M, N)) array in colex order: column r holds the tuple of rank
-    r = sum_i C(k_i, i).
+    """Every momentum-index tuple k_1 < ... < k_N of range(M), as a
+    read-only (N, C(M, N)) array in colex order: column r holds the tuple
+    of rank r = sum_i C(k_i, i).
 
     The tuples below t, in colex order, are a prefix of those below M, so
     each size-n block is the size-(n-1) prefix of C(t, n-1) columns with
@@ -177,40 +143,64 @@ def _sorted_tuples(M: int, N: int) -> np.ndarray:
         K = np.concatenate([
             np.vstack([K[:, :comb(t, n - 1)], np.full(comb(t, n - 1), t)])
             for t in range(n - 1, M)], axis=1)
+    K.flags.writeable = False
     return K
 
 
-def _antisymmetric_extension(K: np.ndarray, values: np.ndarray,
-                             out: np.ndarray) -> np.ndarray:
-    """`out` holding `values` on the sorted tuples K (columns of
-    `_sorted_tuples`), the values times the sign of the ordering on their
-    other orderings, and 0 on every tuple with a repeated index."""
-    N, M = K.shape[0], out.shape[0]
+def _binomials(M: int, N: int) -> np.ndarray:
+    """table[k, i] = C(k, i) for k < M and i <= N."""
+    return np.array([[comb(k, i) for i in range(N + 1)] for k in range(M)],
+                    dtype=np.int64)
+
+
+def _antisymmetric_extension(grid: GridSpec, coeffs: np.ndarray,
+                             free: int) -> np.ndarray:
+    """Coefficients a_K spread over `free` momentum axes, shape
+    (M,)*free + (C(M, N - free),): for each sorted tuple K and each ordered
+    choice i_1..i_free of distinct positions in it, sigma a_K sits at
+    (k_i1, ..., k_ifree, colex rank of the sorted remainder of K), sigma
+    the sign of the ordering (i_1..i_free, the rest ascending); every other
+    entry is 0.  free = N gives fftn(psi) up to the basis scale, free = 1
+    the factor of gamma1 and free = 2 the blocks of gamma2.
+    """
+    M, N = grid.M, grid.N
+    K = _sorted_tuples(M, N)
+    binom = _binomials(M, N)
+    rest = comb(M, N - free)
+    out = np.zeros((M,) * free + (rest,), dtype=complex)
     flat_out = out.reshape(-1)
-    flat_out[:] = 0.0
-    negated = -values
-    for perm in permutations(range(N)):
-        # row-major offset of the ordering (K[perm[0]], ..., K[perm[-1]])
-        flat = K[perm[0]].astype(np.int64)
-        for i in perm[1:]:
+    negated = -coeffs
+    for head in permutations(range(N), free):
+        # row-major offset of (k_i1, ..., k_ifree, rank R)
+        flat = np.zeros(K.shape[1], dtype=np.int64)
+        for i in head:
             flat *= M
             flat += K[i]
-        flat_out[flat] = values if _perm_sign(perm) > 0 else negated
+        flat *= rest
+        tail = [i for i in range(N) if i not in head]
+        for j, i in enumerate(tail):
+            flat += binom[K[i], j + 1]
+        flat_out[flat] = (coeffs if _perm_sign(head + tuple(tail)) > 0
+                          else negated)
     return out
 
 
-class _SlaterFlow:
-    """exp(-i t H / hbar) of the lattice Hamiltonian of `time_derivative`,
-    on the antisymmetric sector, in the sorted plane-wave Slater basis.
+def _kinetic_diagonal(grid: GridSpec, K: np.ndarray) -> np.ndarray:
+    """hbar^2 |k_K|^2 / 2 for each sorted tuple K (columns of K)."""
+    return (0.5 * grid.hbar ** 2 * grid.wavenumbers()[K] ** 2).sum(axis=0)
 
-    A state is stored as c_K = fftn(psi)[K] over the sorted tuples K; the
-    other N! - 1 orderings of K hold c_K times the sign of the ordering.
-    In this basis H has hbar^2 k^2 / 2 summed on the diagonal; each pair
-    of particles and each nonzero DFT mode v_m of V moves (k_i, k_j) to
-    (k_i - m, k_j + m) with weight v_m / N and the fermionic sign.  V is
-    even (`Potential` refuses an odd one), so v_m is real and H is real
-    symmetric.  It is stored as CSR with a fixed row width, one slot per
-    (pair, mode); a Pauli-blocked slot holds 0 and points at the diagonal.
+
+class _SlaterFlow:
+    """exp(-i t H / hbar) of the lattice Hamiltonian on the coefficients of
+    a state (see the module docstring).
+
+    In the sorted plane-wave Slater basis H has hbar^2 k^2 / 2 summed on
+    the diagonal; each pair of particles and each nonzero DFT mode v_m of
+    V moves (k_i, k_j) to (k_i - m, k_j + m) with weight v_m / N and the
+    fermionic sign.  V is even (`Potential` refuses an odd one), so v_m is
+    real and H is real symmetric.  It is stored as CSR with a fixed row
+    width, one slot per (pair, mode); a Pauli-blocked slot holds 0 and
+    points at the diagonal.  A run builds it once (`_slater_flow`).
 
     The flow is a Chebyshev series in H scaled onto [-1, 1] by the
     Gershgorin bounds of its rows (Tal-Ezer & Kosloff, J. Chem. Phys. 81
@@ -225,10 +215,9 @@ class _SlaterFlow:
         pairs = list(combinations(range(N), 2))
         _check_hamiltonian_budget(M, N, len(modes))
         self.grid = grid
-        self.K = _sorted_tuples(M, N)
-        n, width = self.K.shape[1], 1 + len(pairs) * len(modes)
-        binom = np.array([[comb(k, i) for i in range(N + 1)]
-                          for k in range(M)], dtype=np.int64)
+        K = _sorted_tuples(M, N)
+        n, width = K.shape[1], 1 + len(pairs) * len(modes)
+        binom = _binomials(M, N)
         # sign of each ordering, indexed by sum_a pos_a N^a; 0 for a
         # position vector that is no permutation, which is what a tuple
         # with a repeated momentum (Pauli-blocked) produces
@@ -240,15 +229,14 @@ class _SlaterFlow:
         data = np.empty((n, width))
         cols = np.empty((n, width), dtype=np.int32)
         cols[:, 0] = rows
-        data[:, 0] = (0.5 * grid.hbar ** 2 * grid.wavenumbers()[self.K] ** 2
-                      ).sum(axis=0) + len(pairs) * vhat[0] / N
+        data[:, 0] = _kinetic_diagonal(grid, K) + len(pairs) * vhat[0] / N
         radius = np.zeros(n)
         slot = 1
         for i, j in pairs:
             for m in modes:
-                moved = list(self.K)
-                moved[i] = (self.K[i] - m) % M
-                moved[j] = (self.K[j] + m) % M
+                moved = list(K)
+                moved[i] = (K[i] - m) % M
+                moved[j] = (K[j] + m) % M
                 # position of each entry in the sorted tuple
                 pos = [sum(x < y for x in moved) for y in moved]
                 sign = signs[sum(p * N ** a for a, p in enumerate(pos))]
@@ -264,14 +252,9 @@ class _SlaterFlow:
              np.arange(0, n * width + 1, width, dtype=np.int32)),
             shape=(n, n))
 
-    def to_basis(self, psi: np.ndarray) -> np.ndarray:
-        psi_hat = np.fft.fftn(psi, out=np.empty(psi.shape, dtype=complex))
-        return psi_hat[tuple(self.K)]
-
-    def to_grid(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The amplitudes of coefficients c, written into `out`."""
-        return np.fft.ifftn(_antisymmetric_extension(self.K, c, out),
-                            out=out)
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """H c, through the real and imaginary parts of c."""
+        return self.H @ c.real + 1j * (self.H @ c.imag)
 
     def evolve(self, c: np.ndarray, times) -> list[np.ndarray]:
         """exp(-i t H / hbar) c for each t in `times`, all from one
@@ -310,6 +293,13 @@ class _SlaterFlow:
                     out_s[1] -= w_s * cur[0]
         phases = np.exp(-1j * times * centre / self.grid.hbar)
         return [phase * (o[0] + 1j * o[1]) for phase, o in zip(phases, out)]
+
+
+@lru_cache(maxsize=1)
+def _slater_flow(grid: GridSpec, potential: Potential) -> _SlaterFlow:
+    """The one flow of a run's propagation, energies and residue pass;
+    `Potential` hashes by identity."""
+    return _SlaterFlow(grid, potential)
 
 
 def _jacobi_anger(lo: float, hi: float, times, hbar: float):
@@ -358,32 +348,17 @@ def propagate(state: ManyBodyState, potential: Potential, dt: float,
               steps: int) -> ManyBodyState:
     """The exact flow of H over time dt * steps, through `_SlaterFlow`.
 
-    Non-finite and non-antisymmetric inputs are refused before anything
-    is built.
+    Non-finite coefficients are refused before anything is built.
     """
     return propagate_trajectory(state, potential, dt, steps,
                                 max(steps, 1))[-1]
-
-
-def time_derivative(state: ManyBodyState,
-                    potential: Potential) -> np.ndarray:
-    """dpsi/dt = H psi / (i hbar), the generator of `propagate`.
-
-    H = -(hbar^2 / 2) Laplacian (spectral) + W (`pair_potential_table`),
-    so the result is exact on the lattice, not a difference quotient.
-    """
-    g = state.grid
-    kinetic = np.fft.ifftn(0.5 * g.hbar ** 2 * sum(_axis_k2(g))
-                           * np.fft.fftn(state.psi))
-    W = pair_potential_table(g, potential)
-    return (kinetic + W * state.psi) / (1j * g.hbar)
 
 
 def propagate_trajectory(state: ManyBodyState, potential: Potential,
                          dt: float, steps: int, store_every: int):
     """The state every `store_every` steps of size dt, and after the last
     step, each the exact flow of the input over its time (see
-    `propagate`), all from one build of that flow."""
+    `propagate`), all from one Chebyshev recurrence."""
     if store_every < 1:
         raise GridError(f"store_every must be >= 1, got {store_every}")
     _check_propagation_input(state, steps)
@@ -391,16 +366,10 @@ def propagate_trajectory(state: ManyBodyState, potential: Potential,
         return [state.copy()]
     g = state.grid
     counts = list(range(store_every, steps, store_every)) + [steps]
-    # The results are allocated before the flow's temporaries, so that
-    # freeing those leaves heap space later stages reuse: the peak RSS of
-    # an N=3, M=64 run measured 123.0 MB the other way, 119.5 so.
-    evolved = [np.empty_like(state.psi, dtype=complex) for _ in counts]
-    flow = _SlaterFlow(g, potential)
-    for c, psi in zip(flow.evolve(flow.to_basis(state.psi),
-                                  [dt * k for k in counts]), evolved):
-        flow.to_grid(c, psi)
-    return [state.copy()] + [ManyBodyState(g, psi, state.time + dt * k)
-                             for psi, k in zip(evolved, counts)]
+    evolved = _slater_flow(g, potential).evolve(state.coeffs,
+                                                [dt * k for k in counts])
+    return [state.copy()] + [ManyBodyState(g, c, state.time + dt * k)
+                             for c, k in zip(evolved, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +394,35 @@ class OneBodyKernel:
         return np.linalg.eigvalsh(self.matrix * self.grid.dx)
 
 
+def _one_body_matrix(grid: GridSpec, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """F left right^H F^H on the grid, F[u, k] = e^{2 pi i k u / M} / sqrt(L),
+    for two one-free-axis extensions (`_antisymmetric_extension`); gamma1
+    when both are that of the state."""
+    G = left @ right.conj().T
+    return np.fft.fft(np.fft.ifft(G, axis=0), axis=1) * (grid.M / grid.L)
+
+
 def gamma1(state: ManyBodyState) -> OneBodyKernel:
-    """One-particle reduced density matrix, trace N."""
+    """One-particle reduced density matrix, trace N:
+    gamma1(u; w) = N sum_r psi(u, r) conj psi(w, r) dx^(N-1), read off the
+    coefficients as F B B^H F^H (see `_one_body_matrix`)."""
     g = state.grid
-    mat = state.psi.reshape(g.M, -1)
-    kernel = g.N * (mat @ mat.conj().T) * g.dx ** (g.N - 1)
-    return OneBodyKernel(kernel, g, float(g.N))
+    B = _antisymmetric_extension(g, state.coeffs, 1)
+    return OneBodyKernel(_one_body_matrix(g, B, B), g, float(g.N))
+
+
+def gamma1_time_derivative(state: ManyBodyState,
+                           potential: Potential) -> np.ndarray:
+    """d/dt gamma1 under the flow of H, as a matrix: Xdot + Xdot^H with
+    Xdot = F Bdot B^H F^H (`_one_body_matrix`), B and Bdot the
+    one-free-axis extensions of a and of adot = H a / (i hbar)."""
+    g = state.grid
+    a = state.coeffs
+    adot = _slater_flow(g, potential).apply(a) / (1j * g.hbar)
+    xdot = _one_body_matrix(g, _antisymmetric_extension(g, adot, 1),
+                            _antisymmetric_extension(g, a, 1))
+    return xdot + xdot.conj().T
 
 
 class Gamma2View:
@@ -444,23 +436,22 @@ class Gamma2View:
         if state.grid.N < 2:
             raise GridError("gamma2 requires N >= 2")
         self.state = state
-        g = state.grid
-        self._pref = g.N * (g.N - 1) * g.dx ** (g.N - 2)
 
     def partial_diag(self) -> np.ndarray:
         """A[u1, w1, y] = gamma2(u1, y; w1, y), the kernel of every residue
-        contraction; O(M^3) memory."""
-        psi = self.state.psi
+        contraction; O(M^3) memory.
+
+        With X = (M^2 / L) ifft of the two-free-axis extension over its
+        free axes, A[u, w, y] = sum_q X[u, y, q] conj X[w, y, q], one
+        product per y.
+        """
         g = self.state.grid
-        M = g.M
-        if g.N == 2:
-            return self._pref * np.einsum("uy,wy->uwy", psi, np.conj(psi))
-        A = np.empty((M, M, M), dtype=complex)
-        flat = psi.reshape((M, M, -1))
-        for y in range(M):
-            block = flat[:, y, :]
-            A[:, :, y] = block @ block.conj().T
-        return self._pref * A
+        X = _antisymmetric_extension(g, self.state.coeffs, 2)
+        for axis in (0, 1):
+            np.fft.ifft(X, axis=axis, out=X)
+        X *= g.M ** 2 / g.L
+        Xy = X.transpose(1, 0, 2)  # [y, u, q]
+        return np.matmul(Xy, Xy.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,33 +459,18 @@ class Gamma2View:
 # ---------------------------------------------------------------------------
 
 def kinetic_energy(state: ManyBodyState) -> float:
-    """(hbar^2 / 2) sum_j ||grad_j psi||^2 under the lattice quadrature."""
+    """sum_K |a_K|^2 hbar^2 |k_K|^2 / 2, which is (hbar^2 / 2)
+    sum_j ||grad_j psi||^2 under the lattice quadrature."""
     g = state.grid
-    power = np.abs(np.fft.fftn(state.psi)) ** 2
-    # Parseval: sum |psi_hat|^2 / M^N * dx^N = ||psi||^2
-    norm_factor = g.dx ** g.N / g.M ** g.N
-    return float(0.5 * g.hbar ** 2
-                 * np.sum(sum(_axis_k2(g)) * power) * norm_factor)
-
-
-def interaction_energy(state: ManyBodyState, potential: Potential) -> float:
-    W = pair_potential_table(state.grid, potential)
-    w = state.grid.dx ** state.grid.N
-    return float(np.sum(W * np.abs(state.psi) ** 2) * w)
+    return float(np.abs(state.coeffs) ** 2
+                 @ _kinetic_diagonal(g, _sorted_tuples(g.M, g.N)))
 
 
 def total_energy(state: ManyBodyState, potential: Potential) -> float:
-    return kinetic_energy(state) + interaction_energy(state, potential)
-
-
-def momentum_first_moment(state: ManyBodyState) -> float:
-    """(1/N) sum_j hbar ||grad_j psi||, a per-particle momentum scale."""
-    g = state.grid
-    power = np.abs(np.fft.fftn(state.psi)) ** 2
-    norm_factor = g.dx ** g.N / g.M ** g.N
-    total = sum(g.hbar * np.sqrt(np.sum(k2 * power) * norm_factor)
-                for k2 in _axis_k2(g))
-    return total / g.N
+    """a^H H a, with the H of the run's `_SlaterFlow`."""
+    a = state.coeffs
+    return float(np.vdot(a, _slater_flow(state.grid, potential).apply(a))
+                 .real)
 
 
 def kinetic_bound_check(trajectory, potential: Potential) -> dict:
@@ -502,14 +478,14 @@ def kinetic_bound_check(trajectory, potential: Potential) -> dict:
 
     Uses K := 2 * kinetic_energy (the convention without the 1/2) and
     reports <K/N>(t) together with the smallest C such that
-    <K/N>(t) <= <K/N>(0) + C t^2 over the sampled times.
+    <K/N>(t) <= <K/N>(0) + C t^2 over the sampled times.  The momentum
+    scale (1/N) sum_j hbar ||grad_j psi|| is sqrt(<K/N>) by symmetry.
     """
     times = [s.time for s in trajectory]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise GridError("trajectory times must be strictly increasing")
     N = trajectory[0].grid.N
     k_over_n = [2.0 * kinetic_energy(s) / N for s in trajectory]
-    p1 = [momentum_first_moment(s) for s in trajectory]
     base = k_over_n[0]
     t0 = times[0]
     cs = [(k - base) / (t - t0) ** 2
@@ -519,7 +495,7 @@ def kinetic_bound_check(trajectory, potential: Potential) -> dict:
         "times": times,
         "k_over_n": k_over_n,
         "fitted_C": max(fitted, 0.0),
-        "p1_max": max(p1),
+        "p1_max": float(np.sqrt(max(k_over_n))),
         "grad_v_sup": potential.grad_sup(),
     }
 

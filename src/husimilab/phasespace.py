@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from husimilab.grid import GridError, GridSpec, spectral_derivative
-from husimilab.manybody import ManyBodyState, OneBodyKernel, gamma1
+from husimilab.manybody import OneBodyKernel
 
 
 # ---------------------------------------------------------------------------
@@ -200,93 +200,6 @@ def husimi_point(kernel: OneBodyKernel, frame: CoherentFrame,
     """Exact single-point evaluation; q must sit on the grid, p is free."""
     f = _coherent_state(frame, q, p)
     return float(np.real(np.vdot(f, kernel.matrix @ f) * kernel.grid.dx ** 2))
-
-
-# -- two-particle Husimi ------------------------------------------------------
-
-def _coherent_matrix(frame: CoherentFrame,
-                     lattice: PhaseSpaceLattice) -> np.ndarray:
-    """F[x, (q, p)] = f_qp(x) for every lattice point, flattened q-major."""
-    return np.concatenate([_coherent_state(frame, q, lattice.ps).T
-                           for q in lattice.qs], axis=1)
-
-
-def husimi2_full(state: ManyBodyState, frame: CoherentFrame,
-                 lattice: PhaseSpaceLattice) -> np.ndarray:
-    """Dense two-particle Husimi values m2[z1, z2] for an N = 2 state."""
-    g = state.grid
-    if g.N != 2:
-        raise GridError("dense two-particle Husimi implemented for N = 2")
-    F = _coherent_matrix(frame, lattice)
-    c = F.T @ np.conj(state.psi) @ F * g.dx ** 2
-    return 2.0 * np.abs(c) ** 2
-
-
-def husimi2_point(state: ManyBodyState, frame: CoherentFrame,
-                  z1, z2) -> float:
-    """m2 at two phase-space points for N in {2, 3}."""
-    g = state.grid
-    f1, f2 = _coherent_state(frame, *z1), _coherent_state(frame, *z2)
-    if g.N == 2:
-        c = np.einsum("xy,x,y->", np.conj(state.psi), f1, f2) * g.dx ** 2
-        return float(2.0 * abs(c) ** 2)
-    if g.N == 3:
-        c = np.einsum("xyr,x,y->r", np.conj(state.psi), f1, f2) * g.dx ** 2
-        return float(6.0 * np.sum(np.abs(c) ** 2) * g.dx)
-    raise GridError("two-particle Husimi points implemented for N <= 3")
-
-
-def husimi2_marginal_check(state: ManyBodyState, frame: CoherentFrame,
-                           rng: np.random.Generator, n_pairs: int = 50,
-                           n_marginal: int = 20) -> dict:
-    """Symmetry and marginalization diagnostics of the two-particle field.
-
-    Uses the full natural lattice for the inner (q2, p2) sum, where
-    coherent-state completeness is exact, so the marginal identity
-    (2 pi hbar)^(-1) sum_{q2 p2} m2 dq2 dp2 = (N-1) m1 holds to roundoff.
-    """
-    g = state.grid
-    m1 = husimi1(gamma1(state), frame)
-    lattice = m1.lattice
-
-    sym_defect = 0.0
-    pts = list(zip(lattice.qs[rng.integers(0, len(lattice.qs), 2 * n_pairs)],
-                   lattice.ps[rng.integers(0, len(lattice.ps), 2 * n_pairs)]))
-    for a in range(n_pairs):
-        z1, z2 = pts[2 * a], pts[2 * a + 1]
-        v12 = husimi2_point(state, frame, z1, z2)
-        v21 = husimi2_point(state, frame, z2, z1)
-        sym_defect = max(sym_defect, abs(v12 - v21))
-
-    marg_defect = 0.0
-    total = None
-    if g.N == 2:
-        m2 = husimi2_full(state, frame, lattice)
-        marg = m2.sum(axis=1) * lattice.cell / lattice.canonical
-        m1_flat = m1.values.reshape(-1)
-        marg_defect = float(np.max(np.abs(marg - (g.N - 1) * m1_flat)))
-        total = float(m2.sum() * lattice.cell ** 2 / (2.0 * np.pi) ** 2)
-    else:
-        qi = rng.integers(0, len(lattice.qs), n_marginal)
-        pi = rng.integers(0, len(lattice.ps), n_marginal)
-        F = _coherent_matrix(frame, lattice)
-        for a in range(n_marginal):
-            f1 = _coherent_state(frame, lattice.qs[qi[a]], lattice.ps[pi[a]])
-            phi = np.einsum("xyr,x->yr", np.conj(state.psi), f1) * g.dx
-            amp = phi.T @ F * g.dx  # [r, z2]
-            m2_row = 6.0 * np.sum(np.abs(amp) ** 2, axis=0) * g.dx
-            marg = float(np.sum(m2_row) * lattice.cell / lattice.canonical)
-            ref = (g.N - 1) * m1.values[qi[a], pi[a]]
-            marg_defect = max(marg_defect, abs(marg - ref))
-
-    coupled = abs(g.hbar * g.N - 1.0) < 1e-9
-    return {
-        "symmetry_defect": sym_defect,
-        "marginal_defect": marg_defect,
-        "coupled_preset": coupled,
-        "total_mass_over_2pi": total,
-        "expected_total_if_coupled": g.N * (g.N - 1) / g.N ** 2,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ potential's spectrum.
 
 The consistency defect pairs every term of the identity with a test
 function at one snapshot.  d/dt m is exact: it is the Husimi transform of
-d/dt gamma1, formed from dpsi/dt = H psi / (i hbar), so the defect sits at
-rounding level.  That holds only while the Husimi field has no mass on
-the edges of the (q, p) box: the lattice is periodic in q and in p, and
-mass that wraps across an edge breaks the identity.
+d/dt gamma1, formed from H a / (i hbar) with the run's one H, so the
+defect sits at rounding level.  That holds only while the Husimi field has
+no mass on the edges of the (q, p) box: the lattice is periodic in q and
+in p, and mass that wraps across an edge breaks the identity.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ import numpy as np
 
 from husimilab.grid import Potential, TestFunction, bump_test_function
 from husimilab.manybody import (Gamma2View, ManyBodyState, OneBodyKernel,
-                                gamma1, time_derivative)
+                                gamma1, gamma1_time_derivative)
 from husimilab.phasespace import (CoherentFrame, HusimiField,
                                   PhaseSpaceLattice, _centered_offsets,
-                                  bilinear_phase_field, husimi1,
-                                  natural_lattice)
+                                  bilinear_phase_field, natural_lattice)
 
 
 def gauss_legendre_unit():
@@ -108,11 +107,13 @@ class InteractionResidues:
 
 
 def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
-                               frame: CoherentFrame,
+                               b1: np.ndarray, frame: CoherentFrame,
                                potential: Potential) -> InteractionResidues:
     """Assemble Rs and Rm exactly, mode-by-mode in the potential spectrum.
 
-    `kern` is gamma1 of `state`.  Using V'(z) = sum_k i k c_k e^{i k z}
+    `kern` is gamma1 of `state` and `b1` its complex transform
+    `bilinear_phase_field(kern.matrix, window, window)`, whose real part
+    is the Husimi field.  Using V'(z) = sum_k i k c_k e^{i k z}
     every contraction separates: the segment average S needs only
     w2-transforms of A at the active modes, and the smeared gradient
     D(q, w2) becomes a phase in q times kappa_hat(k), so each mode costs
@@ -157,10 +158,9 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
         Bk = bilinear_phase_field(Ahat[:, :, a], frame.window, frame.window, g)
         term2 += factor * phase_q[:, None] * Bk
         force += factor * rho_hat[a] * phase_q
-    B1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
     pref = 1.0 / g.N
     rs = pref * (term1 - term2)
-    rm = pref * (term2 - force[:, None] * B1)
+    rm = pref * (term2 - force[:, None] * b1)
     return InteractionResidues(rs.real, rm.real, lattice)
 
 
@@ -221,18 +221,10 @@ def mean_field_force_term(field_vals: np.ndarray,
 
 def _husimi_time_derivative(state: ManyBodyState, frame: CoherentFrame,
                             potential: Potential) -> np.ndarray:
-    """d/dt m on the natural lattice, from the exact dpsi/dt.
-
-    d/dt gamma1 = N (Xdot + Xdot^dagger) dx^(N-1) with
-    Xdot = psidot psi^dagger (amplitudes reshaped as in `gamma1`), and the
-    Husimi transform is linear in the kernel.
-    """
-    g = state.grid
-    mat = state.psi.reshape(g.M, -1)
-    dmat = time_derivative(state, potential).reshape(mat.shape)
-    xdot = dmat @ mat.conj().T
-    dgamma = g.N * (xdot + xdot.conj().T) * g.dx ** (g.N - 1)
-    return bilinear_phase_field(dgamma, frame.window, frame.window, g).real
+    """d/dt m on the natural lattice, from d/dt gamma1 of H a / (i hbar):
+    the Husimi transform is linear in the kernel."""
+    return bilinear_phase_field(gamma1_time_derivative(state, potential),
+                                frame.window, frame.window, state.grid).real
 
 
 def reformulation_consistency(fields: SnapshotFields, frame: CoherentFrame,
@@ -286,11 +278,15 @@ def snapshot_residues(state: ManyBodyState, frame: CoherentFrame,
     """
     g = state.grid
     kern = gamma1(state)
+    # one transform of gamma1: the Husimi field is its real part, and the
+    # mean-field residue takes it whole
+    b1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
+    lattice = natural_lattice(g)
     fields = SnapshotFields(
-        state, kern, husimi1(kern, frame), kinetic_residue_field(kern, frame),
-        interaction_residue_fields(state, kern, frame, potential)
+        state, kern, HusimiField(b1.real, lattice),
+        kinetic_residue_field(kern, frame),
+        interaction_residue_fields(state, kern, b1, frame, potential)
         if g.N >= 2 else None)
-    lattice = fields.husimi.lattice
     tq = bump_test_function(lattice.qs, **phi_q)
     tp = bump_test_function(lattice.ps, **phi_p)
     cons = reformulation_consistency(fields, frame, potential, tq, tp)

@@ -3,18 +3,21 @@
 Snapshot layout: a 32-byte header
 
     magic   4 bytes  b"HUSI"
-    version u16      1
+    version u16      2 for an N-body state, 1 for orbitals and fields
     d       u16      1, the dimension of the grid
     M       u32
     N       u32
     time    f64
     hbar    f64
 
-followed immediately by little-endian complex128 amplitudes in row-major
-coordinate order.  The box length is not part of the format; it travels
-with the run configuration and is supplied at read time.  Phase-space
-fields store their real values as complex, so every snapshot holds the
-same amplitude type.
+followed immediately by little-endian complex128 values.  A version-2
+N-body state holds its C(M, N) coefficients a_K in the colex order of
+`manybody._sorted_tuples`, with ||a|| the lattice norm of the state.
+Version 1 holds mean-field orbitals (N rows of M amplitudes) or a
+phase-space field (M q-points by N p-points, real values as complex), and
+once held N-body states as M^N grid amplitudes; `read_state` refuses it.
+The box length is not part of the format; it travels with the run
+configuration and is supplied at read time.
 JSON reports are canonical (sorted keys, compact separators), so
 identical runs produce byte-identical files modulo explicit timestamps.
 """
@@ -25,6 +28,7 @@ import hashlib
 import json
 import os
 import struct
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +44,8 @@ assert HEADER.size == 32
 def write_state(path, state: ManyBodyState) -> None:
     g = state.grid
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 1, 1, g.M, g.N, state.time, g.hbar))
-        fh.write(np.ascontiguousarray(state.psi, dtype="<c16").tobytes())
+        fh.write(HEADER.pack(MAGIC, 2, 1, g.M, g.N, state.time, g.hbar))
+        fh.write(np.ascontiguousarray(state.coeffs, dtype="<c16").tobytes())
 
 
 def read_state(path, L: float) -> ManyBodyState:
@@ -49,27 +53,27 @@ def read_state(path, L: float) -> ManyBodyState:
         magic, version, d, M, N, time, hbar = HEADER.unpack(fh.read(HEADER.size))
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}")
-        if version != 1:
-            raise ValueError(f"not a wavefunction snapshot (version {version})")
+        if version == 1:
+            raise ValueError(
+                f"{path} is a version-1 snapshot: mean-field orbitals, a "
+                "phase-space field, or an N-body state stored as M^N grid "
+                "amplitudes, a format no longer read; for a version-2 state "
+                "re-run `husimilab simulate` with the run's config.json")
+        if version != 2:
+            raise ValueError(f"{path}: unknown snapshot version {version}")
         if d != 1:
             raise ValueError(f"{path}: header has d={d}; husimilab states "
                              "live on a one-dimensional grid (d=1)")
-        # the count is checked before make_grid, which would refuse the
-        # header of a phase-space field (p points in the N slot) as a
-        # budget overrun
-        found = (os.fstat(fh.fileno()).st_size - HEADER.size) // 16
-        expected = M ** N
-        if found != expected:
-            needs = expected if expected < 2 ** 63 else f"{M}^{N}"
+        found = os.fstat(fh.fileno()).st_size - HEADER.size
+        expected = comb(M, N)
+        if found != 16 * expected:
             raise ValueError(
-                f"{path}: header (M={M}, N={N}) needs {needs} amplitudes, "
-                f"found {found}; the file is truncated or not an N-body state "
-                "(orbital snapshots hold N orbitals of M amplitudes, "
-                "phase-space fields M q-points by N p-points, under the same "
-                "header)")
+                f"{path}: header (M={M}, N={N}) needs {expected} "
+                f"coefficients ({16 * expected} bytes), found {found} bytes; "
+                "the file is truncated or was not written by write_state")
         grid = make_grid(M=M, L=L, hbar=hbar, N=N)
-        psi = np.frombuffer(fh.read(), dtype="<c16")
-    return ManyBodyState(grid, psi.reshape((M,) * N).copy(), time)
+        coeffs = np.frombuffer(fh.read(), dtype="<c16")
+    return ManyBodyState(grid, coeffs.astype(complex), time)
 
 
 def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,

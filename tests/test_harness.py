@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from husimilab import harness
+from husimilab import manybody as mb
 from husimilab import phasespace as ps
 from husimilab.grid import GridError
 
@@ -82,3 +83,25 @@ def test_aggregate_sweep_flags_a_ratio_that_grows(tmp_path):
     assert report["rows"][0]["meanfield_over_semiclassical"] is None
     assert report["meanfield_over_semiclassical_decreasing_in_N"] is False
     assert report["meanfield_below_semiclassical"] is True
+
+
+def test_default_run_builds_one_flow_and_one_grid_export(tmp_path,
+                                                         monkeypatch):
+    """Propagation, both energies and the residue pass share one H, and
+    only the antisymmetry record takes the M^N grid amplitudes."""
+    counts = {"flow": 0, "export": 0}
+    build, export = mb._SlaterFlow.__init__, mb.ManyBodyState.to_grid
+
+    def counted_build(self, *args):
+        counts["flow"] += 1
+        build(self, *args)
+
+    def counted_export(self):
+        counts["export"] += 1
+        return export(self)
+
+    monkeypatch.setattr(mb._SlaterFlow, "__init__", counted_build)
+    monkeypatch.setattr(mb.ManyBodyState, "to_grid", counted_export)
+    mb._slater_flow.cache_clear()
+    harness.run_experiment(harness.RunConfig(), tmp_path / "run")
+    assert counts == {"flow": 1, "export": 1}

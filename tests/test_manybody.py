@@ -1,5 +1,5 @@
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -11,21 +11,17 @@ from husimilab import meanfield as mf
 from husimilab import snapshots as io
 from husimilab.grid import BUDGET_ENV_VAR, GridError, Potential, make_grid
 
-
-def _antisymmetrized(psi: np.ndarray) -> np.ndarray:
-    """sum over sigma of sign(sigma) psi(x_sigma)."""
-    return sum(mb._perm_sign(p) * np.transpose(psi, p)
-               for p in permutations(range(psi.ndim)))
+import grid_oracles as go
 
 
 def _strang(state, potential, dt: float, steps: int) -> np.ndarray:
     """Strang splitting, half kick, FFT kinetic step, half kick: the
-    second-order oracle of the exact flow."""
+    second-order oracle of the exact flow, on the grid amplitudes."""
     g = state.grid
-    half_v = np.exp(-0.5j * dt * mb.pair_potential_table(g, potential)
+    half_v = np.exp(-0.5j * dt * go.pair_potential_table(g, potential)
                     / g.hbar)
-    kinetic = np.exp(-0.5j * dt * g.hbar * sum(mb._axis_k2(g)))
-    psi = state.psi
+    kinetic = np.exp(-0.5j * dt * g.hbar * sum(go.axis_k2(g)))
+    psi = state.to_grid()
     for _ in range(steps):
         psi = half_v * np.fft.ifftn(kinetic * np.fft.fftn(half_v * psi))
     return psi
@@ -41,9 +37,9 @@ def slater_n2():
 def test_single_orbital_slater_is_the_orbital():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=1)
     orb = mb.gaussian_orbital(grid, width=0.8)
-    state = mb.build_slater(grid, [orb])
-    phase = state.psi[np.argmax(np.abs(orb))] / orb[np.argmax(np.abs(orb))]
-    assert np.max(np.abs(state.psi - phase * orb)) < 1e-12
+    psi = mb.build_slater(grid, [orb]).to_grid()
+    phase = psi[np.argmax(np.abs(orb))] / orb[np.argmax(np.abs(orb))]
+    assert np.max(np.abs(psi - phase * orb)) < 1e-12
 
 
 def test_slater_normalized_and_antisymmetric(slater_n2):
@@ -97,10 +93,12 @@ def test_build_slater_matches_outer_products(N, M):
     orbitals = mf.hermite_orbitals(grid, N)
     state = mb.build_slater(grid, orbitals)
     want = _slater_by_outer_products(grid, orbitals)
-    assert np.max(np.abs(state.psi - want)) <= 1e-14 * np.max(np.abs(want))
-    # the state is extended from the sorted coordinate tuples, so every
-    # swap of two coordinates negates it exactly
-    assert mb.antisymmetry_defect(state) == 0.0
+    assert (np.max(np.abs(state.to_grid() - want))
+            <= 1e-14 * np.max(np.abs(want)))
+    # the coefficients are those of the outer-product state
+    want_coeffs = go.from_grid(grid, want).coeffs
+    assert (np.max(np.abs(state.coeffs - want_coeffs))
+            <= 1e-14 * np.max(np.abs(want_coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +108,17 @@ def test_build_slater_matches_outer_products(N, M):
 def test_zero_steps_is_identity(slater_n2):
     grid, _, state = slater_n2
     out = mb.propagate(state, Potential.zero(grid), dt=0.01, steps=0)
-    assert np.array_equal(out.psi, state.psi)
+    assert np.array_equal(out.coeffs, state.coeffs)
     assert out.time == state.time
 
 
 def test_free_gaussian_matches_closed_form():
     grid = make_grid(M=256, L=24.0, hbar=0.5, N=1)
     psi0 = mb.free_gaussian_evolution(grid, 1.0, -2.0, 0.8, 0.0)
-    state = mb.ManyBodyState(grid, psi0.copy())
+    state = go.from_grid(grid, psi0)
     out = mb.propagate(state, Potential.zero(grid), dt=0.005, steps=200)
     oracle = mb.free_gaussian_evolution(grid, 1.0, -2.0, 0.8, 1.0)
-    err = np.sqrt(np.sum(np.abs(out.psi - oracle) ** 2) * grid.dx)
+    err = np.sqrt(np.sum(np.abs(out.to_grid() - oracle) ** 2) * grid.dx)
     assert err < 1e-6
 
 
@@ -136,9 +134,8 @@ def test_energy_and_norm_conserved_interacting(slater_n2):
 
 def test_nan_detection_reports_step():
     grid = make_grid(M=32, L=8.0, hbar=0.5, N=1)
-    psi = mb.gaussian_orbital(grid, width=0.8)
-    state = mb.ManyBodyState(grid, psi.copy())
-    state.psi[3] = np.nan
+    state = go.from_grid(grid, mb.gaussian_orbital(grid, width=0.8))
+    state.coeffs[3] = np.nan
     with pytest.raises(mb.PropagationError, match="non-finite input"):
         mb.propagate(state, Potential.zero(grid), dt=0.01, steps=20)
 
@@ -146,34 +143,11 @@ def test_nan_detection_reports_step():
 def test_nan_detection_through_merged_kicks_n3():
     grid = make_grid(M=32, L=8.0, hbar=1.0 / 3.0, N=3)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
-    state.psi[3, 7, 11] = np.nan
+    state.coeffs[3] = np.nan
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     with pytest.raises(mb.PropagationError,
-                       match="non-finite input amplitudes: 1 of 32768"):
+                       match="non-finite input coefficients: 1 of 4960"):
         mb.propagate(state, V, dt=0.01, steps=20)
-
-
-def test_non_antisymmetric_input_rejected(slater_n2):
-    grid, _, state = slater_n2
-    psi = state.psi.copy()
-    worst = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
-    psi[worst] = -psi[worst]
-    with pytest.raises(GridError, match="not antisymmetric"):
-        mb.propagate(mb.ManyBodyState(grid, psi), Potential.zero(grid),
-                     0.01, 1)
-
-
-def test_input_antisymmetric_in_one_pair_only_rejected():
-    """Antisymmetric under swapping particles 1 and 2 but not 2 and 3: the
-    input check, which tests adjacent swaps only, still refuses it."""
-    grid = make_grid(M=16, L=12.0, hbar=1.0 / 3.0, N=3)
-    orbs = mf.hermite_orbitals(grid, 3)
-    pair = mb.build_slater(make_grid(M=16, L=12.0, hbar=1.0 / 3.0, N=2),
-                           orbs[:2]).psi
-    state = mb.ManyBodyState(grid, pair[:, :, None] * orbs[2][None, None, :])
-    assert np.max(np.abs(np.swapaxes(state.psi, 0, 1) + state.psi)) == 0.0
-    with pytest.raises(GridError, match="not antisymmetric"):
-        mb.propagate(state, Potential.zero(grid), 0.01, 1)
 
 
 def test_hamiltonian_over_budget_rejected(monkeypatch):
@@ -210,16 +184,17 @@ def test_free_step_matches_fft_oracle(steps, N, M, dt):
     grid = make_grid(M=M, L=6.0, hbar=0.5, N=N)
     rng = np.random.default_rng(11)
     shape = (M,) * N
-    psi = _antisymmetrized(rng.standard_normal(shape)
-                           + 1j * rng.standard_normal(shape))
-    out = mb.propagate(mb.ManyBodyState(grid, psi.copy()),
-                       Potential.zero(grid), dt, steps)
+    psi = go.antisymmetrized(rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+    out = mb.propagate(go.from_grid(grid, psi), Potential.zero(grid), dt,
+                       steps)
     k2 = grid.wavenumbers() ** 2
     total = sum(k2.reshape([M if b == a else 1 for b in range(N)])
                 for a in range(N))
     oracle = np.fft.ifftn(np.exp(-0.5j * steps * dt * grid.hbar * total)
                           * np.fft.fftn(psi))
-    assert np.max(np.abs(out.psi - oracle)) < 1e-13 * np.max(np.abs(oracle))
+    assert (np.max(np.abs(out.to_grid() - oracle))
+            < 1e-13 * np.max(np.abs(oracle)))
     assert out.time == pytest.approx(steps * dt)
 
 
@@ -228,7 +203,7 @@ def test_strang_step_is_second_order(slater_n2):
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     horizon = 0.5
     ref = _strang(state, V, horizon / 800, 800)
-    exact = mb.propagate(state, V, horizon, 1).psi
+    exact = mb.propagate(state, V, horizon, 1).to_grid()
     strang = [_strang(state, V, horizon / n, n) for n in (25, 50, 100)]
     for target in (ref, exact):
         errs = [np.sqrt(np.sum(np.abs(psi - target) ** 2)
@@ -245,40 +220,40 @@ def test_hamiltonian_matches_time_derivative(N, hbar, kind):
          else Potential.gaussian_bump(grid, 0.8, 1.5))
     rng = np.random.default_rng(5)
     shape = (grid.M,) * N
-    psi = _antisymmetrized(rng.standard_normal(shape)
-                           + 1j * rng.standard_normal(shape))
+    psi = go.antisymmetrized(rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
     flow = mb._SlaterFlow(grid, V)
-    c = flow.to_basis(psi)
-    Hc = flow.H @ c.real + 1j * (flow.H @ c.imag)
-    got = flow.to_grid(Hc, np.empty_like(psi)) / (1j * hbar)
-    want = mb.time_derivative(mb.ManyBodyState(grid, psi), V)
+    Hc = flow.apply(go.from_grid(grid, psi).coeffs)
+    got = mb.ManyBodyState(grid, Hc).to_grid() / (1j * hbar)
+    want = go.time_derivative(grid, psi, V)
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("t", [0.05, 3.0])
 @pytest.mark.parametrize("N, M", [(2, 16), (3, 8)])
 def test_propagate_matches_dense_exponential(N, M, t):
-    """exp(t G) with G = `time_derivative` on the antisymmetric sector,
-    assembled column by column on antisymmetrized position deltas."""
+    """exp(t G) with G the grid oracle `time_derivative` on the
+    antisymmetric sector, assembled column by column on antisymmetrized
+    position deltas."""
     grid = make_grid(M=M, L=6.0, hbar=0.5, N=N)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     columns = []
     for x in combinations(range(M), N):
         delta = np.zeros((M,) * N, dtype=complex)
         delta[x] = 1.0 / np.sqrt(factorial(N))
-        columns.append(_antisymmetrized(delta).ravel())
+        columns.append(go.antisymmetrized(delta).ravel())
     B = np.array(columns).T  # orthonormal basis of the sector
     G = B.conj().T @ np.array([
-        mb.time_derivative(mb.ManyBodyState(grid, b.reshape((M,) * N)),
-                           V).ravel() for b in B.T]).T
+        go.time_derivative(grid, b.reshape((M,) * N), V).ravel()
+        for b in B.T]).T
     rng = np.random.default_rng(3)
     psi0 = B @ (rng.standard_normal(B.shape[1])
                 + 1j * rng.standard_normal(B.shape[1]))
     want = B @ (expm(t * G) @ (B.conj().T @ psi0))
-    got = mb.propagate(mb.ManyBodyState(grid, psi0.reshape((M,) * N)), V,
+    got = mb.propagate(go.from_grid(grid, psi0.reshape((M,) * N)), V,
                        t / 2, 2)
     assert got.time == pytest.approx(t)
-    assert (np.max(np.abs(got.psi.ravel() - want))
+    assert (np.max(np.abs(got.to_grid().ravel() - want))
             < 1e-12 * np.max(np.abs(want)))
 
 
@@ -297,9 +272,9 @@ def test_propagate_ignores_the_global_rng(slater_n2):
     grid, _, state = slater_n2
     V = Potential.cosine(grid, [0.4, 0.15])
     np.random.seed(1)
-    first = mb.propagate(state, V, 0.002, 100).psi
+    first = mb.propagate(state, V, 0.002, 100).coeffs
     np.random.seed(2)
-    assert np.array_equal(mb.propagate(state, V, 0.002, 100).psi, first)
+    assert np.array_equal(mb.propagate(state, V, 0.002, 100).coeffs, first)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +323,45 @@ def test_gamma2_antisymmetry():
     Hermitian in (u, w)."""
     grid = make_grid(M=8, L=6.0, hbar=1.0 / 3.0, N=3)
     rng = np.random.default_rng(8)
-    psi = _antisymmetrized(rng.standard_normal((8,) * 3)
-                           + 1j * rng.standard_normal((8,) * 3))
-    state = mb.ManyBodyState(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
-                                                 * grid.dx ** 3))
+    psi = go.antisymmetrized(rng.standard_normal((8,) * 3)
+                             + 1j * rng.standard_normal((8,) * 3))
+    state = go.from_grid(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
+                                             * grid.dx ** 3))
     A = mb.Gamma2View(state).partial_diag()
     y = np.arange(grid.M)
     scale = np.max(np.abs(A))
     assert np.max(np.abs(A[y, :, y])) < 1e-14 * scale
     assert np.max(np.abs(A[:, y, y])) < 1e-14 * scale
     assert np.max(np.abs(A - A.conj().transpose(1, 0, 2))) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_coefficient_kernels_match_grid_contractions(N):
+    """gamma1, its time derivative, partial_diag and the energies read off
+    the coefficients equal the contractions of the grid amplitudes, on a
+    random antisymmetric state that is no Slater determinant."""
+    grid = make_grid(M=8, L=6.0, hbar=1.0 / N, N=N)
+    rng = np.random.default_rng(20 + N)
+    psi = go.antisymmetrized(rng.standard_normal((8,) * N)
+                             + 1j * rng.standard_normal((8,) * N))
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx ** N)
+    state = go.from_grid(grid, psi)
+    assert np.max(np.abs(state.to_grid() - psi)) < 1e-14 * np.max(np.abs(psi))
+    V = Potential.cosine(grid, [0.4, 0.15])
+    mat = psi.reshape(grid.M, -1)
+    xdot = (go.time_derivative(grid, psi, V).reshape(mat.shape)
+            @ mat.conj().T * N * grid.dx ** (N - 1))
+    for got, want in ((mb.gamma1(state).matrix, go.gamma1(grid, psi)),
+                      (mb.gamma1_time_derivative(state, V),
+                       xdot + xdot.conj().T),
+                      (mb.Gamma2View(state).partial_diag(),
+                       go.partial_diag(grid, psi))):
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    kinetic = go.kinetic_energy(grid, psi)
+    want = kinetic + float(np.sum(go.pair_potential_table(grid, V)
+                                  * np.abs(psi) ** 2) * grid.dx ** N)
+    assert mb.kinetic_energy(state) == pytest.approx(kinetic, rel=1e-14)
+    assert mb.total_energy(state, V) == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +372,7 @@ def test_kinetic_energy_matches_quadrature_oracle():
     grid = make_grid(M=128, L=16.0, hbar=0.5, N=1)
     width, x0, p0 = 0.9, 0.5, 0.7
     psi = mb.gaussian_orbital(grid, width=width, x0=x0, p0=p0)
-    state = mb.ManyBodyState(grid, psi.copy())
+    state = go.from_grid(grid, psi)
     # oracle: lattice quadrature of the closed-form gradient of the packet
     x = grid.axis_points()
     grad = psi * (-(x - x0) / width + 1j * p0 / grid.hbar)
@@ -380,9 +384,9 @@ def test_time_derivative_matches_centered_difference_of_propagate(slater_n2):
     grid, _, state = slater_n2
     V = Potential.cosine(grid, [0.4, 0.15])
     h = 1e-4
-    fd = (mb.propagate(state, V, h, 1).psi
-          - mb.propagate(state, V, -h, 1).psi) / (2.0 * h)
-    exact = mb.time_derivative(state, V)
+    fd = (mb.propagate(state, V, h, 1).to_grid()
+          - mb.propagate(state, V, -h, 1).to_grid()) / (2.0 * h)
+    exact = go.time_derivative(grid, state.to_grid(), V)
     assert np.max(np.abs(fd - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
@@ -414,23 +418,40 @@ def test_kinetic_growth_bound_interacting():
 
 def test_snapshot_round_trip(tmp_path, slater_n2):
     grid, _, state = slater_n2
+    state = mb.propagate(state, Potential.cosine(grid, [0.4, 0.15]), 0.01, 3)
     path = tmp_path / "state.husi"
     io.write_state(path, state)
     back = io.read_state(path, L=grid.L)
     assert back.grid == grid
-    assert np.array_equal(back.psi, state.psi)
+    assert np.array_equal(back.coeffs, state.coeffs)
     assert back.time == state.time
-    assert path.stat().st_size == 32 + 16 * grid.M ** grid.N
+    assert path.stat().st_size == 32 + 16 * comb(grid.M, grid.N)
+    assert io.HEADER.unpack(path.read_bytes()[:32])[1] == 2
 
 
 def test_read_state_names_a_phase_space_field(tmp_path, slater_n2):
     grid, _, _ = slater_n2
     path = tmp_path / "husimi_mid.husi"
     io.write_field(path, np.ones((grid.M, grid.M)), grid)
-    with pytest.raises(ValueError, match=r"needs 64\^64 amplitudes, found "
-                                         r"4096.*phase-space fields") as err:
+    with pytest.raises(ValueError, match=r"version-1 snapshot: .*phase-space "
+                                         r"field") as err:
         io.read_state(path, L=grid.L)
     assert "budget" not in str(err.value)
+
+
+def test_read_state_refuses_a_version_1_grid_state(tmp_path, slater_n2):
+    """A state file from before states were stored as coefficients: the
+    header of version 1 and M^N grid amplitudes."""
+    grid, _, state = slater_n2
+    path = tmp_path / "state_final.husi"
+    path.write_bytes(io.HEADER.pack(io.MAGIC, 1, 1, grid.M, grid.N, 0.0,
+                                    grid.hbar)
+                     + state.to_grid().astype("<c16").tobytes())
+    with pytest.raises(ValueError, match=r"version-1 snapshot: .*M\^N grid "
+                                         r"amplitudes.*re-run `husimilab "
+                                         r"simulate` with the run's "
+                                         r"config\.json"):
+        io.read_state(path, L=grid.L)
 
 
 def test_field_csv_matches_savetxt(tmp_path):
@@ -452,8 +473,8 @@ def test_field_csv_matches_savetxt(tmp_path):
 def test_read_state_refuses_a_header_with_d_2(tmp_path, slater_n2):
     grid, _, state = slater_n2
     path = tmp_path / "state.husi"
-    path.write_bytes(io.HEADER.pack(io.MAGIC, 1, 2, grid.M, 1, 0.0, grid.hbar)
-                     + state.psi.astype("<c16").tobytes())
+    path.write_bytes(io.HEADER.pack(io.MAGIC, 2, 2, grid.M, 1, 0.0, grid.hbar)
+                     + state.coeffs.astype("<c16").tobytes())
     with pytest.raises(ValueError, match="header has d=2"):
         io.read_state(path, L=grid.L)
 
@@ -462,11 +483,13 @@ def test_read_state_refuses_orbitals_and_truncated_files(tmp_path, slater_n2):
     grid, orbitals, state = slater_n2
     path = tmp_path / "hf_orbitals.husi"
     io.write_orbitals(path, np.array(orbitals), grid)
-    with pytest.raises(ValueError, match=r"needs 4096 amplitudes, found 128"
-                                         r".*not an N-body state"):
+    with pytest.raises(ValueError, match=r"version-1 snapshot: mean-field "
+                                         r"orbitals"):
         io.read_state(path, L=grid.L)
     path = tmp_path / "state.husi"
     io.write_state(path, state)
     path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError, match="needs 4096 amplitudes, found 4095"):
+    with pytest.raises(ValueError, match=r"needs 2016 coefficients \(32256 "
+                                         r"bytes\), found 32240 bytes; the "
+                                         r"file is truncated"):
         io.read_state(path, L=grid.L)

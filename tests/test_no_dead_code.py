@@ -31,12 +31,11 @@ ORACLES = (
     # manybody
     "OneBodyKernel.hermiticity_defect", "OneBodyKernel.occupations",
     "gaussian_orbital", "free_gaussian_evolution", "kinetic_bound_check",
-    "momentum_first_moment",
+    "kinetic_energy",
     # meanfield
     "free_transport_exact",
     # phasespace
-    "husimi1_direct", "husimi_point", "_coherent_state", "_coherent_matrix",
-    "husimi2_full", "husimi2_point", "husimi2_marginal_check",
+    "husimi1_direct", "husimi_point", "_coherent_state",
     "wigner_position_marginal", "gaussian_wigner_closed_form",
     "convolution_bridge_check",
 )

@@ -11,6 +11,8 @@ from husimilab import meanfield as mf
 from husimilab import phasespace as ps
 from husimilab.grid import GridError, make_grid, Potential
 
+from grid_oracles import from_grid
+
 
 CENTER_Q, CENTER_P = -1.5, 0.8  # center on the M=128, L=12 lattice
 
@@ -20,7 +22,7 @@ def coherent_setup():
     grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     frame = ps.gaussian_frame(grid)
     psi = mb.gaussian_orbital(grid, width=grid.hbar, x0=CENTER_Q, p0=CENTER_P)
-    kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
+    kern = mb.gamma1(from_grid(grid, psi))
     return grid, frame, kern
 
 
@@ -108,6 +110,83 @@ def test_undersampled_lattice_warns():
 # two-particle Husimi
 # ---------------------------------------------------------------------------
 
+def _coherent_matrix(frame, lattice) -> np.ndarray:
+    """F[x, (q, p)] = f_qp(x) for every lattice point, flattened q-major."""
+    return np.concatenate([ps._coherent_state(frame, q, lattice.ps).T
+                           for q in lattice.qs], axis=1)
+
+
+def husimi2_full(psi, grid, frame, lattice) -> np.ndarray:
+    """Dense two-particle Husimi values m2[z1, z2] for N = 2 amplitudes."""
+    F = _coherent_matrix(frame, lattice)
+    c = F.T @ np.conj(psi) @ F * grid.dx ** 2
+    return 2.0 * np.abs(c) ** 2
+
+
+def husimi2_point(psi, grid, frame, z1, z2) -> float:
+    """m2 at two phase-space points for N in {2, 3}."""
+    f1, f2 = ps._coherent_state(frame, *z1), ps._coherent_state(frame, *z2)
+    if grid.N == 2:
+        c = np.einsum("xy,x,y->", np.conj(psi), f1, f2) * grid.dx ** 2
+        return float(2.0 * abs(c) ** 2)
+    c = np.einsum("xyr,x,y->r", np.conj(psi), f1, f2) * grid.dx ** 2
+    return float(6.0 * np.sum(np.abs(c) ** 2) * grid.dx)
+
+
+def husimi2_marginal_check(state, frame, rng, n_pairs: int = 50,
+                           n_marginal: int = 20) -> dict:
+    """Symmetry and marginalization diagnostics of the two-particle field
+    of an N = 2 or 3 state, on its grid export.
+
+    Uses the full natural lattice for the inner (q2, p2) sum, where
+    coherent-state completeness is exact, so the marginal identity
+    (2 pi hbar)^(-1) sum_{q2 p2} m2 dq2 dp2 = (N-1) m1 holds to roundoff.
+    """
+    g = state.grid
+    psi = state.to_grid()
+    m1 = ps.husimi1(mb.gamma1(state), frame)
+    lattice = m1.lattice
+
+    sym_defect = 0.0
+    pts = list(zip(lattice.qs[rng.integers(0, len(lattice.qs), 2 * n_pairs)],
+                   lattice.ps[rng.integers(0, len(lattice.ps), 2 * n_pairs)]))
+    for a in range(n_pairs):
+        z1, z2 = pts[2 * a], pts[2 * a + 1]
+        v12 = husimi2_point(psi, g, frame, z1, z2)
+        v21 = husimi2_point(psi, g, frame, z2, z1)
+        sym_defect = max(sym_defect, abs(v12 - v21))
+
+    marg_defect = 0.0
+    total = None
+    if g.N == 2:
+        m2 = husimi2_full(psi, g, frame, lattice)
+        marg = m2.sum(axis=1) * lattice.cell / lattice.canonical
+        m1_flat = m1.values.reshape(-1)
+        marg_defect = float(np.max(np.abs(marg - (g.N - 1) * m1_flat)))
+        total = float(m2.sum() * lattice.cell ** 2 / (2.0 * np.pi) ** 2)
+    else:
+        qi = rng.integers(0, len(lattice.qs), n_marginal)
+        pi = rng.integers(0, len(lattice.ps), n_marginal)
+        F = _coherent_matrix(frame, lattice)
+        for a in range(n_marginal):
+            f1 = ps._coherent_state(frame, lattice.qs[qi[a]],
+                                    lattice.ps[pi[a]])
+            phi = np.einsum("xyr,x->yr", np.conj(psi), f1) * g.dx
+            amp = phi.T @ F * g.dx  # [r, z2]
+            m2_row = 6.0 * np.sum(np.abs(amp) ** 2, axis=0) * g.dx
+            marg = float(np.sum(m2_row) * lattice.cell / lattice.canonical)
+            ref = (g.N - 1) * m1.values[qi[a], pi[a]]
+            marg_defect = max(marg_defect, abs(marg - ref))
+
+    coupled = abs(g.hbar * g.N - 1.0) < 1e-9
+    return {
+        "symmetry_defect": sym_defect,
+        "marginal_defect": marg_defect,
+        "coupled_preset": coupled,
+        "total_mass_over_2pi": total,
+        "expected_total_if_coupled": g.N * (g.N - 1) / g.N ** 2,
+    }
+
 @pytest.fixture(scope="module")
 def husimi2_setup():
     grid = make_grid(M=32, L=10.0, hbar=0.5, N=2)
@@ -119,7 +198,7 @@ def husimi2_setup():
 def test_husimi2_symmetry_and_marginal(husimi2_setup):
     grid, frame, state = husimi2_setup
     rng = np.random.default_rng(3)
-    report = ps.husimi2_marginal_check(state, frame, rng, n_pairs=100)
+    report = husimi2_marginal_check(state, frame, rng, n_pairs=100)
     assert report["symmetry_defect"] < 1e-8
     assert report["marginal_defect"] < 1e-4
 
@@ -129,8 +208,8 @@ def test_husimi2_coupled_total_mass():
     grid = make_grid(M=32, L=10.0, hbar=0.5, N=2)
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
-    report = ps.husimi2_marginal_check(state, frame,
-                                       np.random.default_rng(0), n_pairs=5)
+    report = husimi2_marginal_check(state, frame,
+                                    np.random.default_rng(0), n_pairs=5)
     assert report["coupled_preset"]
     assert report["total_mass_over_2pi"] == pytest.approx(
         report["expected_total_if_coupled"], abs=1e-4)
@@ -141,8 +220,8 @@ def test_husimi2_n3_marginal():
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
     rng = np.random.default_rng(4)
-    report = ps.husimi2_marginal_check(state, frame, rng, n_pairs=10,
-                                       n_marginal=6)
+    report = husimi2_marginal_check(state, frame, rng, n_pairs=10,
+                                    n_marginal=6)
     assert report["symmetry_defect"] < 1e-8
     assert report["marginal_defect"] < 1e-4
 
@@ -156,7 +235,7 @@ def test_wigner_closed_form_and_positivity():
     grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     q0 = -0.5625
     psi = mb.gaussian_orbital(grid, width=grid.hbar, x0=q0, p0=CENTER_P)
-    kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
+    kern = mb.gamma1(from_grid(grid, psi))
     wf = ps.wigner1(kern, grid)
     closed = ps.gaussian_wigner_closed_form(wf.qs, wf.ps, grid.hbar,
                                             q0, CENTER_P, grid.hbar)
@@ -205,7 +284,7 @@ def test_moments_gaussian_closed_form():
     frame = ps.gaussian_frame(grid)
     q0, p0, hbar = -2.4375, 0.8, grid.hbar
     psi = mb.gaussian_orbital(grid, width=hbar, x0=q0, p0=p0)
-    kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
+    kern = mb.gamma1(from_grid(grid, psi))
     field = ps.husimi1(kern, frame)
     mass, qmom, p2mom = ps.moments(field)
     mass_exact = 2.0 * np.pi * hbar
@@ -221,7 +300,7 @@ def test_free_evolution_preserves_p2_moment():
     grid = make_grid(M=128, L=20.0, hbar=0.5, N=1)
     frame = ps.gaussian_frame(grid)
     psi = mb.gaussian_orbital(grid, width=0.8, x0=-3.0, p0=1.0)
-    st = mb.ManyBodyState(grid, psi.copy())
+    st = from_grid(grid, psi)
     f0 = ps.husimi1(mb.gamma1(st), frame)
     st2 = mb.propagate(st, Potential.zero(grid), dt=0.01, steps=100)
     f1 = ps.husimi1(mb.gamma1(st2), frame)
@@ -360,7 +439,7 @@ def test_oscillation_quadrature_matches_closed_form():
 def test_localized_number_is_ball_volume_times_n():
     grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
     psi = mb.gaussian_orbital(grid, width=0.9)
-    kern = mb.gamma1(mb.ManyBodyState(grid, psi.copy()))
+    kern = mb.gamma1(from_grid(grid, psi))
     out = ps.localized_number_check(kern, radius=1.0)
     assert out["value"] == pytest.approx(out["ball_volume"] * 1.0, rel=1e-10)
 
