@@ -1,6 +1,8 @@
 """Timings of the N-body kernels a `husimilab simulate` run calls besides
-`propagate`: `build_slater`, `gamma1`, `Gamma2View.partial_diag` and
-`total_energy`, at (N, M) = (3, 64) and (4, 32).  Hermite orbitals,
+`propagate`: `build_slater`, `gamma1`, `Gamma2View.partial_diag`,
+`total_energy` and the build of the flow's Hamiltonian (`_SlaterFlow`),
+at (N, M) = (3, 64) and (4, 32), and the Chebyshev coefficients
+`_jacobi_anger` of an HF half kick and of the flow.  Hermite orbitals,
 default cosine V, L = 12, coupled line hbar = 1/N; the reduced density
 matrices and the energy are taken on the state propagated to t = 0.1,
 the run's residue snapshot.  `total_energy` uses the Hamiltonian of the
@@ -10,10 +12,12 @@ does.
     PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
 """
 
+import numpy as np
 import pytest
 
 from husimilab import harness
 from husimilab import manybody as mb
+from husimilab import meanfield as mf
 from husimilab.grid import make_grid
 
 POINTS = [(3, 64), (4, 32)]
@@ -64,3 +68,41 @@ def test_total_energy(benchmark, N, M):
     out = benchmark.pedantic(mb.total_energy, args=(state, potential),
                              rounds=10, warmup_rounds=1)
     assert out > 0
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_slater_flow(benchmark, N, M):
+    _, grid, potential, _ = _point(N, M)
+    out = benchmark.pedantic(mb._SlaterFlow, args=(grid, potential),
+                             rounds=10, warmup_rounds=1)
+    assert out.bounds[0] < out.bounds[1]
+
+
+def _hf_kick(N, M):
+    """The arguments of the first half kick of a run's HF at (N, M): the
+    Gershgorin bounds of the mean field of the Hermite orbitals, as
+    `meanfield._apply_mean_field_exp` takes them, dt / 2 and hbar."""
+    cfg, grid, potential, orbitals = _point(N, M)
+    U = mf.mean_field_matrix(mf.MeanFieldState(grid, np.array(orbitals)),
+                             potential)
+    diag = U.diagonal()
+    radius = np.sum(np.abs(U), axis=1) - np.abs(diag)
+    return (float(np.min(diag.real - radius)),
+            float(np.max(diag.real + radius)), 0.5 * cfg.dt, grid.hbar)
+
+
+def _flow_times(N, M):
+    """The arguments of a run's one `_SlaterFlow.evolve` at (N, M): the
+    flow's bounds and the two stored times, the residue snapshot and the
+    horizon."""
+    cfg, grid, potential, _ = _point(N, M)
+    flow = mb._SlaterFlow(grid, potential)
+    return (*flow.bounds, [0.5 * cfg.horizon, cfg.horizon], grid.hbar)
+
+
+@pytest.mark.parametrize("kick", ["hf-2-64", "flow-3-64"])
+def test_jacobi_anger(benchmark, kick):
+    args = _hf_kick(2, 64) if kick == "hf-2-64" else _flow_times(3, 64)
+    out = benchmark.pedantic(mb._jacobi_anger, args=args, rounds=10,
+                             iterations=1000, warmup_rounds=1)
+    assert abs(out[2][0, 0] + 2.0 * out[2][2::2, 0].sum() - 1.0) < 1e-14

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -265,6 +264,7 @@ def run_sweep(configs, outroot, jobs: int = 1) -> list[str]:
         tasks.append((cfg, outroot / name))
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_one, tasks))
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, fsum
 
 import numpy as np
-from scipy import sparse, special
+from scipy import sparse
 
 from husimilab.grid import GridError, GridSpec, Potential, _active_budget
 
@@ -217,15 +217,16 @@ class _SlaterFlow:
         self.grid = grid
         K = _sorted_tuples(M, N)
         n, width = K.shape[1], 1 + len(pairs) * len(modes)
-        binom = _binomials(M, N)
-        # sign of each ordering, indexed by sum_a pos_a N^a; 0 for a
-        # position vector that is no permutation, which is what a tuple
-        # with a repeated momentum (Pauli-blocked) produces
-        perms = list(permutations(range(N)))
-        signs = np.zeros(N ** N, dtype=np.int8)
-        signs[np.array(perms) @ N ** np.arange(N)] = [_perm_sign(p)
-                                                      for p in perms]
         rows = np.arange(n, dtype=np.int32)
+        # table[flat offset of an ordered tuple] = sign of its sorting
+        # permutation times (rank of the sorted tuple + 1); 0 for a tuple
+        # with a repeated momentum, a Pauli-blocked move.  M^N int32
+        # entries, a quarter of the grid export, freed after the build.
+        place = M ** np.arange(N - 1, -1, -1)
+        table = np.zeros(M ** N, dtype=np.int32)
+        for perm in permutations(range(N)):
+            table[place @ K[list(perm)]] = _perm_sign(perm) * (rows + 1)
+        flat = place @ K
         data = np.empty((n, width))
         cols = np.empty((n, width), dtype=np.int32)
         cols[:, 0] = rows
@@ -234,17 +235,13 @@ class _SlaterFlow:
         slot = 1
         for i, j in pairs:
             for m in modes:
-                moved = list(K)
-                moved[i] = (K[i] - m) % M
-                moved[j] = (K[j] + m) % M
-                # position of each entry in the sorted tuple
-                pos = [sum(x < y for x in moved) for y in moved]
-                sign = signs[sum(p * N ** a for a, p in enumerate(pos))]
-                rank = sum(binom[x, p + 1] for x, p in zip(moved, pos))
-                cols[:, slot] = np.where(sign != 0, rank, rows)
-                data[:, slot] = sign * (vhat[m] / N)
+                signed = table[flat + ((K[i] - m) % M - K[i]) * place[i]
+                               + ((K[j] + m) % M - K[j]) * place[j]]
+                cols[:, slot] = np.where(signed != 0, np.abs(signed) - 1, rows)
+                data[:, slot] = np.sign(signed) * (vhat[m] / N)
                 radius += np.abs(data[:, slot])
                 slot += 1
+        del table
         self.bounds = (float(np.min(data[:, 0] - radius)),
                        float(np.max(data[:, 0] + radius)))
         self.H = sparse.csr_matrix(
@@ -312,18 +309,55 @@ def _jacobi_anger(lo: float, hi: float, times, hbar: float):
     with c = (hi + lo) / 2, h = (hi - lo) / 2 and R = t h / hbar.  Returns
     c, the recurrence factor a = 2 / h (0 for a point spectrum) and the
     table J[k, s] = J_k(R_s), cut after the last row with an entry above
-    1e-18.
+    1e-18.  Each column comes from Miller's backward recurrence
+    (Gautschi, SIAM Rev. 9 (1967) 24) at |R_s| in `_bessel_orders`, all
+    started at one order, and J_k(-R) = (-1)^k J_k(R).
     """
     centre, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    R = np.array(times, dtype=float, ndmin=1) * half / hbar
-    # for k > max |R| every |J_k(R_s)| falls monotonically in k, so the
-    # table grows by 8 orders until its last row is at or below the cut
-    J = special.jv(np.arange(int(abs(R).max()) + 8)[:, None], R)
-    while abs(J[-1]).max() > 1e-18:
-        J = np.vstack([J, special.jv(np.arange(len(J), len(J) + 8)[:, None],
-                                     R)])
-    terms = int(np.flatnonzero(abs(J).max(axis=1) > 1e-18)[-1]) + 1
-    return centre, (2.0 / half if half > 0 else 0.0), J[:terms]
+    R = [t * half / hbar for t in np.ravel(times).tolist()]
+    r_max = max(map(abs, R))
+    top = int(r_max + 15.0 * r_max ** (1.0 / 3.0)) + 10
+    columns, terms = [], 1
+    for r in R:
+        col = _bessel_orders(abs(r), top)
+        if r < 0:
+            col[1::2] = [-x for x in col[1::2]]
+        last = top
+        while last >= terms and abs(col[last]) <= 1e-18:
+            last -= 1
+        terms = max(terms, last + 1)
+        columns.append(col)
+    J = np.array([col[:terms] for col in columns]).T
+    return centre, (2.0 / half if half > 0 else 0.0), J
+
+
+def _bessel_orders(R: float, top: int) -> list[float]:
+    """J_0(R), ..., J_top(R) for R >= 0 by the backward recurrence
+    J_{k-1} = (2k / R) J_k - J_{k+1} from J_top = 1e-300 and
+    J_{top+1} = 0, rescaled by 1e-250 whenever a value passes 1e250, then
+    normalized by J_0 + 2 sum_k J_2k = 1.
+
+    The 1e-18 cut of `_jacobi_anger` lies near k = R + 12.2 R^(1/3) at
+    large R (the Airy tail past the turning point k = R) and below k = 10
+    for R < 0.05.  Against `scipy.special.jv`, a start zero to four orders
+    past the cut already gives the same cut and every entry to rounding,
+    so `_jacobi_anger` starts at R + 15 R^(1/3) + 10.  Below R = 1e-18
+    every J_k with k >= 1 is under the cut and J_0 rounds to 1.  Plain
+    floats: a numpy loop over k this short costs ten times more.
+    """
+    if R < 1e-18:
+        return [1.0] + [0.0] * top
+    J = [1e-300]
+    cur, nxt = 1e-300, 0.0
+    for k in range(top, 0, -1):
+        cur, nxt = 2.0 * k / R * cur - nxt, cur
+        if abs(cur) > 1e250:
+            J = [x * 1e-250 for x in J]
+            cur, nxt = cur * 1e-250, nxt * 1e-250
+        J.append(cur)
+    J.reverse()
+    norm = J[0] + 2.0 * fsum(J[2::2])
+    return [x / norm for x in J]
 
 
 def _check_hamiltonian_budget(M: int, N: int, modes: int) -> None:
@@ -443,15 +477,20 @@ class Gamma2View:
 
         With X = (M^2 / L) ifft of the two-free-axis extension over its
         free axes, A[u, w, y] = sum_q X[u, y, q] conj X[w, y, q], one
-        product per y.
+        product per y.  Each product fills one contiguous block of an array
+        stored as [y, u, w], with no conjugate copy of the whole X; A is
+        its transposed view, which `_gamma2_partial_hat` contracts as it
+        is stored.
         """
         g = self.state.grid
         X = _antisymmetric_extension(g, self.state.coeffs, 2)
         for axis in (0, 1):
             np.fft.ifft(X, axis=axis, out=X)
         X *= g.M ** 2 / g.L
-        Xy = X.transpose(1, 0, 2)  # [y, u, q]
-        return np.matmul(Xy, Xy.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
+        A = np.empty((g.M,) * 3, dtype=complex)
+        for y in range(g.M):
+            np.matmul(X[:, y, :], X[:, y, :].conj().T, out=A[y])
+        return A.transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray) -> np.ndarray:
     A = Gamma2View(state).partial_diag()
     x = state.grid.axis_points()
     phases = np.exp(-1j * np.outer(x, ks))
-    return np.tensordot(A, phases, axes=([2], [0])) * state.grid.dx
+    # one product per u, each on a (w, y) block of A as it is stored
+    return np.matmul(A, phases) * state.grid.dx
 
 
 @dataclass

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,15 +261,48 @@ def test_propagate_matches_dense_exponential(N, M, t):
             < 1e-12 * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("R", [0.0, 1e-3, 0.5, 7.0, 130.0])
+@pytest.mark.parametrize("R", [0.0, 1e-3, 0.02, 0.5, 7.0, 26.0, 130.0])
 def test_jacobi_anger_table_matches_the_fixed_order_evaluation(R):
-    """The table equals int(2R) + 40 Bessel orders cut after the last row
-    above 1e-18, bit for bit, alone and with a time of the opposite sign."""
-    for times in ([R], [R, -0.5 * R]):
+    """Against int(2R) + 40 orders of `special.jv` cut after the last row
+    above 1e-18: the same cut, entries within 2.5e-16 (1 + R), about one
+    ulp of J_0 at small R; alone and with times of the opposite sign.  The
+    column of -R is (-1)^k times that of R, bit for bit."""
+    for times in ([R], [R, -0.5 * R], [R, -R]):
         _, _, got = mb._jacobi_anger(-1.0, 1.0, times, 1.0)
         J = special.jv(np.arange(int(2 * R) + 40)[:, None], times)
         keep = np.flatnonzero(np.max(np.abs(J), axis=1) > 1e-18)[-1] + 1
-        assert np.array_equal(got, J[:keep])
+        assert got.shape == (keep, len(times))
+        assert np.max(np.abs(got - J[:keep])) <= 2.5e-16 * (1.0 + R)
+    signs = (-1.0) ** np.arange(len(got))
+    assert np.array_equal(got[:, 1], signs * got[:, 0])
+
+
+IMPORTS_NO_SPECIAL = """
+import sys
+import numpy as np
+import husimilab.cli
+from husimilab import manybody as mb, meanfield as mf
+from husimilab.grid import Potential, make_grid
+grid = make_grid(M=16, L=8.0, hbar=0.5, N=2)
+V = Potential.cosine(grid, [0.4, 0.15])
+orbitals = mf.hermite_orbitals(grid, 2)
+mb.propagate(mb.build_slater(grid, orbitals), V, 0.01, 3)
+mf.hartree_fock_step(mf.MeanFieldState(grid, np.array(orbitals)), V, 0.01)
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_propagation_and_hartree_fock_do_not_import_scipy_special():
+    """In a fresh interpreter, since pytest's own imports of scipy would
+    hide one: the CLI, an exact flow and an HF step leave scipy.special
+    unloaded."""
+    src = str(Path(mb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", IMPORTS_NO_SPECIAL],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_propagate_ignores_the_global_rng(slater_n2):
@@ -283,10 +320,9 @@ def test_propagate_ignores_the_global_rng(slater_n2):
 
 @pytest.fixture(scope="module")
 def slaters():
-    """Slater states of complex orthonormal orbitals at N = 2 and N = 3;
-    N = 3 runs the per-y loop branch of `partial_diag`.  Complex orbitals
-    make the one-body matrix non-symmetric, so a transposed contraction
-    shows."""
+    """Slater states of complex orthonormal orbitals at N = 2 and N = 3.
+    Complex orbitals make the one-body matrix non-symmetric, so a
+    transposed contraction shows."""
     rng = np.random.default_rng(7)
     out = []
     for N in (2, 3):
