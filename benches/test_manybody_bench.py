@@ -1,8 +1,11 @@
 """Timings of the N-body kernels a `husimilab simulate` run calls besides
 `propagate`: `build_slater`, `gamma1`, `Gamma2View.partial_diag`,
 `total_energy` and the build of the flow's Hamiltonian (`_SlaterFlow`),
-at (N, M) = (3, 64) and (4, 32), and the Chebyshev coefficients
-`_jacobi_anger` of an HF half kick and of the flow.  Hermite orbitals,
+at (N, M) = (3, 64) and (4, 32); the residue pass's w2-transform of the
+y-diagonal of gamma2 (`residues._gamma2_partial_hat`) at (2, 64),
+(3, 64), (4, 32) and (2, 256); `antisymmetry_defect` at (3, 64) and
+(4, 32); and the Chebyshev coefficients `_jacobi_anger` of an HF half
+kick and of the flow.  Hermite orbitals,
 default cosine V, L = 12, coupled line hbar = 1/N; the reduced density
 matrices and the energy are taken on the state propagated to t = 0.1,
 the run's residue snapshot.  `total_energy` uses the Hamiltonian of the
@@ -18,6 +21,7 @@ import pytest
 from husimilab import harness
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
+from husimilab import residues as rs
 from husimilab.grid import make_grid
 
 POINTS = [(3, 64), (4, 32)]
@@ -60,6 +64,24 @@ def test_partial_diag(benchmark, N, M):
     out = benchmark.pedantic(mb.Gamma2View(state).partial_diag, rounds=10,
                              warmup_rounds=1)
     assert out.shape == (M, M, M)
+
+
+@pytest.mark.parametrize("N, M", [(2, 64), (3, 64), (4, 32), (2, 256)])
+def test_gamma2_partial_hat(benchmark, N, M):
+    state, potential = _snapshot(N, M)
+    ks, _ = potential._active_modes()
+    ks = ks[np.abs(ks) > 0]
+    out = benchmark.pedantic(rs._gamma2_partial_hat, args=(state, ks),
+                             rounds=10, warmup_rounds=1)
+    assert out.shape == (M, M, len(ks))
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_antisymmetry_defect(benchmark, N, M):
+    state, _ = _snapshot(N, M)
+    out = benchmark.pedantic(mb.antisymmetry_defect, args=(state,),
+                             rounds=10, warmup_rounds=1)
+    assert out < 1e-10
 
 
 @pytest.mark.parametrize("N, M", POINTS)

@@ -7,16 +7,22 @@ for lattice amplitudes psi, with K over the momentum tuples
 k_1 < ... < k_N of `_sorted_tuples`; ||a|| is the lattice norm.  The
 vector is antisymmetric by construction.  gamma1, gamma2 on its
 y-diagonal, the norm and the energy a^H H a are read off it, and the M^N
-grid amplitudes are an export (`ManyBodyState.to_grid`) for the
-antisymmetry record and the tests.  The propagator is the exact flow
-exp(-i t H / hbar) of the lattice Hamiltonian (`_SlaterFlow`).
+grid amplitudes are an export (`ManyBodyState.to_grid`) for the tests;
+the antisymmetry record exports (N-1)-particle slabs of them.  The
+propagator is the exact flow exp(-i t H / hbar) of the lattice
+Hamiltonian (`_SlaterFlow`).
+
+The level-1 reductions (norms and inner products of coefficient vectors)
+are ufunc sums, not BLAS calls: with two OpenBLAS threads on a two-core
+machine, `np.linalg.norm` of the C(64, 3) coefficients took 16 ms in 3 of
+12 fresh processes against 0.07 ms in the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb, factorial, fsum
 
 import numpy as np
@@ -44,7 +50,7 @@ class ManyBodyState:
                             f"{expected}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return float(np.sqrt(_real_dot(self.coeffs, self.coeffs)))
 
     def copy(self) -> "ManyBodyState":
         return ManyBodyState(self.grid, self.coeffs.copy(), self.time)
@@ -58,14 +64,53 @@ class ManyBodyState:
         return np.fft.ifftn(psi, out=psi)
 
 
+_SLABS = 8  # x_1 slabs that the antisymmetry record samples
+
+
 def antisymmetry_defect(state: ManyBodyState) -> float:
-    """Max violation of psi(swap pair) = -psi over all coordinate pairs of
-    the grid export; 0 for N = 1.  Taken one x_1 slab at a time, so no
-    temporary holds M^N values."""
-    psi = state.to_grid()
-    return max((float(np.max(np.abs(np.swapaxes(psi, i, j)[x] + psi[x])))
-                for i, j in combinations(range(state.grid.N), 2)
-                for x in range(state.grid.M)), default=0.0)
+    """Max violation of psi(swap pair) = -psi over the lattice amplitudes,
+    taken on the x_1 slabs of `_x1_slabs` at x_1 = x_u for every
+    (M / `_SLABS`)-th u, so every slab at M <= `_SLABS`; 0 for N = 1.
+
+    Pairs of coordinates 2..N are checked inside each slab, and each pair
+    (1, j) wherever x_1 and x_j both lie in the sample (`_swap_defect`),
+    so no array holds M^N values.
+    """
+    g = state.grid
+    if g.N == 1:
+        return 0.0
+    xs = np.arange(0, g.M, max(1, g.M // _SLABS))
+    return _swap_defect(_x1_slabs(state, xs), xs)
+
+
+def _x1_slabs(state: ManyBodyState, xs: np.ndarray) -> np.ndarray:
+    """psi(x_u, x_2, ..., x_N) for u in xs, shape (len(xs),) + (M,)*(N-1).
+
+    Slab u is the (N-1)-particle export of row u of F B / sqrt(N), with B
+    the one-free-axis extension and F as in `_one_body_matrix`.
+    """
+    g = state.grid
+    B = _antisymmetric_extension(g, state.coeffs, 1)
+    # k u reduced mod M, so each phase is rounded once, not M times over
+    F = np.exp(2j * np.pi / g.M * (np.outer(xs, np.arange(g.M)) % g.M))
+    rows = F @ B / np.sqrt(g.N * g.L)
+    sub = replace(g, N=g.N - 1)
+    return np.stack([ManyBodyState(sub, row).to_grid() for row in rows])
+
+
+def _swap_defect(slabs: np.ndarray, xs: np.ndarray) -> float:
+    """max |psi(sigma_ij x) + psi(x)| over the points x of `slabs`
+    (slabs[a] = psi(xs[a], ...)) whose swapped point sigma_ij x is in
+    `slabs` too: every x for a pair of coordinates 2..N, and for a pair
+    (1, j) every x with x_j in xs."""
+    inner = (np.max(np.abs(np.swapaxes(slab, i, j) + slab))
+             for slab in slabs
+             for i, j in combinations(range(slab.ndim), 2))
+    # cross[a, ..., b, ...] = psi(xs[a], ..., x_j = xs[b], ...)
+    cross = (np.max(np.abs(t + np.swapaxes(t, 0, j)))
+             for j in range(1, slabs.ndim)
+             for t in [slabs.take(xs, axis=j)])
+    return float(max(chain(inner, cross)))
 
 
 def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
@@ -96,8 +141,13 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
             a += term
         else:
             a -= term
-    a /= np.linalg.norm(a)
+    a /= np.sqrt(_real_dot(a, a))
     return ManyBodyState(grid, a, 0.0)
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum conj(a) b, as ufunc sums (see the module docstring)."""
+    return float(np.sum(a.real * b.real) + np.sum(a.imag * b.imag))
 
 
 def _perm_sign(perm) -> int:
@@ -128,7 +178,7 @@ def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
                                f"{state.coeffs.size}")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _sorted_tuples(M: int, N: int) -> np.ndarray:
     """Every momentum-index tuple k_1 < ... < k_N of range(M), as a
     read-only (N, C(M, N)) array in colex order: column r holds the tuple
@@ -136,7 +186,8 @@ def _sorted_tuples(M: int, N: int) -> np.ndarray:
 
     The tuples below t, in colex order, are a prefix of those below M, so
     each size-n block is the size-(n-1) prefix of C(t, n-1) columns with
-    t appended.
+    t appended.  Two sizes are cached: a run's N, and N - 1 for the slabs
+    of `antisymmetry_defect`.
     """
     K = np.arange(M)[None, :]
     for n in range(2, N + 1):
@@ -459,6 +510,9 @@ def gamma1_time_derivative(state: ManyBodyState,
     return xdot + xdot.conj().T
 
 
+_Y_BLOCK = 8  # y values per block of the y-diagonal of gamma2
+
+
 class Gamma2View:
     """Lazy access to the gamma2 contraction the residues need.
 
@@ -471,25 +525,32 @@ class Gamma2View:
             raise GridError("gamma2 requires N >= 2")
         self.state = state
 
-    def partial_diag(self) -> np.ndarray:
-        """A[u1, w1, y] = gamma2(u1, y; w1, y), the kernel of every residue
-        contraction; O(M^3) memory.
+    def diag_blocks(self):
+        """Yield (ys, P) for consecutive slices ys of at most `_Y_BLOCK`
+        y values, P[j, u, w] = gamma2(u, y; w, y) at y = ys.start + j.
 
         With X = (M^2 / L) ifft of the two-free-axis extension over its
-        free axes, A[u, w, y] = sum_q X[u, y, q] conj X[w, y, q], one
-        product per y.  Each product fills one contiguous block of an array
-        stored as [y, u, w], with no conjugate copy of the whole X; A is
-        its transposed view, which `_gamma2_partial_hat` contracts as it
-        is stored.
+        free axes, P[j] = X[:, y, :] X[:, y, :]^H, one batched product per
+        block; only one block of the M^3 values exists at a time.
         """
         g = self.state.grid
         X = _antisymmetric_extension(g, self.state.coeffs, 2)
         for axis in (0, 1):
             np.fft.ifft(X, axis=axis, out=X)
         X *= g.M ** 2 / g.L
-        A = np.empty((g.M,) * 3, dtype=complex)
-        for y in range(g.M):
-            np.matmul(X[:, y, :], X[:, y, :].conj().T, out=A[y])
+        for start in range(0, g.M, _Y_BLOCK):
+            ys = slice(start, min(start + _Y_BLOCK, g.M))
+            Xy = X[:, ys].transpose(1, 0, 2)
+            yield ys, Xy @ Xy.conj().transpose(0, 2, 1)
+
+    def partial_diag(self) -> np.ndarray:
+        """A[u1, w1, y] = gamma2(u1, y; w1, y) whole, O(M^3) memory: the
+        blocks of `diag_blocks` stored as [y, u, w], as a transposed view.
+        The run contracts the blocks one at a time and never forms A."""
+        M = self.state.grid.M
+        A = np.empty((M,) * 3, dtype=complex)
+        for ys, P in self.diag_blocks():
+            A[ys] = P
         return A.transpose(1, 2, 0)
 
 
@@ -508,8 +569,7 @@ def kinetic_energy(state: ManyBodyState) -> float:
 def total_energy(state: ManyBodyState, potential: Potential) -> float:
     """a^H H a, with the H of the run's `_SlaterFlow`."""
     a = state.coeffs
-    return float(np.vdot(a, _slater_flow(state.grid, potential).apply(a))
-                 .real)
+    return _real_dot(a, _slater_flow(state.grid, potential).apply(a))
 
 
 def kinetic_bound_check(trajectory, potential: Potential) -> dict:

@@ -136,13 +136,20 @@ class MeanFieldState:
         """rho(x) = omega(x; x)/N, unit mass under the lattice quadrature."""
         return np.sum(np.abs(self.orbitals) ** 2, axis=0) / len(self.orbitals)
 
-    def orthonormality_defect(self) -> float:
+    def _gram_gap(self) -> np.ndarray:
+        """G - I, G = conj(E) E^T dx the Gram matrix of the orbitals E."""
         gram = (np.conj(self.orbitals) @ self.orbitals.T) * self.grid.dx
-        return float(np.max(np.abs(gram - np.eye(len(self.orbitals)))))
+        return gram - np.eye(len(self.orbitals))
+
+    def orthonormality_defect(self) -> float:
+        return float(np.max(np.abs(self._gram_gap())))
 
     def idempotency_defect(self) -> float:
-        om = self.omega() * self.grid.dx
-        return float(np.max(np.abs(om @ om - om)))
+        """max |om om - om| for om = omega dx = E^T conj(E) dx, formed as
+        E^T (G - I) conj(E) dx with no M x M x M product."""
+        E = self.orbitals
+        return float(np.max(np.abs(
+            E.T @ (self._gram_gap() @ np.conj(E)) * self.grid.dx)))
 
 
 def mean_field_matrix(state: MeanFieldState, potential: Potential) -> np.ndarray:

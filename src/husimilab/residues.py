@@ -90,12 +90,16 @@ def _window_mode_factors(frame: CoherentFrame, ks: np.ndarray) -> np.ndarray:
 
 
 def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray) -> np.ndarray:
-    """The w2-transform Ahat[:, :, k] = sum_w2 A e^{-i k w2} dx of A."""
-    A = Gamma2View(state).partial_diag()
-    x = state.grid.axis_points()
-    phases = np.exp(-1j * np.outer(x, ks))
-    # one product per u, each on a (w, y) block of A as it is stored
-    return np.matmul(A, phases) * state.grid.dx
+    """The w2-transform Ahat[:, :, k] = sum_w2 A e^{-i k w2} dx of A,
+    accumulated over the y blocks of `Gamma2View.diag_blocks`, each
+    contracted with the phases of its rows in one product, so A is never
+    formed."""
+    g = state.grid
+    phases = np.exp(-1j * np.outer(g.axis_points(), ks)) * g.dx
+    Ahat = np.zeros((g.M * g.M, len(ks)), dtype=complex)
+    for ys, P in Gamma2View(state).diag_blocks():
+        Ahat += P.reshape(len(P), -1).T @ phases[ys]
+    return Ahat.reshape(g.M, g.M, len(ks))
 
 
 @dataclass

@@ -85,11 +85,13 @@ def test_aggregate_sweep_flags_a_ratio_that_grows(tmp_path):
     assert report["meanfield_below_semiclassical"] is True
 
 
-def test_default_run_builds_one_flow_and_one_grid_export(tmp_path,
-                                                         monkeypatch):
+def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
+                                                        monkeypatch):
     """Propagation, both energies and the residue pass share one H, and
-    only the antisymmetry record takes the M^N grid amplitudes."""
-    counts = {"flow": 0, "export": 0}
+    no step of a run exports the M^N grid amplitudes: the antisymmetry
+    record exports (N-1)-particle slabs."""
+    cfg = harness.RunConfig()
+    counts = {"flow": 0, "export": 0, "slab": 0}
     build, export = mb._SlaterFlow.__init__, mb.ManyBodyState.to_grid
 
     def counted_build(self, *args):
@@ -97,11 +99,11 @@ def test_default_run_builds_one_flow_and_one_grid_export(tmp_path,
         build(self, *args)
 
     def counted_export(self):
-        counts["export"] += 1
+        counts["export" if self.grid.N == cfg.N else "slab"] += 1
         return export(self)
 
     monkeypatch.setattr(mb._SlaterFlow, "__init__", counted_build)
     monkeypatch.setattr(mb.ManyBodyState, "to_grid", counted_export)
     mb._slater_flow.cache_clear()
-    harness.run_experiment(harness.RunConfig(), tmp_path / "run")
-    assert counts == {"flow": 1, "export": 1}
+    harness.run_experiment(cfg, tmp_path / "run")
+    assert counts == {"flow": 1, "export": 0, "slab": mb._SLABS}

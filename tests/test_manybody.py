@@ -52,6 +52,53 @@ def test_slater_normalized_and_antisymmetric(slater_n2):
     assert mb.antisymmetry_defect(state) < 1e-12
 
 
+def _grid_swap_defect(psi: np.ndarray) -> float:
+    """max |psi(sigma_ij x) + psi(x)| over every pair and every point."""
+    return max(float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)))
+               for i, j in combinations(range(psi.ndim), 2))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_antisymmetry_defect_on_slabs_matches_the_grid_export(N):
+    """At M = 8 the record samples every x_1 slab: the slabs are those of
+    the grid export, and the record is its defect over every point, on a
+    random antisymmetric state that is no Slater determinant."""
+    grid = make_grid(M=8, L=6.0, hbar=1.0 / N, N=N)
+    rng = np.random.default_rng(30 + N)
+    psi = go.antisymmetrized(rng.standard_normal((8,) * N)
+                             + 1j * rng.standard_normal((8,) * N))
+    state = go.from_grid(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
+                                             * grid.dx ** N))
+    export = state.to_grid()
+    slabs = mb._x1_slabs(state, np.arange(8))
+    assert np.max(np.abs(slabs - export)) < 1e-14 * np.max(np.abs(export))
+    assert mb.antisymmetry_defect(state) == pytest.approx(
+        _grid_swap_defect(export), abs=1e-15)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_swap_defect_takes_every_pair_inside_the_sample(N):
+    """On amplitudes that are not antisymmetric: over every x_1 slab the
+    defect is that of the whole array; over a sample xs of slabs it is the
+    max over the points with x_1 in xs, and for a pair (1, j) also x_j."""
+    M = 8
+    psi = np.random.default_rng(40 + N).standard_normal((M,) * N)
+    assert mb._swap_defect(psi, np.arange(M)) == _grid_swap_defect(psi)
+    xs = np.array([1, 4, 6])
+    inside = np.isin(np.arange(M), xs)
+
+    def sampled(axis):
+        shape = [1] * N
+        shape[axis] = M
+        return inside.reshape(shape)
+
+    want = max(float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)[
+        np.broadcast_to(sampled(0) & (sampled(j) if i == 0 else True),
+                        psi.shape)]))
+        for i, j in combinations(range(N), 2))
+    assert mb._swap_defect(psi[xs], xs) == want
+
+
 def test_slater_gamma1_matches_orbital_projector(slater_n2):
     grid, orbitals, state = slater_n2
     kern = mb.gamma1(state)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from husimilab import cli, harness
 from husimilab import manybody as mb
 from husimilab import phasespace as ps
 from husimilab import residues as rs
-from husimilab.grid import GridError, bump_test_function, make_grid
+from husimilab.grid import GridError, Potential, bump_test_function, make_grid
+
+import grid_oracles as go
 
 PHI_Q = {"center": 0.0, "radius": 3.5, "s": 3}
 PHI_P = {"center": 0.0, "radius": 2.0, "s": 3}
@@ -50,6 +53,46 @@ def test_consistency_defect_sees_a_missing_meanfield_residue(n, hbar):
         fields, frame, potential, bump_test_function(lattice.qs, **PHI_Q),
         bump_test_function(lattice.ps, **PHI_P))
     assert cons["defect_rel"] > 1e-3
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("M, block", [(8, 8), (16, 8), (8, 3), (16, 3)])
+def test_gamma2_partial_hat_matches_the_whole_partial_diag(N, M, block,
+                                                           monkeypatch):
+    """The w2-transform summed over y blocks equals the phases contracted
+    with the whole A, on a random antisymmetric state that is no Slater
+    determinant; a block of 3 leaves a last block of 2 or 1 y values."""
+    monkeypatch.setattr(mb, "_Y_BLOCK", block)
+    grid = make_grid(M=M, L=6.0, hbar=1.0 / N, N=N)
+    rng = np.random.default_rng(10 * N + M)
+    psi = go.antisymmetrized(rng.standard_normal((M,) * N)
+                             + 1j * rng.standard_normal((M,) * N))
+    state = go.from_grid(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
+                                             * grid.dx ** N))
+    ks, _ = Potential.cosine(grid, [0.4, 0.15])._active_modes()
+    phases = np.exp(-1j * np.outer(grid.axis_points(), ks))
+    want = np.matmul(mb.Gamma2View(state).partial_diag(), phases) * grid.dx
+    got = rs._gamma2_partial_hat(state, ks)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_residue_pass_holds_no_m_cubed_array():
+    """The traced peak of a residue pass at (N, M) = (2, 128) stays below
+    a quarter of the 33.5 MB that A = gamma2(u, y; w, y) would take."""
+    M = 128
+    grid = make_grid(M=M, L=12.0, hbar=0.5, N=2)
+    potential = harness.build_potential(
+        grid, {"kind": "cosine", "amplitudes": [0.4, 0.15]})
+    frame = harness.build_frame(grid, "gaussian")
+    state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
+                                                         None))
+    tracemalloc.start()
+    try:
+        rs.snapshot_residues(state, frame, potential, PHI_Q, PHI_P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < M ** 3 * 16 / 4
 
 
 def _direct_interaction_residues(state, frame, potential):
