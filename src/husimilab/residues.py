@@ -27,7 +27,8 @@ potential's spectrum.
 
 The consistency defect pairs every term of the identity with a test
 function at one snapshot.  d/dt m is exact: it is the Husimi transform of
-d/dt gamma1, formed from H a / (i hbar) with the run's one H, so the
+d/dt gamma1, formed from adot = H a / (i hbar), which the caller takes
+while it holds H (a run in its N-body stage, before H is freed), so the
 defect sits at rounding level.  That holds only while the Husimi field has
 no mass on the edges of the (q, p) box: the lattice is periodic in q and
 in p, and mass that wraps across an edge breaks the identity.
@@ -224,21 +225,23 @@ def mean_field_force_term(field_vals: np.ndarray,
     return conv[:, None] * field_vals
 
 
-def _husimi_time_derivative(state: ManyBodyState, frame: CoherentFrame,
-                            potential: Potential) -> np.ndarray:
-    """d/dt m on the natural lattice, from d/dt gamma1 of H a / (i hbar):
-    the Husimi transform is linear in the kernel."""
-    return bilinear_phase_field(gamma1_time_derivative(state, potential),
+def _husimi_time_derivative(state: ManyBodyState, adot: np.ndarray,
+                            frame: CoherentFrame) -> np.ndarray:
+    """d/dt m on the natural lattice, from d/dt gamma1 of adot = H a /
+    (i hbar): the Husimi transform is linear in the kernel."""
+    return bilinear_phase_field(gamma1_time_derivative(state, adot),
                                 frame.window, frame.window, state.grid).real
 
 
-def reformulation_consistency(fields: SnapshotFields, frame: CoherentFrame,
-                              potential: Potential, phi_q: TestFunction,
+def reformulation_consistency(fields: SnapshotFields, adot: np.ndarray,
+                              frame: CoherentFrame, potential: Potential,
+                              phi_q: TestFunction,
                               phi_p: TestFunction) -> dict:
     """Paired defect of the reformulated equation at one snapshot.
 
     Every term is evaluated exactly at the snapshot, the time derivative
-    included, and all divergences are moved onto the test functions.
+    included (from `adot`, H a / (i hbar) of the snapshot's coefficients),
+    and all divergences are moved onto the test functions.
     `defect_rel` is the defect over the largest of the six paired terms;
     it is at rounding level while the Husimi field has no mass on the
     box edges.
@@ -246,7 +249,7 @@ def reformulation_consistency(fields: SnapshotFields, frame: CoherentFrame,
     g = fields.state.grid
     lattice = fields.husimi.lattice
     m = fields.husimi.values
-    dm_dt = _husimi_time_derivative(fields.state, frame, potential)
+    dm_dt = _husimi_time_derivative(fields.state, adot, frame)
     parts = {
         "time": _paired(phi_q.values, phi_p.values, dm_dt, lattice),
         "transport": -_paired(phi_q.grad, phi_p.values,
@@ -273,13 +276,17 @@ def reformulation_consistency(fields: SnapshotFields, frame: CoherentFrame,
     return {"defect": defect, "defect_rel": defect / scale, "parts": parts}
 
 
-def snapshot_residues(state: ManyBodyState, frame: CoherentFrame,
-                      potential: Potential, phi_q: dict, phi_p: dict):
+def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
+                      frame: CoherentFrame, potential: Potential,
+                      phi_q: dict, phi_p: dict):
     """Fields, pairings, L^{5/4} aggregate and consistency of one snapshot.
 
-    `phi_q` and `phi_p` are bump test-function specs (center, radius, s)
-    on the q and p axes of the natural lattice.  Returns the
-    `SnapshotFields` for reuse and the `ResidueReport`.
+    `adot` is H a / (i hbar) of the state's coefficients
+    (`SlaterFlow.time_derivative`), the one product with H the pass
+    needs, so the caller may free H before it.  `phi_q` and `phi_p` are
+    bump test-function specs (center, radius, s) on the q and p axes of
+    the natural lattice.  Returns the `SnapshotFields` for reuse and the
+    `ResidueReport`.
     """
     g = state.grid
     kern = gamma1(state)
@@ -294,7 +301,7 @@ def snapshot_residues(state: ManyBodyState, frame: CoherentFrame,
         if g.N >= 2 else None)
     tq = bump_test_function(lattice.qs, **phi_q)
     tp = bump_test_function(lattice.ps, **phi_p)
-    cons = reformulation_consistency(fields, frame, potential, tq, tp)
+    cons = reformulation_consistency(fields, adot, frame, potential, tq, tp)
     parts = cons["parts"]
     report = ResidueReport(
         abs(parts["kinetic_residue"]), abs(parts["semiclassical_residue"]),

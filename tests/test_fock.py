@@ -101,6 +101,42 @@ def test_one_body_norm_ordering():
         assert O.hs_norm <= O.trace_norm + 1e-10
 
 
+def _suite_instance_by_hand(modes, rng):
+    """The seven ratios of one instance of the suite, drawn from `rng` in
+    the suite's order and recomputed from the operators and norms."""
+    O = fock.OneBodyOperator(rng.standard_normal((modes, modes))
+                             + 1j * rng.standard_normal((modes, modes)))
+    psi = random_state(rng, modes)
+    lhs = {"dgamma": fock.dgamma(O.matrix, psi).norm(),
+           "pair_ann": fock.pair_annihilation(O.matrix, psi).norm(),
+           "pair_cre": fock.pair_creation(O.matrix, psi).norm()}
+    n_psi = fock.number_shifted(psi, shift=0.0).norm()
+    sqrt_n_psi = fock.number_shifted(psi, shift=0.0, power=0.5).norm()
+    sqrt_n1_psi = fock.number_shifted(psi, shift=1.0, power=0.5).norm()
+    return {"dgamma_op": lhs["dgamma"] / (O.operator_norm * n_psi),
+            "dgamma_hs": lhs["dgamma"] / (O.hs_norm * sqrt_n_psi),
+            "pair_ann_hs": lhs["pair_ann"] / (O.hs_norm * sqrt_n_psi),
+            "pair_cre_hs": lhs["pair_cre"] / (2.0 * O.hs_norm * sqrt_n1_psi),
+            **{f"{name}_tr": value / (2.0 * O.trace_norm)
+               for name, value in lhs.items()}}
+
+
+def test_operator_inequality_suite_holds_and_repeats():
+    report = fock.operator_inequality_suite(4, 10, np.random.default_rng(0))
+    ratios = report["max_lhs_over_rhs"]
+    assert report["instances"] == 10 and len(ratios) == 7
+    assert all(np.isfinite(r) and 0.0 < r <= 1.0 + 1e-10
+               for r in ratios.values())
+    assert fock.operator_inequality_suite(
+        4, 10, np.random.default_rng(0)) == report
+
+
+def test_operator_inequality_suite_instance_matches_recomputation():
+    report = fock.operator_inequality_suite(4, 1, np.random.default_rng(0))
+    want = _suite_instance_by_hand(4, np.random.default_rng(0))
+    assert report["max_lhs_over_rhs"] == pytest.approx(want, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Bogoliubov machinery
 # ---------------------------------------------------------------------------

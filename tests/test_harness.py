@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -87,23 +88,33 @@ def test_aggregate_sweep_flags_a_ratio_that_grows(tmp_path):
 
 def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
                                                         monkeypatch):
-    """Propagation, both energies and the residue pass share one H, and
-    no step of a run exports the M^N grid amplitudes: the antisymmetry
-    record exports (N-1)-particle slabs."""
+    """Propagation, both energies and d/dt a at the residue snapshot share
+    one H, which is freed before the residue pass starts, and no step of
+    a run exports the M^N grid amplitudes: the antisymmetry record exports
+    (N-1)-particle slabs."""
     cfg = harness.RunConfig()
     counts = {"flow": 0, "export": 0, "slab": 0}
-    build, export = mb._SlaterFlow.__init__, mb.ManyBodyState.to_grid
+    flows, alive_at_residues = [], []
+    build, export = mb.SlaterFlow.__init__, mb.ManyBodyState.to_grid
+    residues = harness.rs.snapshot_residues
 
     def counted_build(self, *args):
         counts["flow"] += 1
+        flows.append(weakref.ref(self))
         build(self, *args)
 
     def counted_export(self):
         counts["export" if self.grid.N == cfg.N else "slab"] += 1
         return export(self)
 
-    monkeypatch.setattr(mb._SlaterFlow, "__init__", counted_build)
+    def residues_after_the_flow(*args):
+        alive_at_residues.extend(ref() is not None for ref in flows)
+        return residues(*args)
+
+    monkeypatch.setattr(mb.SlaterFlow, "__init__", counted_build)
     monkeypatch.setattr(mb.ManyBodyState, "to_grid", counted_export)
-    mb._slater_flow.cache_clear()
+    monkeypatch.setattr(harness.rs, "snapshot_residues",
+                        residues_after_the_flow)
     harness.run_experiment(cfg, tmp_path / "run")
     assert counts == {"flow": 1, "export": 0, "slab": mb._SLABS}
+    assert alive_at_residues == [False]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb, factorial
 from pathlib import Path
@@ -152,6 +153,22 @@ def test_build_slater_matches_outer_products(N, M):
             <= 1e-14 * np.max(np.abs(want_coeffs)))
 
 
+def test_build_slater_holds_no_n_by_n_table():
+    """The traced peak of `build_slater` at (N, M) = (3, 64), with the
+    int32 tuples already cached, stays below four coefficient vectors:
+    the (N, N, C(M, N)) table of every e_hat_j(k_i) would take nine."""
+    grid = make_grid(M=64, L=12.0, hbar=1.0 / 3.0, N=3)
+    orbitals = mf.hermite_orbitals(grid, 3)
+    assert mb._sorted_tuples(grid.M, grid.N).dtype == np.int32
+    tracemalloc.start()
+    try:
+        mb.build_slater(grid, orbitals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * comb(grid.M, grid.N) * 16
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -176,10 +193,10 @@ def test_free_gaussian_matches_closed_form():
 def test_energy_and_norm_conserved_interacting(slater_n2):
     grid, _, state = slater_n2
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
-    e0 = mb.total_energy(state, V)
+    flow = mb.SlaterFlow(grid, V)
     out = mb.propagate(state, V, dt=1.0 / 1600, steps=1600)  # horizon t = 1
     assert abs(out.norm() - 1.0) < 1e-10
-    assert abs(mb.total_energy(out, V) - e0) < 1e-8
+    assert abs(flow.energy(out) - flow.energy(state)) < 1e-8
     assert mb.antisymmetry_defect(out) < 1e-10
 
 
@@ -222,8 +239,8 @@ def test_negative_step_count_rejected(slater_n2):
 def test_trajectory_rejects_store_every_below_one(slater_n2, store_every):
     grid, _, state = slater_n2
     with pytest.raises(GridError, match="store_every"):
-        mb.propagate_trajectory(state, Potential.zero(grid), dt=0.01,
-                                steps=40, store_every=store_every)
+        mb.SlaterFlow(grid, Potential.zero(grid)).trajectory(
+            state, dt=0.01, steps=40, store_every=store_every)
 
 
 @pytest.mark.parametrize("dt", [0.03, -0.03])
@@ -273,7 +290,7 @@ def test_hamiltonian_matches_time_derivative(N, hbar, kind):
     shape = (grid.M,) * N
     psi = go.antisymmetrized(rng.standard_normal(shape)
                              + 1j * rng.standard_normal(shape))
-    flow = mb._SlaterFlow(grid, V)
+    flow = mb.SlaterFlow(grid, V)
     Hc = flow.apply(go.from_grid(grid, psi).coeffs)
     got = mb.ManyBodyState(grid, Hc).to_grid() / (1j * hbar)
     want = go.time_derivative(grid, psi, V)
@@ -431,11 +448,13 @@ def test_coefficient_kernels_match_grid_contractions(N):
     state = go.from_grid(grid, psi)
     assert np.max(np.abs(state.to_grid() - psi)) < 1e-14 * np.max(np.abs(psi))
     V = Potential.cosine(grid, [0.4, 0.15])
+    flow = mb.SlaterFlow(grid, V)
     mat = psi.reshape(grid.M, -1)
     xdot = (go.time_derivative(grid, psi, V).reshape(mat.shape)
             @ mat.conj().T * N * grid.dx ** (N - 1))
     for got, want in ((mb.gamma1(state).matrix, go.gamma1(grid, psi)),
-                      (mb.gamma1_time_derivative(state, V),
+                      (mb.gamma1_time_derivative(
+                          state, flow.time_derivative(state)),
                        xdot + xdot.conj().T),
                       (mb.Gamma2View(state).partial_diag(),
                        go.partial_diag(grid, psi))):
@@ -444,7 +463,7 @@ def test_coefficient_kernels_match_grid_contractions(N):
     want = kinetic + float(np.sum(go.pair_potential_table(grid, V)
                                   * np.abs(psi) ** 2) * grid.dx ** N)
     assert mb.kinetic_energy(state) == pytest.approx(kinetic, rel=1e-14)
-    assert mb.total_energy(state, V) == pytest.approx(want, rel=1e-14)
+    assert flow.energy(state) == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +496,8 @@ def test_free_kinetic_constant():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     V0 = Potential.zero(grid)
-    traj = mb.propagate_trajectory(state, V0, dt=0.01, steps=40,
-                                   store_every=10)
+    traj = mb.SlaterFlow(grid, V0).trajectory(state, dt=0.01, steps=40,
+                                              store_every=10)
     report = mb.kinetic_bound_check(traj, V0)
     assert report["fitted_C"] < 1e-8
 
@@ -487,8 +506,8 @@ def test_kinetic_growth_bound_interacting():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
-    traj = mb.propagate_trajectory(state, V, dt=0.004, steps=250,
-                                   store_every=50)  # horizon t = 1
+    traj = mb.SlaterFlow(grid, V).trajectory(
+        state, dt=0.004, steps=250, store_every=50)  # horizon t = 1
     report = mb.kinetic_bound_check(traj, V)
     assert np.isfinite(report["fitted_C"])
     bound = 2.0 * report["grad_v_sup"] * report["p1_max"]

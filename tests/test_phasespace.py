@@ -312,8 +312,8 @@ def test_moment_growth_check_interacting():
     frame = ps.gaussian_frame(grid)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
-    traj = mb.propagate_trajectory(state, V, dt=0.004, steps=250,
-                                   store_every=125)
+    traj = mb.SlaterFlow(grid, V).trajectory(state, dt=0.004, steps=250,
+                                             store_every=125)
     fields = [ps.husimi1(mb.gamma1(s), frame) for s in traj]
     report = ps.moment_growth_check(fields, [s.time for s in traj])
     assert np.isfinite(report["fitted_C"])

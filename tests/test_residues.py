@@ -22,6 +22,7 @@ POINTS = [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)]
 
 
 def _snapshot(n, hbar):
+    """A state at t = 0.02, its adot = H a / (i hbar), the frame and V."""
     grid = make_grid(M=64, L=12.0, hbar=hbar, N=n)
     potential = harness.build_potential(
         grid, {"kind": "cosine", "amplitudes": [0.4, 0.15]})
@@ -29,14 +30,15 @@ def _snapshot(n, hbar):
     state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
                                                          None))
     state = mb.propagate(state, potential, 0.002, 10)
-    return state, frame, potential
+    adot = mb.SlaterFlow(grid, potential).time_derivative(state)
+    return state, adot, frame, potential
 
 
 @pytest.mark.parametrize("n, hbar", POINTS)
 def test_consistency_defect_at_rounding_level(n, hbar):
-    state, frame, potential = _snapshot(n, hbar)
-    fields, report = rs.snapshot_residues(state, frame, potential, PHI_Q,
-                                          PHI_P)
+    state, adot, frame, potential = _snapshot(n, hbar)
+    fields, report = rs.snapshot_residues(state, adot, frame, potential,
+                                          PHI_Q, PHI_P)
     assert report.consistency_defect_rel < 1e-12
     assert (fields.interaction is None) == (n == 1)
     if n == 1:
@@ -45,12 +47,14 @@ def test_consistency_defect_at_rounding_level(n, hbar):
 
 @pytest.mark.parametrize("n, hbar", POINTS[1:])
 def test_consistency_defect_sees_a_missing_meanfield_residue(n, hbar):
-    state, frame, potential = _snapshot(n, hbar)
-    fields, _ = rs.snapshot_residues(state, frame, potential, PHI_Q, PHI_P)
+    state, adot, frame, potential = _snapshot(n, hbar)
+    fields, _ = rs.snapshot_residues(state, adot, frame, potential, PHI_Q,
+                                     PHI_P)
     fields.interaction.meanfield[:] = 0.0
     lattice = fields.husimi.lattice
     cons = rs.reformulation_consistency(
-        fields, frame, potential, bump_test_function(lattice.qs, **PHI_Q),
+        fields, adot, frame, potential,
+        bump_test_function(lattice.qs, **PHI_Q),
         bump_test_function(lattice.ps, **PHI_P))
     assert cons["defect_rel"] > 1e-3
 
@@ -86,9 +90,10 @@ def test_residue_pass_holds_no_m_cubed_array():
     frame = harness.build_frame(grid, "gaussian")
     state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
                                                          None))
+    adot = mb.SlaterFlow(grid, potential).time_derivative(state)
     tracemalloc.start()
     try:
-        rs.snapshot_residues(state, frame, potential, PHI_Q, PHI_P)
+        rs.snapshot_residues(state, adot, frame, potential, PHI_Q, PHI_P)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
