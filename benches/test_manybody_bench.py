@@ -1,14 +1,14 @@
 """Timings of the N-body kernels a `husimilab simulate` run calls besides
-its propagation: `build_slater`, `gamma1`, `Gamma2View.partial_diag`,
-`SlaterFlow.energy` and the build of the flow's Hamiltonian
-(`SlaterFlow`), at (N, M) = (3, 64) and (4, 32); the residue pass's
-w2-transform of the y-diagonal of gamma2 (`residues._gamma2_partial_hat`)
-at (2, 64), (3, 64), (4, 32) and (2, 256); `antisymmetry_defect` at
-(3, 64) and (4, 32); and the Chebyshev coefficients `_jacobi_anger` of an
-HF half kick and of the flow.  Hermite orbitals, default cosine V,
-L = 12, coupled line hbar = 1/N; the reduced density matrices and the
-energy are taken on the state propagated to t = 0.1, the run's residue
-snapshot.  The energy is timed on a flow built beforehand, as a run's
+its propagation: `build_slater`, `gamma1`, `SlaterFlow.energy` and the
+build of the flow's Hamiltonian (`SlaterFlow`), at (N, M) = (3, 64) and
+(4, 32); the residue pass's w2-transform of the y-diagonal of gamma2
+(`residues._gamma2_partial_hat`, over the blocks of
+`manybody.gamma2_diag_blocks`) at (2, 64), (3, 64), (4, 32) and
+(2, 256); `antisymmetry_defect` at (3, 64) and (4, 32); and the Chebyshev
+coefficients `_jacobi_anger` of an HF half kick and of the flow.
+Hermite orbitals, default cosine V, L = 12, coupled line hbar = 1/N; the
+reduced density matrices and the energy are taken on the state
+propagated to t = 0.1, the run's residue snapshot.  The energy is timed on a flow built beforehand, as a run's
 N-body stage takes it from the flow of its propagation.
 
     PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
@@ -55,14 +55,6 @@ def test_gamma1(benchmark, N, M):
     out = benchmark.pedantic(mb.gamma1, args=(state,), rounds=10,
                              warmup_rounds=1)
     assert abs(out.trace() - N) < 1e-10
-
-
-@pytest.mark.parametrize("N, M", POINTS)
-def test_partial_diag(benchmark, N, M):
-    state, _ = _snapshot(N, M)
-    out = benchmark.pedantic(mb.Gamma2View(state).partial_diag, rounds=10,
-                             warmup_rounds=1)
-    assert out.shape == (M, M, M)
 
 
 @pytest.mark.parametrize("N, M", [(2, 64), (3, 64), (4, 32), (2, 256)])

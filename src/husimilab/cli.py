@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +63,13 @@ def cmd_transform(args) -> int:
     frame = harness.build_frame(grid, args.frame)
     kern = mb.gamma1(state)
     hus = ps.husimi1(kern, frame)
-    wig = ps.wigner1(kern, grid)
+    wig = ps.wigner1(kern)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_field(out / "husimi.husi", hus.values, grid, state.time)
-    io.field_csv(out / "husimi.csv", hus.lattice.qs, hus.lattice.ps,
-                 hus.values)
-    io.field_csv(out / "wigner.csv", wig.qs, wig.ps, wig.values)
+    for name, fld in (("husimi", hus), ("wigner", wig)):
+        io.field_csv(out / f"{name}.csv", fld.lattice.qs, fld.lattice.ps,
+                     fld.values)
     print(f"husimi mass/(2 pi hbar) = {hus.canonical_mass():.6f}")
     return 0
 
@@ -85,8 +86,8 @@ def cmd_residues(args) -> int:
         state, adot, frame, potential,
         {"center": 0.0, "radius": args.phi_q_radius, "s": 3},
         {"center": 0.0, "radius": args.phi_p_radius, "s": 3})
-    io.write_report(args.out, rep.to_dict())
-    print(json.dumps(rep.to_dict(), indent=2))
+    io.write_report(args.out, asdict(rep))
+    print(json.dumps(asdict(rep), indent=2))
     return 0
 
 

@@ -160,7 +160,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     io.write_field(out / "husimi_mid.husi", husimi_mid.values, grid, mid.time)
     io.field_csv(out / "husimi_mid.csv", lattice.qs, lattice.ps,
                  husimi_mid.values)
-    io.write_report(out / "residues.json", report.to_dict())
+    io.write_report(out / "residues.json", asdict(report))
 
     # ---- effective dynamics -------------------------------------------------
     hf0 = mf.MeanFieldState(grid, np.array(orbitals))
@@ -182,7 +182,8 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
     kern_end = mb.gamma1(end)
     hs_gap, tr_gap = mf.norm_gaps(kern_end, hf_end.omega_kernel())
 
-    husimi0 = ps.husimi1(mb.gamma1(state0), frame)
+    # gamma1 of the Slater initial state is the HF orbital projector
+    husimi0 = ps.husimi1(hf0.omega_kernel(), frame)
     vl = mf.vlasov_from_husimi(husimi0, grid)
     cfl = mf.vlasov_cfl(vl, potential, cfg.dt)
     vdt = min(cfg.dt, 0.9 * cfl["suggested_dt"])
@@ -197,8 +198,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
             cfg, v_end.time)
 
     husimi_end = ps.husimi1(kern_end, frame)
-    l1, w1, renorm = mf.husimi_vlasov_distance(husimi_end.values,
-                                               v_end.values, lattice)
+    l1, w1, renorm = mf.husimi_vlasov_distance(husimi_end, v_end)
 
     # ---- moments and localization -------------------------------------------
     mom = ps.moment_growth_check([husimi0, husimi_mid, husimi_end],

@@ -480,7 +480,6 @@ class OneBodyKernel:
 
     matrix: np.ndarray
     grid: GridSpec
-    trace_target: float
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)) * self.grid.dx)
@@ -507,7 +506,7 @@ def gamma1(state: ManyBodyState) -> OneBodyKernel:
     coefficients as F B B^H F^H (see `_one_body_matrix`)."""
     g = state.grid
     B = _antisymmetric_extension(g, state.coeffs, 1)
-    return OneBodyKernel(_one_body_matrix(g, B, B), g, float(g.N))
+    return OneBodyKernel(_one_body_matrix(g, B, B), g)
 
 
 def gamma1_time_derivative(state: ManyBodyState,
@@ -525,45 +524,34 @@ def gamma1_time_derivative(state: ManyBodyState,
 _Y_BLOCK = 8  # y values per block of the y-diagonal of gamma2
 
 
-class Gamma2View:
-    """Lazy access to the gamma2 contraction the residues need.
+def gamma2_diag_blocks(state: ManyBodyState):
+    """The y-diagonal of gamma2, the contraction the residues need, in
+    blocks: (ys, P) for consecutive slices ys of at most `_Y_BLOCK` y
+    values, P[j, u, w] = gamma2(u, y; w, y) at y = ys.start + j, with
 
-    gamma2(u1,u2; w1,w2) = N(N-1) * integral over the remaining N-2
-    coordinates of psi(u1,u2,r) conj(psi)(w1,w2,r).
+        gamma2(u1,u2; w1,w2) = N(N-1) * integral over the remaining N-2
+        coordinates of psi(u1,u2,r) conj(psi)(w1,w2,r).
+
+    With X = (M^2 / L) ifft of the two-free-axis extension over its free
+    axes, P[j] = X[:, y, :] X[:, y, :]^H, one batched product per block;
+    only one block of the M^3 values exists at a time.  A state with
+    N < 2 is refused at the call.
     """
+    g = state.grid
+    if g.N < 2:
+        raise GridError("gamma2 requires N >= 2")
+    X = _antisymmetric_extension(g, state.coeffs, 2)
+    for axis in (0, 1):
+        np.fft.ifft(X, axis=axis, out=X)
+    X *= g.M ** 2 / g.L
 
-    def __init__(self, state: ManyBodyState):
-        if state.grid.N < 2:
-            raise GridError("gamma2 requires N >= 2")
-        self.state = state
-
-    def diag_blocks(self):
-        """Yield (ys, P) for consecutive slices ys of at most `_Y_BLOCK`
-        y values, P[j, u, w] = gamma2(u, y; w, y) at y = ys.start + j.
-
-        With X = (M^2 / L) ifft of the two-free-axis extension over its
-        free axes, P[j] = X[:, y, :] X[:, y, :]^H, one batched product per
-        block; only one block of the M^3 values exists at a time.
-        """
-        g = self.state.grid
-        X = _antisymmetric_extension(g, self.state.coeffs, 2)
-        for axis in (0, 1):
-            np.fft.ifft(X, axis=axis, out=X)
-        X *= g.M ** 2 / g.L
+    def blocks():
         for start in range(0, g.M, _Y_BLOCK):
             ys = slice(start, min(start + _Y_BLOCK, g.M))
             Xy = X[:, ys].transpose(1, 0, 2)
             yield ys, Xy @ Xy.conj().transpose(0, 2, 1)
 
-    def partial_diag(self) -> np.ndarray:
-        """A[u1, w1, y] = gamma2(u1, y; w1, y) whole, O(M^3) memory: the
-        blocks of `diag_blocks` stored as [y, u, w], as a transposed view.
-        The run contracts the blocks one at a time and never forms A."""
-        M = self.state.grid.M
-        A = np.empty((M,) * 3, dtype=complex)
-        for ys, P in self.diag_blocks():
-            A[ys] = P
-        return A.transpose(1, 2, 0)
+    return blocks()
 
 
 # ---------------------------------------------------------------------------

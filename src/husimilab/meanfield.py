@@ -25,9 +25,11 @@ self-consistent force
 where force_scale = 1/(2 pi hbar N) makes the equation the exact
 residue-free limit of the reformulated phase-space identity when the
 initial datum carries the Husimi normalization (it reduces to the usual
-1/(2 pi) under the coupling hbar = 1/N).  Each split step moves
-every lattice line by one constant shift s (in cells), so periodic cubic
-B-spline interpolation at x - s is a DFT multiplier along the line:
+1/(2 pi) under the coupling hbar = 1/N).  The Vlasov state is a
+`PhaseSpaceField`: this force and the identity's mean-field term are
+both `PhaseSpaceField.force`.  Each split step moves every lattice line
+by one constant shift s (in cells), so periodic cubic B-spline
+interpolation at x - s is a DFT multiplier along the line:
 
     m_hat(k) -> m_hat(k) W_s(k) / B(k),   B(k) = (4 + 2 cos k) / 6,
     W_s(k) = sum_{j=-1..2} beta_3(j - f) e^{-i k (n + j)},
@@ -40,14 +42,14 @@ W_s(0) / B(0) = 1, so every shift keeps the mass of its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from husimilab.grid import GridError, GridSpec, Potential, _read_only
 from husimilab.manybody import OneBodyKernel, _jacobi_anger
-from husimilab.phasespace import HusimiField, PhaseSpaceLattice
+from husimilab.phasespace import PhaseSpaceField, PhaseSpaceLattice
 
 HF_ABORT_TOL = 1e-6  # orthonormality defect at which an HF step aborts
 
@@ -129,12 +131,7 @@ class MeanFieldState:
         return self.orbitals.T @ np.conj(self.orbitals)
 
     def omega_kernel(self) -> OneBodyKernel:
-        return OneBodyKernel(self.omega(), self.grid,
-                             float(self.orbitals.shape[0]))
-
-    def density(self) -> np.ndarray:
-        """rho(x) = omega(x; x)/N, unit mass under the lattice quadrature."""
-        return np.sum(np.abs(self.orbitals) ** 2, axis=0) / len(self.orbitals)
+        return OneBodyKernel(self.omega(), self.grid)
 
     def _gram_gap(self) -> np.ndarray:
         """G - I, G = conj(E) E^T dx the Gram matrix of the orbitals E."""
@@ -294,9 +291,10 @@ def _marginal_w1(a: np.ndarray, b: np.ndarray, spacing: float) -> float:
     return float(np.sum(np.abs(ca - cb)) * spacing)
 
 
-def husimi_vlasov_distance(a_values: np.ndarray, b_values: np.ndarray,
-                           lattice: PhaseSpaceLattice):
-    """(L1 distance, marginal transport distance, renormalized flag).
+def husimi_vlasov_distance(field_a: PhaseSpaceField,
+                           field_b: PhaseSpaceField):
+    """(L1 distance, marginal transport distance, renormalized flag) of
+    two fields on the lattice of the first.
 
     The transport proxy is the sum of the exact 1-d Wasserstein-1
     distances of the q and p marginals, computed by cumulative
@@ -304,16 +302,15 @@ def husimi_vlasov_distance(a_values: np.ndarray, b_values: np.ndarray,
     cell width x mass.  Fields whose masses differ by more than 1% are
     renormalized first and flagged.
     """
-    cell = lattice.cell
-    ma = float(np.sum(a_values) * cell)
-    mb = float(np.sum(b_values) * cell)
+    lattice = field_a.lattice
+    ma, mb = field_a.mass(), field_b.mass()
     flag = False
-    a, b = a_values, b_values
+    a, b = field_a.values, field_b.values
     if ma > 0 and mb > 0 and abs(ma - mb) > 0.01 * max(ma, mb):
         a = a / ma
         b = b / mb
         flag = True
-    l1 = float(np.sum(np.abs(a - b)) * cell)
+    l1 = float(np.sum(np.abs(a - b)) * lattice.cell)
     qa = a.sum(axis=1) * lattice.dp
     qb = b.sum(axis=1) * lattice.dp
     pa = a.sum(axis=0) * lattice.dq
@@ -328,37 +325,28 @@ def husimi_vlasov_distance(a_values: np.ndarray, b_values: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class VlasovState:
-    lattice: PhaseSpaceLattice
-    values: np.ndarray
+class VlasovState(PhaseSpaceField):
+    """A Vlasov density with its time, force scale and the mass its steps
+    have clipped so far."""
+
     time: float = 0.0
     force_scale: float = 1.0
     clipped_mass: float = 0.0
 
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.lattice.cell)
 
-    def spatial_density(self) -> np.ndarray:
-        """rho(q) = sum_p m dp."""
-        return self.values.sum(axis=1) * self.lattice.dp
-
-
-def vlasov_from_husimi(field: HusimiField, grid: GridSpec) -> VlasovState:
+def vlasov_from_husimi(field: PhaseSpaceField,
+                       grid: GridSpec) -> VlasovState:
     """Initial Vlasov datum: the one-particle Husimi field itself."""
     scale = 1.0 / (grid.N * (2.0 * np.pi * grid.hbar))
-    return VlasovState(field.lattice, np.clip(field.values, 0.0, None).copy(),
-                       0.0, scale)
+    # a C-ordered copy: the q marginal then sums contiguous rows, so its
+    # rounding does not depend on how the Husimi values were laid out
+    return VlasovState(np.clip(field.values, 0.0, None).copy(),
+                       field.lattice, 0.0, scale)
 
 
 def vlasov_force(state: VlasovState, potential: Potential) -> np.ndarray:
     """F(q) = -force_scale (V' * rho)(q) on the unstrided natural lattice."""
-    lat = state.lattice
-    if len(lat.qs) != potential.grid.M:
-        raise GridError(f"Vlasov q lattice has {len(lat.qs)} points; the "
-                        f"force needs the unstrided grid of M="
-                        f"{potential.grid.M}")
-    gradv = potential.grad_difference_table()
-    return -state.force_scale * (gradv @ state.spatial_density()) * lat.dq
+    return state.force(potential, state.force_scale)
 
 
 def vlasov_cfl(state: VlasovState, potential: Potential, dt: float) -> dict:
@@ -461,15 +449,14 @@ def vlasov_step(state: VlasovState, potential: Potential,
     half_q = _half_q_transfer(len(lat.qs),
                               (lat.ps * (0.5 * dt) / lat.dq).tobytes())
     vals = _shift_along_q(state.values, half_q)
-    mid = VlasovState(lat, vals, state.time + 0.5 * dt, state.force_scale)
-    force = vlasov_force(mid, potential)
+    force = vlasov_force(replace(state, values=vals), potential)
     _require_cfl(lat, float(np.max(np.abs(force))), dt)
     vals = _shift_along_p(vals, _shift_transfer(len(lat.ps),
                                                 force * dt / lat.dp))
     vals = _shift_along_q(vals, half_q)
     clip = float(-np.sum(np.minimum(vals, 0.0)) * lat.cell)
     np.maximum(vals, 0.0, out=vals)
-    return VlasovState(lat, vals, state.time + dt, state.force_scale,
+    return VlasovState(vals, lat, state.time + dt, state.force_scale,
                        state.clipped_mass + clip)
 
 
@@ -486,7 +473,7 @@ def vlasov_energy(state: VlasovState, potential: Potential) -> float:
     lat = state.lattice
     kinetic = float(np.sum(state.values * (lat.ps ** 2)[None, :] / 2.0)
                     * lat.cell)
-    rho = state.spatial_density()
+    rho = state.density()
     pair = (0.5 * state.force_scale
             * float(rho @ potential.difference_table() @ rho) * lat.dq ** 2)
     return kinetic + pair

@@ -13,6 +13,10 @@ particle:
   normalized so (2 pi hbar)^(-1) sum W dx dp = Tr gamma / N,
 * bridge          m = W * G with the Gaussian window and
   G(q, p) = (pi hbar)^(-1) exp(-(q^2 + p^2)/hbar).
+
+The Husimi field, the Wigner field (on its half-spaced lattice) and the
+Vlasov density are each a `PhaseSpaceField`, with one mass, one q
+marginal and one mean-field force.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from husimilab.grid import GridError, GridSpec, spectral_derivative
+from husimilab.grid import (GridError, GridSpec, Potential,
+                            spectral_derivative)
 from husimilab.manybody import OneBodyKernel
 
 
@@ -128,12 +133,10 @@ def bump_frame(grid: GridSpec) -> CoherentFrame:
     return _finish_frame(grid, raw, "bump")
 
 
-# ---------------------------------------------------------------------------
-# Husimi transform
-# ---------------------------------------------------------------------------
-
 @dataclass
-class HusimiField:
+class PhaseSpaceField:
+    """A real field m(q, p) on a phase-space lattice, q rows, p columns."""
+
     values: np.ndarray
     lattice: PhaseSpaceLattice
 
@@ -144,6 +147,25 @@ class HusimiField:
         """(2 pi hbar)^(-1) integral of the field."""
         return self.mass() / self.lattice.canonical
 
+    def density(self) -> np.ndarray:
+        """The q marginal rho(q) = sum_p m dp."""
+        return self.values.sum(axis=1) * self.lattice.dp
+
+    def force(self, potential: Potential, scale: float) -> np.ndarray:
+        """F(q) = -scale (V' * rho)(q), the lattice convolution with the
+        density; the q lattice must be the unstrided grid of V."""
+        lat = self.lattice
+        if len(lat.qs) != potential.grid.M:
+            raise GridError(f"phase-space q lattice has {len(lat.qs)} "
+                            f"points; the force needs the unstrided grid of "
+                            f"M={potential.grid.M}")
+        gradv = potential.grad_difference_table()
+        return -scale * (gradv @ self.density()) * lat.dq
+
+
+# ---------------------------------------------------------------------------
+# Husimi transform
+# ---------------------------------------------------------------------------
 
 def bilinear_phase_field(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                          grid: GridSpec) -> np.ndarray:
@@ -165,12 +187,12 @@ def bilinear_phase_field(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     return B[:, np.argsort(grid.momentum_lattice())]
 
 
-def husimi1(kernel: OneBodyKernel, frame: CoherentFrame) -> HusimiField:
+def husimi1(kernel: OneBodyKernel, frame: CoherentFrame) -> PhaseSpaceField:
     """One-particle Husimi field on the natural lattice via the two-FFT
     evaluation."""
     g = kernel.grid
     m = bilinear_phase_field(kernel.matrix, frame.window, frame.window, g).real
-    return HusimiField(m, natural_lattice(g))
+    return PhaseSpaceField(m, natural_lattice(g))
 
 
 def _coherent_state(frame: CoherentFrame, q: float, p) -> np.ndarray:
@@ -188,11 +210,11 @@ def _coherent_state(frame: CoherentFrame, q: float, p) -> np.ndarray:
 
 
 def husimi1_direct(kernel: OneBodyKernel, frame: CoherentFrame,
-                   lattice: PhaseSpaceLattice) -> HusimiField:
+                   lattice: PhaseSpaceLattice) -> PhaseSpaceField:
     """Slow direct quadratic form; the oracle for the FFT path."""
     vals = np.array([[husimi_point(kernel, frame, q, p) for p in lattice.ps]
                      for q in lattice.qs])
-    return HusimiField(vals, lattice)
+    return PhaseSpaceField(vals, lattice)
 
 
 def husimi_point(kernel: OneBodyKernel, frame: CoherentFrame,
@@ -206,50 +228,27 @@ def husimi_point(kernel: OneBodyKernel, frame: CoherentFrame,
 # Wigner transform and the convolution bridge
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WignerField:
-    values: np.ndarray
-    qs: np.ndarray
-    ps: np.ndarray
-    hbar: float
-    trace_target: float
-
-    @property
-    def dq(self) -> float:
-        return float(self.qs[1] - self.qs[0])
-
-    @property
-    def dp(self) -> float:
-        return float(self.ps[1] - self.ps[0])
-
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.dq * self.dp)
-
-    def canonical_mass(self) -> float:
-        return self.mass() / (2.0 * np.pi * self.hbar)
-
-
-def wigner1(kernel: OneBodyKernel, grid: GridSpec) -> WignerField:
+def wigner1(kernel: OneBodyKernel) -> PhaseSpaceField:
     """Wigner transform on the half-spaced momentum lattice pi hbar k / L.
 
     W(x, p) = (1/N) sum_j gamma(x + j dx; x - j dx) e^{-i p 2 j dx/hbar} 2 dx,
     real by Hermiticity of the kernel.
     """
+    grid = kernel.grid
     M = grid.M
     i = np.arange(M)
     D = kernel.matrix[(i[None, :] + i[:, None]) % M,
                       (i[None, :] - i[:, None]) % M]  # [j, x]
-    spectrum = np.fft.fft(D, axis=0) * 2.0 * grid.dx / kernel.trace_target
+    spectrum = np.fft.fft(D, axis=0) * 2.0 * grid.dx / grid.N
     ps = np.pi * grid.hbar * np.fft.fftfreq(M, d=1.0 / M) / grid.L
     order = np.argsort(ps)
-    return WignerField(spectrum[order].T.real, grid.axis_points(), ps[order],
-                       grid.hbar, kernel.trace_target)
+    return PhaseSpaceField(spectrum[order].T.real, PhaseSpaceLattice(
+        grid.axis_points(), ps[order], grid.hbar))
 
 
-def wigner_position_marginal(wf: WignerField) -> np.ndarray:
+def wigner_position_marginal(wf: PhaseSpaceField, N: int) -> np.ndarray:
     """N (2 pi hbar)^(-1) sum_p W dp; equals the density gamma(x; x)."""
-    return (wf.values.sum(axis=1) * wf.dp * wf.trace_target
-            / (2.0 * np.pi * wf.hbar))
+    return N * wf.density() / wf.lattice.canonical
 
 
 def gaussian_wigner_closed_form(qs, ps, width: float, x0: float, p0: float,
@@ -260,7 +259,7 @@ def gaussian_wigner_closed_form(qs, ps, width: float, x0: float, p0: float,
                         - width * (P - p0) ** 2 / hbar ** 2)
 
 
-def convolution_bridge_check(wf: WignerField, kernel: OneBodyKernel,
+def convolution_bridge_check(wf: PhaseSpaceField, kernel: OneBodyKernel,
                              frame: CoherentFrame) -> dict:
     """Max defect of  m = prefactor (W * G)  with the Gaussian smoothing.
 
@@ -274,10 +273,9 @@ def convolution_bridge_check(wf: WignerField, kernel: OneBodyKernel,
     if frame.kind != "gaussian":
         raise GridError("convolution bridge requires the gaussian frame")
     g = kernel.grid
-    N = kernel.trace_target
-    qs, ps, W = wf.qs, wf.ps, wf.values
-    dq, dp = wf.dq, wf.dp
-    hbar = wf.hbar
+    lat = wf.lattice
+    qs, ps, W = lat.qs, lat.ps, wf.values
+    dq, dp, hbar = lat.dq, lat.dp, lat.hbar
     # separable Gaussian kernels; q wrapped over periodic images
     dq_mat = qs[:, None] - qs[None, :]
     gq = np.zeros_like(dq_mat)
@@ -292,21 +290,20 @@ def convolution_bridge_check(wf: WignerField, kernel: OneBodyKernel,
             m = husimi_point(kernel, frame, q, p)
             defect = max(defect, abs(m - prefactor * conv[a, b]))
     return {"max_defect": float(defect), "dq": dq, "dp": dp,
-            "points": int(len(qs) * len(ps)), "n_particles": N}
+            "points": int(len(qs) * len(ps)), "n_particles": g.N}
 
 
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
 
-def moments(fld: HusimiField) -> tuple[float, float, float]:
+def moments(fld: PhaseSpaceField) -> tuple[float, float, float]:
     """(mass, |q| moment, |p|^2 moment) under the plain dq dp measure."""
     Q, P = np.meshgrid(fld.lattice.qs, fld.lattice.ps, indexing="ij")
     cell = fld.lattice.cell
-    mass = float(np.sum(fld.values) * cell)
     qmom = float(np.sum(np.abs(Q) * fld.values) * cell)
     p2mom = float(np.sum(P ** 2 * fld.values) * cell)
-    return mass, qmom, p2mom
+    return fld.mass(), qmom, p2mom
 
 
 def moment_growth_check(fields, times) -> dict:

@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from husimilab.grid import Potential, TestFunction, bump_test_function
-from husimilab.manybody import (Gamma2View, ManyBodyState, OneBodyKernel,
-                                gamma1, gamma1_time_derivative)
-from husimilab.phasespace import (CoherentFrame, HusimiField,
+from husimilab.manybody import (ManyBodyState, OneBodyKernel, gamma1,
+                                gamma1_time_derivative, gamma2_diag_blocks)
+from husimilab.phasespace import (CoherentFrame, PhaseSpaceField,
                                   PhaseSpaceLattice, _centered_offsets,
                                   bilinear_phase_field, natural_lattice)
 
@@ -92,13 +92,13 @@ def _window_mode_factors(frame: CoherentFrame, ks: np.ndarray) -> np.ndarray:
 
 def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray) -> np.ndarray:
     """The w2-transform Ahat[:, :, k] = sum_w2 A e^{-i k w2} dx of A,
-    accumulated over the y blocks of `Gamma2View.diag_blocks`, each
+    accumulated over the y blocks of `gamma2_diag_blocks`, each
     contracted with the phases of its rows in one product, so A is never
     formed."""
     g = state.grid
     phases = np.exp(-1j * np.outer(g.axis_points(), ks)) * g.dx
     Ahat = np.zeros((g.M * g.M, len(ks)), dtype=complex)
-    for ys, P in Gamma2View(state).diag_blocks():
+    for ys, P in gamma2_diag_blocks(state):
         Ahat += P.reshape(len(P), -1).T @ phases[ys]
     return Ahat.reshape(g.M, g.M, len(ks))
 
@@ -183,13 +183,15 @@ class SnapshotFields:
 
     state: ManyBodyState
     kernel: OneBodyKernel
-    husimi: HusimiField
+    husimi: PhaseSpaceField
     kinetic: np.ndarray
     interaction: InteractionResidues | None
 
 
 @dataclass
 class ResidueReport:
+    """The record of `residues.json`; its keys are the field names."""
+
     pairing_kinetic: float
     pairing_semiclassical: float
     pairing_meanfield: float
@@ -197,32 +199,9 @@ class ResidueReport:
     consistency_defect: float
     consistency_defect_rel: float
     hbar: float
-    n_particles: int
-    time: float
+    N: int
+    t: float
     test_functions: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "pairing_kinetic": self.pairing_kinetic,
-            "pairing_semiclassical": self.pairing_semiclassical,
-            "pairing_meanfield": self.pairing_meanfield,
-            "l54_aggregate": self.l54_aggregate,
-            "consistency_defect": self.consistency_defect,
-            "consistency_defect_rel": self.consistency_defect_rel,
-            "hbar": self.hbar,
-            "N": self.n_particles,
-            "t": self.time,
-            "test_functions": self.test_functions,
-        }
-
-
-def mean_field_force_term(field_vals: np.ndarray,
-                          lattice: PhaseSpaceLattice,
-                          potential: Potential, grid) -> np.ndarray:
-    """(V' * rho)(q) m(q,p) with rho(q) = sum_p m dp, lattice convolution."""
-    rho = field_vals.sum(axis=1) * lattice.dp
-    conv = potential.grad_difference_table() @ rho * lattice.dq
-    return conv[:, None] * field_vals
 
 
 def _husimi_time_derivative(state: ManyBodyState, adot: np.ndarray,
@@ -260,10 +239,11 @@ def reformulation_consistency(fields: SnapshotFields, adot: np.ndarray,
         "meanfield_residue": 0.0,
     }
     if fields.interaction is not None:
-        c_int = 1.0 / (g.N * (2.0 * np.pi * g.hbar))
-        force = mean_field_force_term(m, lattice, potential, g)
-        parts["mean_field"] = -c_int * _paired(phi_q.values, phi_p.grad,
-                                               force, lattice)
+        # c (V' * rho) m with c = 1/(2 pi hbar N): minus the Vlasov force
+        force = fields.husimi.force(potential,
+                                    1.0 / (g.N * (2.0 * np.pi * g.hbar)))
+        parts["mean_field"] = _paired(phi_q.values, phi_p.grad,
+                                      force[:, None] * m, lattice)
         parts["semiclassical_residue"] = -_paired(
             phi_q.values, phi_p.grad, fields.interaction.semiclassical,
             lattice)
@@ -295,7 +275,7 @@ def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
     b1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
     lattice = natural_lattice(g)
     fields = SnapshotFields(
-        state, kern, HusimiField(b1.real, lattice),
+        state, kern, PhaseSpaceField(b1.real, lattice),
         kinetic_residue_field(kern, frame),
         interaction_residue_fields(state, kern, b1, frame, potential)
         if g.N >= 2 else None)

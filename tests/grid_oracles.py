@@ -5,7 +5,8 @@ kernels of `husimilab.manybody` are held to.
 The state of amplitudes psi has the coefficients
 a_K = fftn(psi)[K] sqrt(N! dx^N / M^N) on the sorted tuples K of
 `manybody._sorted_tuples` (`from_grid`); `ManyBodyState.to_grid` is the
-way back.
+way back.  `gamma2_partial_diag` assembles the y-diagonal blocks of
+gamma2 read off the coefficients into the whole array the oracles give.
 """
 
 from __future__ import annotations
@@ -85,3 +86,14 @@ def partial_diag(grid, psi: np.ndarray) -> np.ndarray:
     for y in range(M):
         A[:, :, y] = flat[:, y, :] @ flat[:, y, :].conj().T
     return grid.N * (grid.N - 1) * grid.dx ** (grid.N - 2) * A
+
+
+def gamma2_partial_diag(state: mb.ManyBodyState) -> np.ndarray:
+    """A[u1, w1, y] = gamma2(u1, y; w1, y) whole, O(M^3) memory: the blocks
+    of `manybody.gamma2_diag_blocks` stored as [y, u, w], as a transposed
+    view.  The run contracts the blocks one at a time and never forms A."""
+    M = state.grid.M
+    A = np.empty((M,) * 3, dtype=complex)
+    for ys, P in mb.gamma2_diag_blocks(state):
+        A[ys] = P
+    return A.transpose(1, 2, 0)

@@ -45,6 +45,22 @@ def test_from_dict_refuses_a_config_holding_d():
         harness.RunConfig.from_dict(old)
 
 
+def test_decoupled_sweep_configs_are_n_major_and_leave_base():
+    base = harness.RunConfig(M=32, seed=5)
+    before = base.to_dict()
+    configs = harness.decoupled_sweep_configs(base, hbars=(0.5, 0.25),
+                                              Ns=(2, 3))
+    assert [(c.N, c.hbar) for c in configs] == [(2, 0.5), (2, 0.25),
+                                                (3, 0.5), (3, 0.25)]
+    for cfg in configs:
+        rest = {k: v for k, v in cfg.to_dict().items()
+                if k not in ("N", "hbar")}
+        assert rest == {k: v for k, v in before.items()
+                        if k not in ("N", "hbar")}
+        assert cfg.potential is not base.potential
+    assert base.to_dict() == before
+
+
 def _write_summary(run_dir, N, hbar, kinetic, semiclassical, meanfield):
     run_dir.mkdir()
     (run_dir / "summary.json").write_text(json.dumps({

@@ -399,11 +399,11 @@ def slaters():
 
 
 def test_gamma2_slater_closed_form_probes(slaters):
-    """partial_diag at every point against the Slater closed form
-    A[u,w,y] = om(u,w) om(y,y) - om(u,y) om(y,w), om = sum_j e_j e_j*."""
+    """The y-diagonal of gamma2 at every point against the Slater closed
+    form A[u,w,y] = om(u,w) om(y,y) - om(u,y) om(y,w), om = sum_j e_j e_j*."""
     for _, orbitals, state in slaters:
         om = sum(np.outer(e, np.conj(e)) for e in orbitals)
-        got = mb.Gamma2View(state).partial_diag()
+        got = go.gamma2_partial_diag(state)
         want = (np.einsum("uw,y->uwy", om, np.diag(om))
                 - np.einsum("uy,yw->uwy", om, om))
         assert np.max(np.abs(got - want)) < 1e-10
@@ -412,9 +412,16 @@ def test_gamma2_slater_closed_form_probes(slaters):
 def test_gamma2_partial_trace(slaters):
     """sum_y gamma2(u,y; w,y) dy = (N-1) gamma1(u; w)."""
     for grid, _, state in slaters:
-        got = mb.Gamma2View(state).partial_diag().sum(axis=2) * grid.dx
+        got = go.gamma2_partial_diag(state).sum(axis=2) * grid.dx
         kern = mb.gamma1(state)
         assert np.max(np.abs(got - (grid.N - 1) * kern.matrix)) < 1e-8
+
+
+def test_gamma2_diag_blocks_refuses_one_particle():
+    grid = make_grid(M=8, L=6.0, hbar=1.0, N=1)
+    state = mb.build_slater(grid, [np.full(8, 1.0 / np.sqrt(6.0))])
+    with pytest.raises(GridError, match="N >= 2"):
+        mb.gamma2_diag_blocks(state)
 
 
 def test_gamma2_antisymmetry():
@@ -427,7 +434,7 @@ def test_gamma2_antisymmetry():
                              + 1j * rng.standard_normal((8,) * 3))
     state = go.from_grid(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
                                              * grid.dx ** 3))
-    A = mb.Gamma2View(state).partial_diag()
+    A = go.gamma2_partial_diag(state)
     y = np.arange(grid.M)
     scale = np.max(np.abs(A))
     assert np.max(np.abs(A[y, :, y])) < 1e-14 * scale
@@ -437,9 +444,10 @@ def test_gamma2_antisymmetry():
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_coefficient_kernels_match_grid_contractions(N):
-    """gamma1, its time derivative, partial_diag and the energies read off
-    the coefficients equal the contractions of the grid amplitudes, on a
-    random antisymmetric state that is no Slater determinant."""
+    """gamma1, its time derivative, the y-diagonal of gamma2 and the
+    energies read off the coefficients equal the contractions of the grid
+    amplitudes, on a random antisymmetric state that is no Slater
+    determinant."""
     grid = make_grid(M=8, L=6.0, hbar=1.0 / N, N=N)
     rng = np.random.default_rng(20 + N)
     psi = go.antisymmetrized(rng.standard_normal((8,) * N)
@@ -456,7 +464,7 @@ def test_coefficient_kernels_match_grid_contractions(N):
                       (mb.gamma1_time_derivative(
                           state, flow.time_derivative(state)),
                        xdot + xdot.conj().T),
-                      (mb.Gamma2View(state).partial_diag(),
+                      (go.gamma2_partial_diag(state),
                        go.partial_diag(grid, psi))):
         assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
     kinetic = go.kinetic_energy(grid, psi)

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.ndimage import map_coordinates
 
+from husimilab import harness
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
 from husimilab import phasespace as ps
@@ -199,13 +200,25 @@ def test_norm_gaps_zero_for_identical():
     assert hs < 1e-10 and tr < 1e-10
 
 
+@pytest.mark.parametrize("N, family", [(2, "hermite"), (3, "hermite"),
+                                       (3, "random"), (3, "plane_wave")])
+def test_slater_gamma1_is_the_orbital_projector(N, family):
+    """gamma1 of a Slater state is omega of its orbitals, so a run builds
+    its initial Husimi field from the HF state, not from the N-body one."""
+    grid = make_grid(M=64, L=12.0, hbar=1.0 / N, N=N)
+    orbs = harness.build_orbitals(grid, family, np.random.default_rng(N))
+    got = mb.gamma1(mb.build_slater(grid, orbs)).matrix
+    want = mf.MeanFieldState(grid, np.array(orbs)).omega()
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_norm_gaps_rank_one_perturbation():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     hf = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 2)))
     kern = hf.omega_kernel()
     g = mb.gaussian_orbital(grid, width=0.33, x0=2.0)
     pert = mb.OneBodyKernel(kern.matrix + 0.25 * np.outer(g, np.conj(g)),
-                            grid, 2.0)
+                            grid)
     hs, tr = mf.norm_gaps(pert, kern)
     assert hs == pytest.approx(0.25, abs=1e-10)
     assert tr == pytest.approx(0.25, abs=1e-10)
@@ -234,7 +247,7 @@ def gaussian_blob():
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = np.exp(-((Q + 2.0) ** 2 + (P - 1.0) ** 2) / (2.0 * 0.5))
-    state = mf.VlasovState(lattice, vals, 0.0,
+    state = mf.VlasovState(vals, lattice, 0.0,
                            1.0 / (2.0 * np.pi * grid.hbar))
     return grid, state
 
@@ -279,7 +292,7 @@ def test_vlasov_cfl_checks_the_applied_kick():
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = (np.exp(-(Q + 3.0) ** 2 - (P - 2.0) ** 2)
             + np.exp(-(Q - 3.0) ** 2 - (P + 2.0) ** 2))
-    state = mf.VlasovState(lattice, vals, 0.0,
+    state = mf.VlasovState(vals, lattice, 0.0,
                            1.0 / (2.0 * np.pi * grid.hbar))
     V = Potential.cosine(grid, [1e4])
     dt = 0.9 * lattice.dq / np.max(np.abs(lattice.ps))
@@ -356,9 +369,10 @@ def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
     V = Potential.cosine(grid, [0.4])
     dt = 0.5 * mf.vlasov_cfl(state, V, 1.0)["suggested_dt"]
     lat = state.lattice
-    other = mf.VlasovState(ps.PhaseSpaceLattice(lat.qs, 0.5 * lat.ps,
+    other = mf.VlasovState(state.values,
+                           ps.PhaseSpaceLattice(lat.qs, 0.5 * lat.ps,
                                                 lat.hbar),
-                           state.values, 0.0, state.force_scale)
+                           0.0, state.force_scale)
     runs = [(state, dt), (state, 0.5 * dt), (other, 0.5 * dt)]
     chained = [mf.vlasov_step(s, V, h).values for s, h in runs]
     fresh = []
@@ -374,9 +388,10 @@ def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
 def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
     grid, state = gaussian_blob
     lat = state.lattice
-    strided = mf.VlasovState(ps.PhaseSpaceLattice(lat.qs[::2], lat.ps,
+    strided = mf.VlasovState(state.values[::2],
+                             ps.PhaseSpaceLattice(lat.qs[::2], lat.ps,
                                                   lat.hbar),
-                             state.values[::2], 0.0, state.force_scale)
+                             0.0, state.force_scale)
     with pytest.raises(GridError, match="M=256"):
         mf.vlasov_force(strided, Potential.cosine(grid, [0.4]))
 
@@ -412,7 +427,7 @@ def test_vlasov_rotation_period_matches_characteristics():
     V = Potential.cosine(grid, [-1.2])  # attractive pair potential
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = 20.0 * np.exp(-(Q - 0.9) ** 2 / 0.18 - P ** 2 / 2.0)
-    state = mf.VlasovState(lattice, vals, 0.0,
+    state = mf.VlasovState(vals, lattice, 0.0,
                            1.0 / (2.0 * np.pi * grid.hbar))
 
     def q_variance(q, weights):
@@ -420,7 +435,7 @@ def test_vlasov_rotation_period_matches_characteristics():
         return np.sum(weights * (q - mean) ** 2) / np.sum(weights)
 
     def rho_hat_1(st):
-        return abs(np.fft.fft(st.spatial_density())[1])
+        return abs(np.fft.fft(st.density())[1])
 
     def period(ts, var):
         """Time between the first two upward crossings of the mean."""
@@ -471,7 +486,8 @@ def test_distance_identical_fields():
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     m = np.exp(-(Q ** 2 + P ** 2))
-    l1, w1, flag = mf.husimi_vlasov_distance(m, m, lattice)
+    l1, w1, flag = mf.husimi_vlasov_distance(ps.PhaseSpaceField(m, lattice),
+                                             ps.PhaseSpaceField(m, lattice))
     assert l1 == 0.0 and w1 == 0.0 and not flag
 
 
@@ -481,7 +497,8 @@ def test_distance_one_cell_shift():
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     m = np.exp(-(Q ** 2 + P ** 2))
     shifted = np.roll(m, 1, axis=0)
-    _, w1, _ = mf.husimi_vlasov_distance(m, shifted, lattice)
+    _, w1, _ = mf.husimi_vlasov_distance(
+        ps.PhaseSpaceField(m, lattice), ps.PhaseSpaceField(shifted, lattice))
     mass = np.sum(m) * lattice.cell
     assert w1 == pytest.approx(lattice.dq * mass, rel=1e-6)
 
@@ -491,6 +508,7 @@ def test_distance_renormalization_flag():
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     m = np.exp(-(Q ** 2 + P ** 2))
-    l1, w1, flag = mf.husimi_vlasov_distance(m, 1.1 * m, lattice)
+    l1, w1, flag = mf.husimi_vlasov_distance(
+        ps.PhaseSpaceField(m, lattice), ps.PhaseSpaceField(1.1 * m, lattice))
     assert flag
     assert l1 < 1e-12 and w1 < 1e-12  # identical after renormalization

@@ -236,12 +236,13 @@ def test_wigner_closed_form_and_positivity():
     q0 = -0.5625
     psi = mb.gaussian_orbital(grid, width=grid.hbar, x0=q0, p0=CENTER_P)
     kern = mb.gamma1(from_grid(grid, psi))
-    wf = ps.wigner1(kern, grid)
-    closed = ps.gaussian_wigner_closed_form(wf.qs, wf.ps, grid.hbar,
+    wf = ps.wigner1(kern)
+    lat = wf.lattice
+    closed = ps.gaussian_wigner_closed_form(lat.qs, lat.ps, grid.hbar,
                                             q0, CENTER_P, grid.hbar)
     # away from the periodic-image ghost the lattice transform matches the
     # closed form; the ghost sits at the antipodal q
-    near = np.abs(wf.qs - q0) < 2.5
+    near = np.abs(lat.qs - q0) < 2.5
     assert np.max(np.abs(wf.values[near] - closed[near])) < 1e-8
     assert wf.values[near].min() > -1e-10
     assert wf.canonical_mass() == pytest.approx(1.0, abs=1e-10)
@@ -249,19 +250,23 @@ def test_wigner_closed_form_and_positivity():
 
 def test_wigner_position_marginal(coherent_setup):
     grid, frame, kern = coherent_setup
-    wf = ps.wigner1(kern, grid)
-    marg = ps.wigner_position_marginal(wf)
+    wf = ps.wigner1(kern)
+    marg = ps.wigner_position_marginal(wf, grid.N)
     density = np.real(np.diag(kern.matrix))
     assert np.max(np.abs(marg - density)) < 1e-6
 
 
 def test_bridge_defect_and_refinement(coherent_setup):
     grid, frame, kern = coherent_setup
-    wf = ps.wigner1(kern, grid)
-    base = ps.convolution_bridge_check(
-        replace(wf, qs=wf.qs[::4], values=wf.values[::4]), kern, frame)
-    fine = ps.convolution_bridge_check(
-        replace(wf, qs=wf.qs[::2], values=wf.values[::2]), kern, frame)
+    wf = ps.wigner1(kern)
+
+    def q_sublattice(stride):
+        return ps.PhaseSpaceField(
+            wf.values[::stride],
+            replace(wf.lattice, qs=wf.lattice.qs[::stride]))
+
+    base = ps.convolution_bridge_check(q_sublattice(4), kern, frame)
+    fine = ps.convolution_bridge_check(q_sublattice(2), kern, frame)
     assert base["max_defect"] < 1e-4
     assert fine["max_defect"] * 3.0 <= base["max_defect"]
 
@@ -269,7 +274,7 @@ def test_bridge_defect_and_refinement(coherent_setup):
 def test_bridge_refuses_non_gaussian_frame(coherent_setup):
     grid, _, kern = coherent_setup
     bump = ps.bump_frame(grid)
-    wf = ps.wigner1(kern, grid)
+    wf = ps.wigner1(kern)
     with pytest.raises(GridError, match="gaussian"):
         ps.convolution_bridge_check(wf, kern, bump)
 

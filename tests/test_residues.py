@@ -75,7 +75,7 @@ def test_gamma2_partial_hat_matches_the_whole_partial_diag(N, M, block,
                                              * grid.dx ** N))
     ks, _ = Potential.cosine(grid, [0.4, 0.15])._active_modes()
     phases = np.exp(-1j * np.outer(grid.axis_points(), ks))
-    want = np.matmul(mb.Gamma2View(state).partial_diag(), phases) * grid.dx
+    want = np.matmul(go.gamma2_partial_diag(state), phases) * grid.dx
     got = rs._gamma2_partial_hat(state, ks)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -104,11 +104,11 @@ def _direct_interaction_residues(state, frame, potential):
     """Rs and Rm of the module docstring, summed directly over
     (u1, w1, w2) at every point of the natural lattice.  S is the
     Gauss-Legendre segment average of `Potential.evaluate_grad`, D the
-    gradient smeared by the squared window, A `partial_diag` and gamma1
-    `gamma1`."""
+    gradient smeared by the squared window, A `gamma2_partial_diag` and
+    gamma1 `gamma1`."""
     g = state.grid
     x = g.axis_points()
-    A = mb.Gamma2View(state).partial_diag()
+    A = go.gamma2_partial_diag(state)
     gam = mb.gamma1(state).matrix
     product = gam[:, :, None] * np.real(np.diag(gam))[None, None, :]
     u, w, y = np.meshgrid(x, x, x, indexing="ij")
