@@ -1,15 +1,19 @@
-"""Timings of the N-body kernels a `husimilab simulate` run calls besides
-its propagation: `build_slater`, `gamma1`, `SlaterFlow.energy` and the
-build of the flow's Hamiltonian (`SlaterFlow`), at (N, M) = (3, 64) and
-(4, 32); the residue pass's w2-transform of the y-diagonal of gamma2
-(`residues._gamma2_partial_hat`, over the blocks of
+"""Timings of the N-body kernels a `husimilab simulate` run calls:
+`build_slater`, `gamma1`, `SlaterFlow.energy`, the flow's one Chebyshev
+recurrence (`SlaterFlow.evolve` to the run's two stored times, t = 0.1
+and 0.2) and the build of the Hamiltonian on the parity block of the
+state (`SlaterFlow` and its split of the state, which builds that block),
+at (N, M) = (3, 64) and (4, 32); the residue pass's w2-transform of the
+y-diagonal of gamma2 (`residues._gamma2_partial_hat`, over the blocks of
 `manybody.gamma2_diag_blocks`) at (2, 64), (3, 64), (4, 32) and
 (2, 256); `antisymmetry_defect` at (3, 64) and (4, 32); and the Chebyshev
 coefficients `_jacobi_anger` of an HF half kick and of the flow.
 Hermite orbitals, default cosine V, L = 12, coupled line hbar = 1/N; the
 reduced density matrices and the energy are taken on the state
-propagated to t = 0.1, the run's residue snapshot.  The energy is timed on a flow built beforehand, as a run's
-N-body stage takes it from the flow of its propagation.
+propagated to t = 0.1, the run's residue snapshot, and `evolve` starts
+from the initial state.  The energy and `evolve` are timed on a flow
+whose block is built beforehand, as a run's N-body stage takes them from
+the flow of its propagation.
 
     PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
 """
@@ -84,12 +88,32 @@ def test_total_energy(benchmark, N, M):
     assert out > 0
 
 
+def _initial(N, M):
+    cfg, grid, potential, orbitals = _point(N, M)
+    return cfg, potential, mb.build_slater(grid, orbitals)
+
+
 @pytest.mark.parametrize("N, M", POINTS)
 def test_slater_flow(benchmark, N, M):
-    _, grid, potential, _ = _point(N, M)
-    out = benchmark.pedantic(mb.SlaterFlow, args=(grid, potential),
-                             rounds=10, warmup_rounds=1)
-    assert out.bounds[0] < out.bounds[1]
+    _, potential, state = _initial(N, M)
+
+    def build():
+        return mb.SlaterFlow(state.grid, potential)._split(state.coeffs)
+
+    out = benchmark.pedantic(build, rounds=10, warmup_rounds=1)
+    ((block, _, _),) = out
+    assert block.bounds[0] < block.bounds[1]
+
+
+@pytest.mark.parametrize("N, M", POINTS)
+def test_evolve(benchmark, N, M):
+    cfg, potential, state = _initial(N, M)
+    flow = mb.SlaterFlow(state.grid, potential)
+    flow.apply(state.coeffs)  # builds the state's block
+    out = benchmark.pedantic(flow.evolve, args=(
+        state.coeffs, [0.5 * cfg.horizon, cfg.horizon]), rounds=10,
+        warmup_rounds=1)
+    assert abs(np.sqrt(mb._real_dot(out[-1], out[-1])) - 1.0) < 1e-10
 
 
 def _hf_kick(N, M):
@@ -106,12 +130,14 @@ def _hf_kick(N, M):
 
 
 def _flow_times(N, M):
-    """The arguments of a run's one `SlaterFlow.evolve` at (N, M): the
-    flow's bounds and the two stored times, the residue snapshot and the
-    horizon."""
-    cfg, grid, potential, _ = _point(N, M)
-    flow = mb.SlaterFlow(grid, potential)
-    return (*flow.bounds, [0.5 * cfg.horizon, cfg.horizon], grid.hbar)
+    """The arguments of the series of a run's one `SlaterFlow.evolve` at
+    (N, M): the bounds of the parity block of the Hermite state and the
+    two stored times, the residue snapshot and the horizon."""
+    cfg, potential, state = _initial(N, M)
+    ((block, _, _),) = mb.SlaterFlow(state.grid, potential)._split(
+        state.coeffs)
+    return (*block.bounds, [0.5 * cfg.horizon, cfg.horizon],
+            state.grid.hbar)
 
 
 @pytest.mark.parametrize("kick", ["hf-2-64", "flow-3-64"])

@@ -10,8 +10,12 @@ y-diagonal, the norm and the energy a^H H a are read off it, and the M^N
 grid amplitudes are an export (`ManyBodyState.to_grid`) for the tests;
 the antisymmetry record exports (N-1)-particle slabs of them.  The
 propagator is the exact flow exp(-i t H / hbar) of the lattice
-Hamiltonian (`SlaterFlow`).  H lives as long as the flow that holds it,
-and no cache keeps a flow.
+Hamiltonian (`SlaterFlow`).  H is real symmetric and commutes with
+parity, so the flow splits each vector it takes, after one global phase,
+into real pieces in the two parity blocks, drops the pieces at rounding
+level and runs one real Chebyshev recurrence on each piece kept; a
+block's H is built when a piece first needs it.  H lives as long as the
+flow that holds it, and no cache keeps a flow.
 
 The level-1 reductions (norms and inner products of coefficient vectors)
 are ufunc sums, not BLAS calls: with two OpenBLAS threads on a two-core
@@ -244,76 +248,240 @@ def _kinetic_diagonal(grid: GridSpec, K: np.ndarray) -> np.ndarray:
     return (0.5 * grid.hbar ** 2 * grid.wavenumbers()[K] ** 2).sum(axis=0)
 
 
+def _parity_map(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mirror, sigma) with P e_K = sigma_K e_PK for parity P, psi(x) ->
+    psi(-x): mirror[r] is the colex rank of PK, the sorted tuple of
+    -K mod M, for the tuple K of rank r, and sigma_K = (-1)^(n(n-1)/2)
+    with n the number of nonzero momenta in K.  Negation reverses the
+    order of the nonzero momenta and leaves a momentum 0 first, so PK is
+    -K mod M read backwards, with a 0 moved from the end to the front."""
+    K = _sorted_tuples(M, N)
+    zero = K[0] == 0
+    back = (M - K[::-1]) % M
+    PK = np.where(zero, np.roll(back, 1, axis=0), back)
+    binom = _binomials(M, N)
+    mirror = sum(binom[PK[i], i + 1] for i in range(N))
+    n = N - zero
+    return mirror, np.where((n * (n - 1) // 2) % 2, -1.0, 1.0)
+
+
+_HALF_ROOT = np.sqrt(0.5)
+
+
+@dataclass(eq=False)
+class _ParityBlock:
+    """The parity-s block of the sorted Slater basis (`SlaterFlow`): its
+    coordinate j < p is (v_rep + s sigma v_img)[j] / sqrt(2) for the p
+    orbits {rep, img = P rep} of two tuples, its coordinate p + j the
+    entry v at fixed[j], a tuple with PK = K and sigma_K = s.  H
+    restricted to the block and the Gershgorin bounds of its rows are
+    set on first use (`SlaterFlow._build`)."""
+
+    s: int
+    fixed: np.ndarray
+    H: sparse.csr_matrix | None = None
+    bounds: tuple[float, float] | None = None
+
+
 class SlaterFlow:
     """exp(-i t H / hbar) of the lattice Hamiltonian on the coefficients of
-    a state (see the module docstring).
+    a state (see the module docstring), one parity block at a time.
 
     In the sorted plane-wave Slater basis H has hbar^2 k^2 / 2 summed on
     the diagonal; each pair of particles and each nonzero DFT mode v_m of
     V moves (k_i, k_j) to (k_i - m, k_j + m) with weight v_m / N and the
     fermionic sign.  V is even (`Potential` refuses an odd one), so v_m is
-    real and H is real symmetric.  It is stored as CSR with a fixed row
-    width, one slot per (pair, mode); a Pauli-blocked slot holds 0 and
-    points at the diagonal.  A run builds one flow in its N-body stage,
-    which takes every product with H the run needs (the trajectory, both
-    energies and d/dt a at the residue snapshot) and then drops it, so H
-    is freed before the residue pass; `propagate` builds its own.
+    real, H is real symmetric and it commutes with parity P,
+    P e_K = sigma_K e_PK (`_parity_map`).  So H maps the real vectors of
+    each parity block (`_ParityBlock`) to real vectors of that block.
 
-    The flow is a Chebyshev series in H scaled onto [-1, 1] by the
-    Gershgorin bounds of its rows (Tal-Ezer & Kosloff, J. Chem. Phys. 81
-    (1984) 3967).  H stays real: a complex coefficient vector is
-    multiplied through its real and imaginary parts.
+    Every product with H first splits its input c (`_split`): c =
+    e^{i theta} (x + i y) with theta = arg(sum_K c_K^2) / 2, and x and y
+    each into the coordinates of the two blocks, up to four real pieces
+    of about C(M, N) / 2 entries.  A piece whose norm is at or below
+    sqrt(C(M, N)) eps ||c||, the rounding of the coefficients, is
+    dropped; `dropped_norm` keeps the largest norm dropped.  A Hermite or
+    plane-wave Slater state is real up to its phase and of one parity, so
+    it keeps one piece, and the states it evolves to keep two (their real
+    and imaginary parts) in the same block; a random-orbital state keeps
+    all four, and its products cost what two full-basis products do.
+
+    A block's H is built on first use and kept in the block
+    (`_build`): a real CSR matrix with a fixed row width, one slot per
+    (pair, mode), on the block's rows only.  So a run that evolves a
+    Hermite state builds one block, and the full-basis H never exists.
+    A run builds one flow in its N-body stage, which takes every product
+    with H the run needs (the trajectory, both energies and d/dt a at the
+    residue snapshot) and then drops it, so H is freed before the residue
+    pass; `propagate` builds its own.
+
+    The flow of a real piece is a Chebyshev series in its block's H,
+    scaled onto [-1, 1] by the Gershgorin bounds of the block's rows
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967): one real
+    product per term, whose even terms give the real part and odd terms
+    the imaginary part.
     """
 
     def __init__(self, grid: GridSpec, potential: Potential):
         N, M = grid.N, grid.M
         vhat = potential.centered_spectrum.real / M
         modes = [m for m in range(1, M) if abs(vhat[m]) > 1e-15]
-        pairs = list(combinations(range(N), 2))
         _check_hamiltonian_budget(M, N, len(modes))
-        self.grid = grid
+        self.grid, self._vhat, self._modes = grid, vhat, modes
+        mirror, sigma = _parity_map(M, N)
+        ranks = np.arange(len(mirror))
+        # the orbits {rep, img} of two tuples, shared by both blocks
+        self._rep = np.flatnonzero(ranks < mirror)
+        self._img = mirror[self._rep]
+        self._sigma = sigma[self._rep]
+        fixed = np.flatnonzero(ranks == mirror)
+        self.blocks = [_ParityBlock(s, fixed[sigma[fixed] == s])
+                       for s in (1, -1)]
+        self.dropped_norm = 0.0
+
+    def _build(self, block: _ParityBlock) -> None:
+        """Set block.H and block.bounds (see the class docstring).
+
+        Row j of the block is read off row K of the full-basis H, K the
+        tuple of coordinate j: H f lies in the block for each block
+        vector f, so coordinate j of H f is sqrt(2) (H f)_K on an orbit
+        of two and (H f)_K on a fixed K.  A slot of row K with target J
+        thus moves to the column of the block vector f on J's orbit,
+        weighted by f_J times that sqrt(2): 1 at a representative, s
+        sigma at an image, sqrt(2) at a fixed tuple of the block and 0 at
+        one of the other block on the row of an orbit of two; 1 /
+        sqrt(2), s sigma / sqrt(2), 1 and 0 on the row of a fixed tuple.
+        The weights +-1 keep the full-basis entries exactly.  Where both
+        tuples of an orbit are targets of one row they take two slots,
+        which the product sums.  A Pauli-blocked slot holds 0 and points
+        at column 0.
+        """
+        g = self.grid
+        N, M = g.N, g.M
+        pairs = list(combinations(range(N), 2))
         K = _sorted_tuples(M, N)
-        n, width = K.shape[1], 1 + len(pairs) * len(modes)
-        rows = np.arange(n, dtype=np.int32)
+        p, n = len(self._rep), len(self._rep) + len(block.fixed)
+        sign = block.s * self._sigma
+        # by the rank of the target; the last entry serves a blocked slot
+        column = np.zeros(K.shape[1] + 1, dtype=np.int32)
+        column[self._rep] = column[self._img] = np.arange(p)
+        column[block.fixed] = np.arange(p, n)
+        weights = np.zeros((2, K.shape[1] + 1))
+        for w, (rep, fixed) in zip(weights, [(1.0, np.sqrt(2.0)),
+                                             (_HALF_ROOT, 1.0)]):
+            w[self._rep] = rep
+            w[self._img] = rep * sign
+            w[block.fixed] = fixed
         # table[flat offset of an ordered tuple] = sign of its sorting
         # permutation times (rank of the sorted tuple + 1); 0 for a tuple
         # with a repeated momentum, a Pauli-blocked move.  M^N int32
         # entries, a quarter of the grid export, freed after the build.
         place = M ** np.arange(N - 1, -1, -1)
         table = np.zeros(M ** N, dtype=np.int32)
+        ranks = np.arange(1, K.shape[1] + 1, dtype=np.int32)
         for perm in permutations(range(N)):
-            table[place @ K[list(perm)]] = _perm_sign(perm) * (rows + 1)
+            table[place @ K[list(perm)]] = _perm_sign(perm) * ranks
+        del ranks
+        K = K[:, np.concatenate([self._rep, block.fixed])]
         flat = place @ K
+        width = 1 + len(pairs) * len(self._modes)
         data = np.empty((n, width))
         cols = np.empty((n, width), dtype=np.int32)
-        cols[:, 0] = rows
-        data[:, 0] = _kinetic_diagonal(grid, K) + len(pairs) * vhat[0] / N
+        cols[:, 0] = np.arange(n)
+        data[:, 0] = (_kinetic_diagonal(g, K)
+                      + len(pairs) * self._vhat[0] / N)
         radius = np.zeros(n)
         slot = 1
         for i, j in pairs:
-            for m in modes:
+            for m in self._modes:
                 signed = table[flat + ((K[i] - m) % M - K[i]) * place[i]
                                + ((K[j] + m) % M - K[j]) * place[j]]
-                cols[:, slot] = np.where(signed != 0, np.abs(signed) - 1, rows)
-                data[:, slot] = np.sign(signed) * (vhat[m] / N)
-                radius += np.abs(data[:, slot])
+                target = np.abs(signed) - 1
+                cols[:, slot] = column[target]
+                d = data[:, slot]
+                np.multiply(np.sign(signed), self._vhat[m] / N, out=d)
+                d[:p] *= weights[0][target[:p]]
+                d[p:] *= weights[1][target[p:]]
+                radius += np.abs(d)
                 slot += 1
         del table
-        self.bounds = (float(np.min(data[:, 0] - radius)),
-                       float(np.max(data[:, 0] + radius)))
-        self.H = sparse.csr_matrix(
+        block.bounds = (float(np.min(data[:, 0] - radius)),
+                        float(np.max(data[:, 0] + radius)))
+        block.H = sparse.csr_matrix(
             (data.ravel(), cols.ravel(),
              np.arange(0, n * width + 1, width, dtype=np.int32)),
             shape=(n, n))
 
+    def _split(self, c: np.ndarray) -> list:
+        """[(block, factor, u)] over the pieces of c that are kept (see
+        the class docstring): u is real, in the coordinates of block, and
+        factor is e^{i theta} or i e^{i theta}, so that `_merge` of the
+        factor * u of every piece gives c back.  Each block of a piece is
+        built here, after the temporaries of `_pieces` are freed."""
+        pieces = self._pieces(c)
+        for block, _, _ in pieces:
+            if block.H is None:
+                self._build(block)
+        return pieces
+
+    def _pieces(self, c: np.ndarray) -> list:
+        c = np.asarray(c, dtype=complex)
+        head = c[self._rep]
+        tail = c[self._img]
+        tail *= self._sigma
+        coords = []
+        for block in self.blocks:
+            pair = head + tail if block.s > 0 else head - tail
+            pair *= _HALF_ROOT
+            coords.append(np.concatenate([pair, c[block.fixed]]))
+        del head, tail, pair
+        # sum_K c_K^2 is kept by the real orthogonal change of basis
+        phase = np.exp(0.5j * np.angle(sum(np.sum(z * z) for z in coords)))
+        candidates = []
+        for block, z in zip(self.blocks, coords):
+            z *= phase.conjugate()
+            candidates += [(block, phase, z.real), (block, 1j * phase, z.imag)]
+        squares = [float(np.sum(part * part)) for _, _, part in candidates]
+        # ||c||^2 is the sum of the squared norms of the pieces
+        level = np.sqrt(len(c) * fsum(squares)) * np.finfo(float).eps
+        pieces = []
+        for (block, factor, part), square in zip(candidates, squares):
+            if np.sqrt(square) > level:
+                pieces.append((block, factor, np.ascontiguousarray(part)))
+            else:
+                self.dropped_norm = max(self.dropped_norm, np.sqrt(square))
+        return pieces
+
+    def _merge(self, out: np.ndarray, parts: dict) -> None:
+        """Write into out, zero on entry, the vector whose coordinates in
+        each block of `parts` are parts[block] (0 in a block not there):
+        the inverse of the projections of `_split`."""
+        p = len(self._rep)
+        head = np.zeros(p, dtype=complex)
+        tail = np.zeros(p, dtype=complex)
+        for block, z in parts.items():
+            head += z[:p]
+            (np.add if block.s > 0 else np.subtract)(tail, z[:p], out=tail)
+            out[block.fixed] = z[p:]
+        head *= _HALF_ROOT
+        tail *= _HALF_ROOT * self._sigma
+        out[self._rep] = head
+        out[self._img] = tail
+
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """H c, through the real and imaginary parts of c."""
-        return self.H @ c.real + 1j * (self.H @ c.imag)
+        """H c, one real block product per piece of c."""
+        parts: dict = {}
+        for block, factor, u in self._split(c):
+            parts[block] = parts.get(block, 0) + factor * (block.H @ u)
+        out = np.zeros(len(c), dtype=complex)
+        self._merge(out, parts)
+        return out
 
     def energy(self, state: ManyBodyState) -> float:
-        """a^H H a."""
-        a = state.coeffs
-        return _real_dot(a, self.apply(a))
+        """a^H H a, the sum of u^T H u over the pieces u of a: the pieces
+        are orthogonal and H keeps each block."""
+        return fsum(float(np.sum(u * (block.H @ u)))
+                    for block, _, u in self._split(state.coeffs))
 
     def time_derivative(self, state: ManyBodyState) -> np.ndarray:
         """adot = H a / (i hbar), the coefficients' rate under the flow."""
@@ -323,7 +491,7 @@ class SlaterFlow:
                    store_every: int) -> list[ManyBodyState]:
         """The input, then the state every `store_every` steps of size dt
         and after the last step, each the exact flow of the input over its
-        time, all from one Chebyshev recurrence (`evolve`)."""
+        time, all from one Chebyshev recurrence per piece (`evolve`)."""
         if store_every < 1:
             raise GridError(f"store_every must be >= 1, got {store_every}")
         _check_propagation_input(state, steps)
@@ -335,46 +503,64 @@ class SlaterFlow:
         return [state.copy()] + [ManyBodyState(g, c, state.time + dt * k)
                                  for c, k in zip(evolved, counts)]
 
-    def evolve(self, c: np.ndarray, times) -> list[np.ndarray]:
-        """exp(-i t H / hbar) c for each t in `times`, all from one
-        Chebyshev recurrence of the series of `_jacobi_anger`.
+    def evolve(self, c: np.ndarray, times) -> np.ndarray:
+        """exp(-i t H / hbar) c for each t in `times`, row s of the
+        result at times[s], from one Chebyshev recurrence per piece of c
+        (`_chebyshev_rows`).
 
-        The real and imaginary parts are the two rows of one real array;
-        each is multiplied by H on its own, which measured faster than
-        one two-column product and gives the same bits.  Every other
-        operation writes into a buffer made before the recurrence: the
-        product H v is the only array a term allocates.
+        The phase e^{-i t centre / hbar} of each piece's series and the
+        piece's factor are applied to its rows in place, and the pieces of
+        a block are summed there before `_merge` writes each time's row of
+        the result.
         """
         times = np.asarray(times, dtype=float)
-        centre, a, J = _jacobi_anger(*self.bounds, times, self.grid.hbar)
-        # rows 0 and 1 of out[s] are the real and imaginary parts at times[s]
-        out = np.zeros((len(times), 2, len(c)))
-        cur, prev = np.stack([c.real, c.imag]), np.empty((2, len(c)))
-        tmp = np.empty(len(c))
-        for k in range(len(J)):
-            if k > 0:
-                # T_k+1 = a (H - centre) T_k - T_k-1 into the buffer of
-                # T_k-1; T_1 is half of that with T_-1 = 0
-                for v, new in zip(cur, prev):
-                    hv = self.H @ v
-                    hv -= np.multiply(v, centre, out=tmp)
-                    hv *= a
-                    if k == 1:
-                        np.multiply(hv, 0.5, out=new)
-                    else:
-                        np.subtract(hv, new, out=new)
-                prev, cur = cur, prev
-            # (-i)^k times w, with w real
-            w = (2.0 - (k == 0)) * (-1) ** (k // 2) * J[k]
-            for out_s, w_s in zip(out, w):
-                if k % 2 == 0:
-                    out_s[0] += np.multiply(cur[0], w_s, out=tmp)
-                    out_s[1] += np.multiply(cur[1], w_s, out=tmp)
-                else:
-                    out_s[0] += np.multiply(cur[1], w_s, out=tmp)
-                    out_s[1] -= np.multiply(cur[0], w_s, out=tmp)
-        phases = np.exp(-1j * times * centre / self.grid.hbar)
-        return [phase * (o[0] + 1j * o[1]) for phase, o in zip(phases, out)]
+        parts: dict = {}
+        for block, factor, u in self._split(c):
+            centre, a, J = _jacobi_anger(*block.bounds, times,
+                                         self.grid.hbar)
+            rows = _chebyshev_rows(block.H, centre, a, J, u)
+            rows *= (factor * np.exp(-1j * times * centre
+                                     / self.grid.hbar))[:, None]
+            if block in parts:
+                parts[block] += rows
+            else:
+                parts[block] = rows
+        out = np.zeros((len(times), len(c)), dtype=complex)
+        for s, row in enumerate(out):
+            self._merge(row, {block: z[s] for block, z in parts.items()})
+        return out
+
+
+def _chebyshev_rows(H, centre: float, a: float, J: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """sum_k (-i)^k (2 - delta_k0) J[k, s] T_k(a (H - centre) / 2) u for
+    each column s of J, the series of `_jacobi_anger` without its phase,
+    as row s of a complex array: H and u are real, so the even terms
+    are summed into its real part and the odd terms into its imaginary
+    part.  u serves as the first buffer of the recurrence and is
+    overwritten.  Every operation of a term writes into a buffer made
+    before the recurrence: the product H v is the only array a term
+    allocates.
+    """
+    rows = np.zeros((J.shape[1], len(u)), dtype=complex)
+    cur, prev, tmp = u, np.empty_like(u), np.empty_like(u)
+    for k in range(len(J)):
+        if k > 0:
+            # T_k+1 = a (H - centre) T_k - T_k-1 into the buffer of
+            # T_k-1; T_1 is half of that with T_-1 = 0
+            hv = H @ cur
+            hv -= np.multiply(cur, centre, out=tmp)
+            hv *= a
+            if k == 1:
+                np.multiply(hv, 0.5, out=prev)
+            else:
+                np.subtract(hv, prev, out=prev)
+            prev, cur = cur, prev
+        w = (2.0 - (k == 0)) * (-1) ** (k // 2) * J[k]
+        part, w = (rows.real, w) if k % 2 == 0 else (rows.imag, -w)
+        for row, w_s in zip(part, w):
+            row += np.multiply(cur, w_s, out=tmp)
+    return rows
 
 
 def _jacobi_anger(lo: float, hi: float, times, hbar: float):
@@ -439,8 +625,9 @@ def _bessel_orders(R: float, top: int) -> list[float]:
 
 
 def _check_hamiltonian_budget(M: int, N: int, modes: int) -> None:
-    """Refuse an H whose stored entries C(M,N) (1 + C(N,2) modes) pass the
-    amplitude budget of `make_grid`; name a power-of-two M that fits."""
+    """Refuse an H whose stored entries C(M,N) (1 + C(N,2) modes), those
+    of both parity blocks, pass the amplitude budget of `make_grid`; name
+    a power-of-two M that fits."""
     def entries(m: int) -> int:
         return comb(m, N) * (1 + comb(N, 2) * min(modes, m - 1))
 

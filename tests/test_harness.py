@@ -105,19 +105,25 @@ def test_aggregate_sweep_flags_a_ratio_that_grows(tmp_path):
 def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
                                                         monkeypatch):
     """Propagation, both energies and d/dt a at the residue snapshot share
-    one H, which is freed before the residue pass starts, and no step of
-    a run exports the M^N grid amplitudes: the antisymmetry record exports
-    (N-1)-particle slabs."""
+    one H, which is freed before the residue pass starts; the Hermite
+    state and the states it evolves to lie in one parity block, so H is
+    built on that block alone.  No step of a run exports the M^N grid
+    amplitudes: the antisymmetry record exports (N-1)-particle slabs."""
     cfg = harness.RunConfig()
-    counts = {"flow": 0, "export": 0, "slab": 0}
+    counts = {"flow": 0, "block": 0, "export": 0, "slab": 0}
     flows, alive_at_residues = [], []
     build, export = mb.SlaterFlow.__init__, mb.ManyBodyState.to_grid
+    build_block = mb.SlaterFlow._build
     residues = harness.rs.snapshot_residues
 
     def counted_build(self, *args):
         counts["flow"] += 1
         flows.append(weakref.ref(self))
         build(self, *args)
+
+    def counted_block(self, block):
+        counts["block"] += 1
+        build_block(self, block)
 
     def counted_export(self):
         counts["export" if self.grid.N == cfg.N else "slab"] += 1
@@ -128,9 +134,11 @@ def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
         return residues(*args)
 
     monkeypatch.setattr(mb.SlaterFlow, "__init__", counted_build)
+    monkeypatch.setattr(mb.SlaterFlow, "_build", counted_block)
     monkeypatch.setattr(mb.ManyBodyState, "to_grid", counted_export)
     monkeypatch.setattr(harness.rs, "snapshot_residues",
                         residues_after_the_flow)
     harness.run_experiment(cfg, tmp_path / "run")
-    assert counts == {"flow": 1, "export": 0, "slab": mb._SLABS}
+    assert counts == {"flow": 1, "block": 1, "export": 0,
+                      "slab": mb._SLABS}
     assert alive_at_residues == [False]

@@ -11,6 +11,7 @@ import pytest
 from scipy import special
 from scipy.linalg import expm
 
+from husimilab import harness
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
 from husimilab import snapshots as io
@@ -280,29 +281,92 @@ def test_strang_step_is_second_order(slater_n2):
             assert 3.6 <= coarse / fine <= 4.4
 
 
-@pytest.mark.parametrize("kind", ["cosine", "gaussian_bump"])
+def _random_antisymmetric(grid, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = (grid.M,) * grid.N
+    return go.antisymmetrized(rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("kind, state", [
+    pytest.param(kind, state, id=kind if state == "random"
+                 else f"{kind}-{state}")
+    for state in ("random", "hermite")
+    for kind in ("cosine", "gaussian_bump")])
 @pytest.mark.parametrize("N, hbar", [(2, 0.5), (3, 1.0 / 3.0)])
-def test_hamiltonian_matches_time_derivative(N, hbar, kind):
+def test_hamiltonian_matches_time_derivative(N, hbar, kind, state):
+    """H c against the grid oracle: a random state takes all four pieces
+    of the split and both parity blocks, a Hermite Slater state one piece
+    and one block."""
     grid = make_grid(M=32, L=12.0, hbar=hbar, N=N)
     V = (Potential.cosine(grid, [0.4, 0.15]) if kind == "cosine"
          else Potential.gaussian_bump(grid, 0.8, 1.5))
-    rng = np.random.default_rng(5)
-    shape = (grid.M,) * N
-    psi = go.antisymmetrized(rng.standard_normal(shape)
-                             + 1j * rng.standard_normal(shape))
+    psi = (_random_antisymmetric(grid, 5) if state == "random" else
+           mb.build_slater(grid, mf.hermite_orbitals(grid, N)).to_grid())
     flow = mb.SlaterFlow(grid, V)
     Hc = flow.apply(go.from_grid(grid, psi).coeffs)
     got = mb.ManyBodyState(grid, Hc).to_grid() / (1j * hbar)
     want = go.time_derivative(grid, psi, V)
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    built = sum(block.H is not None for block in flow.blocks)
+    assert built == (2 if state == "random" else 1)
 
 
-@pytest.mark.parametrize("t", [0.05, 3.0])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_parity_map_is_an_involution_and_matches_the_grid(N):
+    """P maps K to PK and back, sigma_K sigma_PK = 1, and the coefficients
+    of psi(-x) are sigma_K a_PK, on a random antisymmetric state; x -> -x
+    is j -> -j mod M on the lattice indices."""
+    grid = make_grid(M=16, L=6.0, hbar=0.5, N=N)
+    mirror, sigma = mb._parity_map(grid.M, N)
+    assert np.array_equal(mirror[mirror], np.arange(comb(grid.M, N)))
+    assert np.all(sigma * sigma[mirror] == 1)
+    psi = _random_antisymmetric(grid, 9)
+    flip = (-np.arange(grid.M)) % grid.M
+    reflected = psi[np.ix_(*[flip] * N)]
+    a = go.from_grid(grid, psi).coeffs
+    want = sigma * a[mirror]
+    got = go.from_grid(grid, reflected).coeffs
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("kind", ["cosine", "gaussian_bump"])
+@pytest.mark.parametrize("N, M", [(1, 16), (2, 16), (3, 16), (4, 8)])
+def test_block_hamiltonians_are_symmetric_and_bounded(N, M, kind):
+    """Each parity block of H is symmetric, its Gershgorin bounds hold its
+    spectrum, and the two blocks together have the spectrum of H on the
+    whole basis, assembled column by column from `apply`."""
+    grid = make_grid(M=M, L=6.0, hbar=1.0 / N, N=N)
+    V = (Potential.cosine(grid, [0.4, 0.15]) if kind == "cosine"
+         else Potential.gaussian_bump(grid, 0.8, 1.5))
+    flow = mb.SlaterFlow(grid, V)
+    spectra = []
+    for block in flow.blocks:
+        flow._build(block)
+        H = block.H.toarray()
+        assert np.max(np.abs(H - H.T)) <= 1e-15
+        eig = np.linalg.eigvalsh(H)
+        lo, hi = block.bounds
+        assert lo <= eig[0] and eig[-1] <= hi
+        spectra.append(eig)
+    n = comb(M, N)
+    full = np.array([flow.apply(np.eye(n)[r]) for r in range(n)]).T
+    assert np.max(np.abs(full.imag)) == 0.0
+    assert np.allclose(np.sort(np.concatenate(spectra)),
+                       np.linalg.eigvalsh(full.real), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("t, state", [
+    pytest.param(t, state, id=str(t) if state == "random"
+                 else f"{t}-{state}")
+    for state in ("random", "hermite") for t in (0.05, 3.0)])
 @pytest.mark.parametrize("N, M", [(2, 16), (3, 8)])
-def test_propagate_matches_dense_exponential(N, M, t):
+def test_propagate_matches_dense_exponential(N, M, t, state):
     """exp(t G) with G the grid oracle `time_derivative` on the
     antisymmetric sector, assembled column by column on antisymmetrized
-    position deltas."""
+    position deltas; on a random state, which keeps every piece of the
+    flow's split, and on a Hermite Slater state, whose other pieces the
+    flow drops."""
     grid = make_grid(M=M, L=6.0, hbar=0.5, N=N)
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
     columns = []
@@ -315,14 +379,44 @@ def test_propagate_matches_dense_exponential(N, M, t):
         go.time_derivative(grid, b.reshape((M,) * N), V).ravel()
         for b in B.T]).T
     rng = np.random.default_rng(3)
-    psi0 = B @ (rng.standard_normal(B.shape[1])
-                + 1j * rng.standard_normal(B.shape[1]))
+    psi0 = (B @ (rng.standard_normal(B.shape[1])
+                 + 1j * rng.standard_normal(B.shape[1]))
+            if state == "random" else mb.build_slater(
+                grid, mf.hermite_orbitals(grid, N)).to_grid().ravel())
     want = B @ (expm(t * G) @ (B.conj().T @ psi0))
     got = mb.propagate(go.from_grid(grid, psi0.reshape((M,) * N)), V,
                        t / 2, 2)
     assert got.time == pytest.approx(t)
     assert (np.max(np.abs(got.to_grid().ravel() - want))
             < 1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("family, N, M", [("hermite", 2, 64),
+                                           ("hermite", 3, 64),
+                                           ("plane_wave", 3, 32),
+                                           ("random", 3, 32)])
+def test_flow_drops_only_rounding(family, N, M):
+    """The products of a run's N-body stage (trajectory to t = 0.02 and
+    0.04, both energies and d/dt a at the mid state): a random-orbital
+    state drops no piece, a Hermite or plane-wave Slater state drops only
+    pieces at or below the level sqrt(C(M, N)) eps of a unit state and
+    builds one parity block."""
+    grid = make_grid(M=M, L=12.0, hbar=1.0 / N, N=N)
+    V = Potential.cosine(grid, [0.4, 0.15])
+    state = mb.build_slater(grid, harness.build_orbitals(
+        grid, family, np.random.default_rng(0)))
+    flow = mb.SlaterFlow(grid, V)
+    _, mid, end = flow.trajectory(state, 0.002, 20, 10)
+    flow.energy(end)
+    flow.energy(state)
+    flow.time_derivative(mid)
+    built = sum(block.H is not None for block in flow.blocks)
+    if family == "random":
+        assert flow.dropped_norm == 0.0
+        assert built == 2
+    else:
+        assert flow.dropped_norm <= np.sqrt(comb(M, N)) * np.finfo(float).eps
+        assert built == 1
 
 
 @pytest.mark.parametrize("R", [0.0, 1e-3, 0.02, 0.5, 7.0, 26.0, 130.0])

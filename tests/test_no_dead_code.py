@@ -5,8 +5,10 @@ reference is an oracle, and must be listed on `ORACLES`; code nothing
 calls is deleted, not kept.  A bench times code; it does not make the
 code it times part of a run.
 
-A reference is a name, an attribute or an imported name in the syntax
-tree; references inside the definition itself (recursion) do not count.
+A reference is a name that is read, an attribute or an imported name in
+the syntax tree; a public method is referenced only as an attribute, so a
+local variable or argument that shares its name does not keep it.
+References inside the definition itself (recursion) do not count.
 A reference made inside a test-only definition counts as a test
 reference, so a helper that only oracles reach is test-only too.  The
 test-only set is grown to a fixed point.
@@ -58,15 +60,22 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every name, attribute and imported name."""
+    """(name, line, attribute) of every name not assigned to, attribute
+    and imported name; attribute is True for an attribute."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
+
+
+def _refers_to(qualname: str, attribute: bool) -> bool:
+    """Whether a reference by the last part of `qualname` can be one to
+    it: to a method only as an attribute."""
+    return attribute or "." not in qualname
 
 
 def _py_files(*dirs: str) -> list[Path]:
@@ -76,10 +85,10 @@ def _py_files(*dirs: str) -> list[Path]:
 def test_every_definition_is_referenced():
     real = _py_files("src/husimilab", "perfbench")
     tests = _py_files("tests", "benches")
-    sites: dict[str, list[tuple[Path, int]]] = {}
+    sites: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in real + tests:
-        for ref, line in _references(ast.parse(path.read_text())):
-            sites.setdefault(ref, []).append((path, line))
+        for ref, line, attribute in _references(ast.parse(path.read_text())):
+            sites.setdefault(ref, []).append((path, line, attribute))
     defs = [(qualname, path, range(node.lineno, node.end_lineno + 1))
             for path in sorted(PACKAGE.glob("*.py"))
             for qualname, node in _definitions(ast.parse(path.read_text()))]
@@ -90,7 +99,9 @@ def test_every_definition_is_referenced():
         return any(other in files and not (other == path and line in own)
                    and not any(other == p and line in span
                                for p, span in excluded)
-                   for other, line in sites.get(qualname.rsplit(".")[-1], []))
+                   and _refers_to(qualname, attribute)
+                   for other, line, attribute
+                   in sites.get(qualname.rsplit(".")[-1], []))
 
     test_only: dict[str, tuple[Path, range]] = {}
     grown = True
@@ -114,3 +125,20 @@ def test_every_definition_is_referenced():
         problems.append("ORACLES entries that are not test-only definitions: "
                         + ", ".join(stale))
     assert not problems, "\n".join(problems)
+
+
+def test_a_local_named_like_a_method_is_no_reference():
+    """An assignment to a local is no reference; reading that local or an
+    argument of a method's name does not reference the method, while an
+    attribute does, and a read name still references a top-level
+    definition."""
+    tree = ast.parse("def f(energy):\n"
+                     "    density = energy + 1\n"
+                     "    return density, flow.apply(density)\n")
+    refs = [(name, attribute) for name, _, attribute in _references(tree)]
+    assert refs.count(("density", False)) == 2  # the two reads
+    for name in ("density", "energy"):
+        assert not any(_refers_to(f"MeanFieldState.{name}", attribute)
+                       for ref, attribute in refs if ref == name)
+        assert _refers_to(name, False)
+    assert ("apply", True) in refs and _refers_to("SlaterFlow.apply", True)
