@@ -1,19 +1,22 @@
 """Timings of the N-body kernels a `husimilab simulate` run calls:
 `build_slater`, `gamma1`, `SlaterFlow.energy`, the flow's one Chebyshev
 recurrence (`SlaterFlow.evolve` to the run's two stored times, t = 0.1
-and 0.2) and the build of the Hamiltonian on the parity block of the
-state (`SlaterFlow` and its split of the state, which builds that block),
-at (N, M) = (3, 64) and (4, 32); the residue pass's w2-transform of the
-y-diagonal of gamma2 (`residues._gamma2_partial_hat`, over the blocks of
+and 0.2) and the build of the Hamiltonian on the parity blocks of the
+state (`SlaterFlow` and its first product with the state, which builds
+them), at (N, M) = (3, 64) and (4, 32), the last two also for a
+random-orbital state at (3, 64), which keeps both blocks; the residue
+pass's w2-transform of the y-diagonal of gamma2
+(`residues._gamma2_partial_hat`, over the blocks of
 `manybody.gamma2_diag_blocks`) at (2, 64), (3, 64), (4, 32) and
 (2, 256); `antisymmetry_defect` at (3, 64) and (4, 32); and the Chebyshev
 coefficients `_jacobi_anger` of an HF half kick and of the flow.
-Hermite orbitals, default cosine V, L = 12, coupled line hbar = 1/N; the
-reduced density matrices and the energy are taken on the state
-propagated to t = 0.1, the run's residue snapshot, and `evolve` starts
-from the initial state.  The energy and `evolve` are timed on a flow
-whose block is built beforehand, as a run's N-body stage takes them from
-the flow of its propagation.
+Hermite orbitals but for the random-orbital cases (seed 0), default
+cosine V, L = 12, coupled line hbar = 1/N; the reduced density matrices
+and the energy are taken on the state propagated to t = 0.1, the run's
+residue snapshot, and `evolve` starts from the initial state.  The
+energy and `evolve` are timed on a flow whose blocks are built
+beforehand, as a run's N-body stage takes them from the flow of its
+propagation.
 
     PYTHONPATH=src python -m pytest benches --benchmark-json=BENCH.json
 """
@@ -88,28 +91,41 @@ def test_total_energy(benchmark, N, M):
     assert out > 0
 
 
-def _initial(N, M):
-    cfg, grid, potential, orbitals = _point(N, M)
+def _initial(N, M, family="hermite"):
+    cfg, grid, potential, _ = _point(N, M)
+    orbitals = harness.build_orbitals(grid, family, np.random.default_rng(0))
     return cfg, potential, mb.build_slater(grid, orbitals)
 
 
-@pytest.mark.parametrize("N, M", POINTS)
-def test_slater_flow(benchmark, N, M):
-    _, potential, state = _initial(N, M)
+def _built_bounds(flow):
+    """The Gershgorin bounds of each parity block the flow has built."""
+    return [block.bounds for block in flow.blocks if block.H is not None]
+
+
+# a random-orbital state keeps every piece of the split: both blocks
+FLOW_CASES = [("hermite", 3, 64), ("hermite", 4, 32), ("random", 3, 64)]
+
+
+@pytest.mark.parametrize("family, N, M", FLOW_CASES)
+def test_slater_flow(benchmark, family, N, M):
+    _, potential, state = _initial(N, M, family)
 
     def build():
-        return mb.SlaterFlow(state.grid, potential)._split(state.coeffs)
+        flow = mb.SlaterFlow(state.grid, potential)
+        flow.apply(state.coeffs)  # builds the blocks of the state
+        return flow
 
-    out = benchmark.pedantic(build, rounds=10, warmup_rounds=1)
-    ((block, _, _),) = out
-    assert block.bounds[0] < block.bounds[1]
+    flow = benchmark.pedantic(build, rounds=10, warmup_rounds=1)
+    bounds = _built_bounds(flow)
+    assert len(bounds) == (2 if family == "random" else 1)
+    assert all(lo < hi for lo, hi in bounds)
 
 
-@pytest.mark.parametrize("N, M", POINTS)
-def test_evolve(benchmark, N, M):
-    cfg, potential, state = _initial(N, M)
+@pytest.mark.parametrize("family, N, M", FLOW_CASES)
+def test_evolve(benchmark, family, N, M):
+    cfg, potential, state = _initial(N, M, family)
     flow = mb.SlaterFlow(state.grid, potential)
-    flow.apply(state.coeffs)  # builds the state's block
+    flow.apply(state.coeffs)  # builds the blocks of the state
     out = benchmark.pedantic(flow.evolve, args=(
         state.coeffs, [0.5 * cfg.horizon, cfg.horizon]), rounds=10,
         warmup_rounds=1)
@@ -134,10 +150,10 @@ def _flow_times(N, M):
     (N, M): the bounds of the parity block of the Hermite state and the
     two stored times, the residue snapshot and the horizon."""
     cfg, potential, state = _initial(N, M)
-    ((block, _, _),) = mb.SlaterFlow(state.grid, potential)._split(
-        state.coeffs)
-    return (*block.bounds, [0.5 * cfg.horizon, cfg.horizon],
-            state.grid.hbar)
+    flow = mb.SlaterFlow(state.grid, potential)
+    flow.apply(state.coeffs)
+    (bounds,) = _built_bounds(flow)
+    return (*bounds, [0.5 * cfg.horizon, cfg.horizon], state.grid.hbar)
 
 
 @pytest.mark.parametrize("kick", ["hf-2-64", "flow-3-64"])

@@ -230,10 +230,7 @@ def _antisymmetric_extension(grid: GridSpec, coeffs: np.ndarray,
     negated = -coeffs
     for head in permutations(range(N), free):
         # row-major offset of (k_i1, ..., k_ifree, rank R)
-        flat = np.zeros(K.shape[1], dtype=np.int64)
-        for i in head:
-            flat *= M
-            flat += K[i]
+        flat = _flat_offsets(K[list(head)], M)
         flat *= rest
         tail = [i for i in range(N) if i not in head]
         for j, i in enumerate(tail):
@@ -263,6 +260,30 @@ def _parity_map(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     mirror = sum(binom[PK[i], i + 1] for i in range(N))
     n = N - zero
     return mirror, np.where((n * (n - 1) // 2) % 2, -1.0, 1.0)
+
+
+def _signed_ranks(M: int, N: int) -> np.ndarray:
+    """table[flat offset of an ordered tuple] = sign of its sorting
+    permutation times (rank of the sorted tuple + 1); 0 for a tuple with a
+    repeated momentum, a Pauli-blocked move.  M^N int32 entries, a quarter
+    of the grid export, made once for the blocks a product builds and
+    freed after them."""
+    K = _sorted_tuples(M, N)
+    table = np.zeros(M ** N, dtype=np.int32)
+    ranks = np.arange(1, K.shape[1] + 1, dtype=np.int32)
+    for perm in permutations(range(N)):
+        table[_flat_offsets(K[list(perm)], M)] = _perm_sign(perm) * ranks
+    return table
+
+
+def _flat_offsets(K: np.ndarray, M: int) -> np.ndarray:
+    """Row-major offset of each column of K in an (M,)*N array, by
+    Horner's rule (an integer matmul measured 3 to 4 times slower)."""
+    flat = K[0].astype(np.int64)
+    for k in K[1:]:
+        flat *= M
+        flat += k
+    return flat
 
 
 _HALF_ROOT = np.sqrt(0.5)
@@ -304,12 +325,16 @@ class SlaterFlow:
     plane-wave Slater state is real up to its phase and of one parity, so
     it keeps one piece, and the states it evolves to keep two (their real
     and imaginary parts) in the same block; a random-orbital state keeps
-    all four, and its products cost what two full-basis products do.
+    all four, so each of its products reads every stored entry of both
+    blocks twice, as many as the two full-basis products of its real and
+    imaginary parts.
 
     A block's H is built on first use and kept in the block
     (`_build`): a real CSR matrix with a fixed row width, one slot per
-    (pair, mode), on the block's rows only.  So a run that evolves a
-    Hermite state builds one block, and the full-basis H never exists.
+    (pair, mode), on the block's rows only.  The blocks that one product
+    needs are built from one table of `_signed_ranks`.  So a run that
+    evolves a Hermite state builds one block, and the full-basis H never
+    exists.
     A run builds one flow in its N-body stage, which takes every product
     with H the run needs (the trajectory, both energies and d/dt a at the
     residue snapshot) and then drops it, so H is freed before the residue
@@ -339,8 +364,9 @@ class SlaterFlow:
                        for s in (1, -1)]
         self.dropped_norm = 0.0
 
-    def _build(self, block: _ParityBlock) -> None:
-        """Set block.H and block.bounds (see the class docstring).
+    def _build(self, block: _ParityBlock, signed_ranks) -> None:
+        """Set block.H and block.bounds (see the class docstring);
+        signed_ranks() returns the table of `_signed_ranks`.
 
         Row j of the block is read off row K of the full-basis H, K the
         tuple of coordinate j: H f lies in the block for each block
@@ -372,18 +398,10 @@ class SlaterFlow:
             w[self._rep] = rep
             w[self._img] = rep * sign
             w[block.fixed] = fixed
-        # table[flat offset of an ordered tuple] = sign of its sorting
-        # permutation times (rank of the sorted tuple + 1); 0 for a tuple
-        # with a repeated momentum, a Pauli-blocked move.  M^N int32
-        # entries, a quarter of the grid export, freed after the build.
+        table = signed_ranks()
         place = M ** np.arange(N - 1, -1, -1)
-        table = np.zeros(M ** N, dtype=np.int32)
-        ranks = np.arange(1, K.shape[1] + 1, dtype=np.int32)
-        for perm in permutations(range(N)):
-            table[place @ K[list(perm)]] = _perm_sign(perm) * ranks
-        del ranks
         K = K[:, np.concatenate([self._rep, block.fixed])]
-        flat = place @ K
+        flat = _flat_offsets(K, M)
         width = 1 + len(pairs) * len(self._modes)
         data = np.empty((n, width))
         cols = np.empty((n, width), dtype=np.int32)
@@ -416,12 +434,20 @@ class SlaterFlow:
         """[(block, factor, u)] over the pieces of c that are kept (see
         the class docstring): u is real, in the coordinates of block, and
         factor is e^{i theta} or i e^{i theta}, so that `_merge` of the
-        factor * u of every piece gives c back.  Each block of a piece is
-        built here, after the temporaries of `_pieces` are freed."""
+        factor * u of every piece gives c back.  The blocks of the pieces
+        that are not built yet are built here, after the temporaries of
+        `_pieces` are freed, from one table of `_signed_ranks`."""
         pieces = self._pieces(c)
-        for block, _, _ in pieces:
-            if block.H is None:
-                self._build(block)
+        unbuilt = [block for block in self.blocks if block.H is None
+                   and any(block is b for b, _, _ in pieces)]
+        if unbuilt:
+            # the first build makes the table, after its target maps: a
+            # table made before them raised the peak RSS of the N = 3
+            # benchmark run by 2 MB
+            table = lru_cache(maxsize=None)(
+                lambda: _signed_ranks(self.grid.M, self.grid.N))
+            for block in unbuilt:
+                self._build(block, table)
         return pieces
 
     def _pieces(self, c: np.ndarray) -> list:

@@ -121,9 +121,9 @@ def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
         flows.append(weakref.ref(self))
         build(self, *args)
 
-    def counted_block(self, block):
+    def counted_block(self, *args):
         counts["block"] += 1
-        build_block(self, block)
+        build_block(self, *args)
 
     def counted_export(self):
         counts["export" if self.grid.N == cfg.N else "slab"] += 1

@@ -340,9 +340,10 @@ def test_block_hamiltonians_are_symmetric_and_bounded(N, M, kind):
     V = (Potential.cosine(grid, [0.4, 0.15]) if kind == "cosine"
          else Potential.gaussian_bump(grid, 0.8, 1.5))
     flow = mb.SlaterFlow(grid, V)
+    table = mb._signed_ranks(M, N)
     spectra = []
     for block in flow.blocks:
-        flow._build(block)
+        flow._build(block, lambda: table)
         H = block.H.toarray()
         assert np.max(np.abs(H - H.T)) <= 1e-15
         eig = np.linalg.eigvalsh(H)
@@ -395,12 +396,18 @@ def test_propagate_matches_dense_exponential(N, M, t, state):
                                            ("hermite", 3, 64),
                                            ("plane_wave", 3, 32),
                                            ("random", 3, 32)])
-def test_flow_drops_only_rounding(family, N, M):
+def test_flow_drops_only_rounding(family, N, M, monkeypatch):
     """The products of a run's N-body stage (trajectory to t = 0.02 and
     0.04, both energies and d/dt a at the mid state): a random-orbital
     state drops no piece, a Hermite or plane-wave Slater state drops only
     pieces at or below the level sqrt(C(M, N)) eps of a unit state and
-    builds one parity block."""
+    builds one parity block.  Either way the table of signed ranks is
+    made once."""
+    tables = []
+    signed_ranks = mb._signed_ranks
+    monkeypatch.setattr(mb, "_signed_ranks",
+                        lambda *args: tables.append(args)
+                        or signed_ranks(*args))
     grid = make_grid(M=M, L=12.0, hbar=1.0 / N, N=N)
     V = Potential.cosine(grid, [0.4, 0.15])
     state = mb.build_slater(grid, harness.build_orbitals(
@@ -417,6 +424,7 @@ def test_flow_drops_only_rounding(family, N, M):
     else:
         assert flow.dropped_norm <= np.sqrt(comb(M, N)) * np.finfo(float).eps
         assert built == 1
+    assert tables == [(M, N)]
 
 
 @pytest.mark.parametrize("R", [0.0, 1e-3, 0.02, 0.5, 7.0, 26.0, 130.0])
