@@ -9,11 +9,17 @@ over modes or basis states in Python.  The module provides second
 quantization of one-body operators, Bogoliubov pairs built from an
 orthonormal orbital family, and the exact contractions used to test the
 operator inequalities and the two-particle factorization bound.
+
+`operator_inequality_suite`, behind `husimilab fock-check`, makes one
+pass per random instance over plain arrays: one draw for O and Psi, the
+three quadratic forms of O from one shared O (a Psi) product
+(`quadratic_images`), the number-operator norms as dot products of
+|Psi|^2 with fixed weights, and the norms of all instances' O from one
+stacked SVD (`one_body_norms`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,40 +53,10 @@ def _particle_numbers(modes: int) -> np.ndarray:
     return _popcount(np.arange(1 << modes, dtype=np.int64))
 
 
-@dataclass
-class FockState:
-    """Amplitude vector over occupation bitmasks; immutable by convention."""
-
-    modes: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        _check_modes(self.modes)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.modes,):
-            raise FockError("amplitude vector has wrong length")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "FockState":
-        n = self.norm()
-        if n == 0:
-            raise FockError("cannot normalize the zero vector")
-        return FockState(self.modes, self.amplitudes / n)
-
-
-def vacuum(modes: int) -> FockState:
+def vacuum(modes: int) -> np.ndarray:
     amps = np.zeros(1 << modes, dtype=complex)
     amps[0] = 1.0
-    return FockState(modes, amps)
-
-
-def number_shifted(state: FockState, shift: float = 1.0,
-                   power: float = 1.0) -> FockState:
-    """Apply (N + shift)^power, diagonal in the occupation basis."""
-    pc = _particle_numbers(state.modes)
-    return FockState(state.modes, (pc + shift) ** power * state.amplitudes)
+    return amps
 
 
 @lru_cache(maxsize=None)
@@ -136,49 +112,52 @@ def _mode_sum(kind: str, coeffs: np.ndarray) -> sparse.csr_matrix:
                              shape=(1 << modes, 1 << modes))
 
 
-def _mode_pair_sum(O: np.ndarray, state: FockState, inner: str,
-                   outer: str) -> FockState:
-    """sum_ij O_ij inner_i outer_j applied to state, for mode operators of
-    kind `inner` and `outer` ("a" or "c")."""
+def quadratic_images(O: np.ndarray, psi: np.ndarray):
+    """The three quadratic forms of the one-body matrix O applied to the
+    amplitude vector psi,
+
+        dGamma(O) psi = sum_ij O_ij a*_i a_j psi,
+        sum_ij O_ij a_i a_j psi   and   sum_ij O_ij a*_i a*_j psi,
+
+    from five products with the stacked mode operators (`_stacked`): row i
+    of O (a psi) is sum_j O_ij a_j psi, which folded with a* gives
+    dGamma(O) psi and folded with a the annihilation pair; O (a* psi)
+    folded with a* gives the creation pair.
+    """
     O = np.asarray(O, dtype=complex)
-    modes = state.modes
-    if O.shape != (modes, modes):
-        raise FockError("one-body matrix does not match the mode count")
+    modes = O.shape[0]
+    if O.shape != (modes, modes) or psi.shape != (1 << modes,):
+        raise FockError("one-body matrix and amplitude vector do not match "
+                        "one mode count")
     rows, cols = _stacked(modes)
-    moved = (rows[outer] @ state.amplitudes).reshape(modes, -1)
-    return FockState(modes, cols[inner] @ (O @ moved).ravel())
-
-
-def dgamma(O: np.ndarray, state: FockState) -> FockState:
-    """Second quantization dGamma(O) = sum_ij O_ij a*_i a_j applied to state."""
-    return _mode_pair_sum(O, state, "c", "a")
-
-
-def pair_annihilation(O: np.ndarray, state: FockState) -> FockState:
-    """sum_ij O_ij a_i a_j applied to state."""
-    return _mode_pair_sum(O, state, "a", "a")
-
-
-def pair_creation(O: np.ndarray, state: FockState) -> FockState:
-    """sum_ij O_ij a*_i a*_j applied to state."""
-    return _mode_pair_sum(O, state, "c", "c")
+    lowered = (O @ (rows["a"] @ psi).reshape(modes, -1)).ravel()
+    raised = (O @ (rows["c"] @ psi).reshape(modes, -1)).ravel()
+    return cols["c"] @ lowered, cols["a"] @ lowered, cols["c"] @ raised
 
 
 # ---------------------------------------------------------------------------
-# one-body operators and the inequality suite
+# one-body norms and the inequality suite
 # ---------------------------------------------------------------------------
 
-class OneBodyOperator:
-    """One-body matrix with its three cached norms (op <= HS <= trace)."""
+def one_body_norms(O: np.ndarray):
+    """(operator, Hilbert-Schmidt, trace) norms of each matrix of a stack
+    (..., m, m), from one stacked SVD; op <= HS <= trace."""
+    sv = np.linalg.svd(O, compute_uv=False)
+    return sv[..., 0], np.sqrt(np.sum(sv ** 2, axis=-1)), np.sum(sv, axis=-1)
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise FockError("one-body operator must be a square matrix")
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        self.operator_norm = float(sv[0]) if sv.size else 0.0
-        self.hs_norm = float(np.sqrt(np.sum(sv ** 2)))
-        self.trace_norm = float(np.sum(sv))
+
+@lru_cache(maxsize=None)
+def _number_weights(modes: int) -> np.ndarray:
+    """Rows n^2, n and n + 1 over the bitmasks, n the particle number: the
+    dot products of |psi|^2 with them are ||N psi||^2, ||N^(1/2) psi||^2
+    and ||(N + 1)^(1/2) psi||^2."""
+    n = _particle_numbers(modes).astype(float)
+    return np.stack([n * n, n, n + 1.0])
+
+
+# instances whose one-body matrices share one stacked SVD; bounds the
+# memory of the suite at any instance count
+_SUITE_BATCH = 256
 
 
 def operator_inequality_suite(modes: int, n_instances: int,
@@ -195,37 +174,47 @@ def operator_inequality_suite(modes: int, n_instances: int,
         ||dG(O) Psi||      <= 2 ||O||_Tr
         ||sum O a a Psi||  <= 2 ||O||_Tr
         ||sum O a* a* Psi||<= 2 ||O||_Tr        (Psi normalized).
+
+    One pass per instance over plain arrays: one draw gives Re O, Im O,
+    Re Psi and Im Psi in that order, `quadratic_images` the three left
+    sides, and the number-operator norms are dot products of |Psi|^2
+    with `_number_weights`.  The norms of O come from one stacked SVD per
+    batch of instances.  An instance whose right side is 0 must have a
+    left side below 1e-14 and is not counted.
     """
-    dim = 1 << modes
-    ratios = {name: 0.0 for name in
-              ["dgamma_op", "dgamma_hs", "pair_ann_hs", "pair_cre_hs",
-               "dgamma_tr", "pair_ann_tr", "pair_cre_tr"]}
-    for _ in range(n_instances):
-        O = OneBodyOperator(rng.standard_normal((modes, modes))
-                            + 1j * rng.standard_normal((modes, modes)))
-        psi = FockState(modes, rng.standard_normal(dim)
-                        + 1j * rng.standard_normal(dim)).normalized()
-        dg = dgamma(O.matrix, psi).norm()
-        pa = pair_annihilation(O.matrix, psi).norm()
-        pc = pair_creation(O.matrix, psi).norm()
-        n_psi = number_shifted(psi, shift=0.0).norm()
-        sqrt_n_psi = number_shifted(psi, shift=0.0, power=0.5).norm()
-        sqrt_n1_psi = number_shifted(psi, shift=1.0, power=0.5).norm()
-
-        def upd(name, lhs, rhs):
-            if rhs == 0:
-                assert lhs < 1e-14
-                return
-            ratios[name] = max(ratios[name], lhs / rhs)
-
-        upd("dgamma_op", dg, O.operator_norm * n_psi)
-        upd("dgamma_hs", dg, O.hs_norm * sqrt_n_psi)
-        upd("pair_ann_hs", pa, O.hs_norm * sqrt_n_psi)
-        upd("pair_cre_hs", pc, 2.0 * O.hs_norm * sqrt_n1_psi)
-        upd("dgamma_tr", dg, 2.0 * O.trace_norm)
-        upd("pair_ann_tr", pa, 2.0 * O.trace_norm)
-        upd("pair_cre_tr", pc, 2.0 * O.trace_norm)
-    return {"instances": n_instances, "max_lhs_over_rhs": ratios}
+    _check_modes(modes)
+    dim, size = 1 << modes, modes * modes
+    weights = _number_weights(modes)
+    worst = np.zeros(7)
+    for start in range(0, n_instances, _SUITE_BATCH):
+        count = min(_SUITE_BATCH, n_instances - start)
+        Os = np.empty((count, modes, modes), dtype=complex)
+        # squares of ||dG(O) Psi||, ||sum O a a Psi||, ||sum O a* a* Psi||
+        # and of ||N Psi||, ||N^1/2 Psi||, ||(N+1)^1/2 Psi||
+        lhs, number = np.empty((count, 3)), np.empty((count, 3))
+        for k in range(count):
+            z = rng.standard_normal(2 * size + 2 * dim)
+            Os[k].real = z[:size].reshape(modes, modes)
+            Os[k].imag = z[size:2 * size].reshape(modes, modes)
+            psi = z[2 * size:2 * size + dim] + 1j * z[2 * size + dim:]
+            psi /= np.linalg.norm(psi)
+            lhs[k] = [np.vdot(v, v).real for v in quadratic_images(Os[k], psi)]
+            number[k] = weights @ (psi.real ** 2 + psi.imag ** 2)
+        lhs, number = np.sqrt(lhs), np.sqrt(number)
+        op, hs, tr = one_body_norms(Os)
+        left = lhs[:, [0, 0, 1, 2, 0, 1, 2]]
+        right = np.column_stack([op * number[:, 0], hs * number[:, 1],
+                                 hs * number[:, 1], 2.0 * hs * number[:, 2],
+                                 2.0 * tr, 2.0 * tr, 2.0 * tr])
+        zero = right == 0
+        assert np.all(left[zero] < 1e-14)
+        ratio = np.divide(left, right, out=np.zeros_like(left),
+                          where=~zero)
+        worst = np.maximum(worst, ratio.max(axis=0))
+    names = ["dgamma_op", "dgamma_hs", "pair_ann_hs", "pair_cre_hs",
+             "dgamma_tr", "pair_ann_tr", "pair_cre_tr"]
+    return {"instances": n_instances,
+            "max_lhs_over_rhs": dict(zip(names, worst.tolist()))}
 
 
 # ---------------------------------------------------------------------------
@@ -327,40 +316,41 @@ def bogoliubov_unitary(bmap: BogoliubovMap) -> np.ndarray:
     return (gamma[:, target] * sign) @ gamma.conj().T
 
 
-def slater_state(bmap: BogoliubovMap) -> FockState:
+def slater_state(bmap: BogoliubovMap) -> np.ndarray:
     """R_V applied to the vacuum: the Slater state of the orbital family."""
-    amps = vacuum(bmap.modes).amplitudes
+    amps = vacuum(bmap.modes)
     for j in range(bmap.n_particles):
         amps = _mode_sum("c", bmap.orbitals[:, j]) @ amps
-    return FockState(bmap.modes, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
-def apply_bogoliubov(bmap: BogoliubovMap, xi: FockState) -> FockState:
+def apply_bogoliubov(bmap: BogoliubovMap, xi: np.ndarray) -> np.ndarray:
     """R_V xi through the dense unitary."""
     R = bogoliubov_unitary(bmap)
-    return FockState(bmap.modes, R @ xi.amplitudes)
+    return R @ xi
 
 
 # ---------------------------------------------------------------------------
 # reduced density matrices and the factorization gap
 # ---------------------------------------------------------------------------
 
-def gamma1_fock(state: FockState) -> np.ndarray:
+def gamma1_fock(psi: np.ndarray) -> np.ndarray:
     """gamma(x; z) = <Psi, a*_z a_x Psi> as a modes x modes matrix."""
-    rows, _ = _stacked(state.modes)
-    lowered = (rows["a"] @ state.amplitudes).reshape(state.modes, -1)
+    modes = psi.size.bit_length() - 1
+    rows, _ = _stacked(modes)
+    lowered = (rows["a"] @ psi).reshape(modes, -1)
     return lowered @ lowered.conj().T  # [x, z] = <a_z psi, a_x psi>
 
 
-def gamma2_fock(state: FockState) -> np.ndarray:
+def gamma2_fock(psi: np.ndarray) -> np.ndarray:
     """Full two-particle reduced density tensor G[z1,z2,x1,x2].
 
     G = <Psi, a*_{x1} a*_{x2} a_{z2} a_{z1} Psi>; memory 2^modes * modes^2,
     fine for the mode counts this module allows.
     """
-    m = state.modes
+    m = psi.size.bit_length() - 1
     rows, _ = _stacked(m)
-    first = (rows["a"] @ state.amplitudes).reshape(m, -1)  # [z1, S]
+    first = (rows["a"] @ psi).reshape(m, -1)  # [z1, S]
     second = (rows["a"] @ first.T).reshape(m, -1, m)  # [z2, S, z1]
     flat = second.transpose(2, 0, 1).reshape(m * m, -1)  # [(z1, z2), S]
     # [(z1,z2),(x1,x2)] = <a_{x2} a_{x1} Psi, a_{z2} a_{z1} Psi>
@@ -368,32 +358,34 @@ def gamma2_fock(state: FockState) -> np.ndarray:
     return overlaps.reshape(m, m, m, m)
 
 
-def wick_gap_bound_check(O1: OneBodyOperator, O2: OneBodyOperator,
-                         xi: FockState, bmap: BogoliubovMap):
+def wick_gap_bound_check(O1: np.ndarray, O2: np.ndarray, xi: np.ndarray,
+                         bmap: BogoliubovMap):
     """Exact two-particle factorization gap against its operator bound.
 
-    For Psi = R_V xi computes lhs = |Tr (O1 x O2)(gamma2 - omega x omega)|
-    and rhs = N ||O1||_HS ||O2|| ||(N+1) xi||; returns both.
+    For one-body matrices O1, O2 and Psi = R_V xi computes
+    lhs = |Tr (O1 x O2)(gamma2 - omega x omega)| and
+    rhs = N ||O1||_HS ||O2|| ||(N+1) xi||; returns both.
     """
-    if abs(xi.norm() - 1.0) > 1e-10:
+    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise FockError("xi must be normalized")
     psi = apply_bogoliubov(bmap, xi)
     G = gamma2_fock(psi)
     omega = bmap.omega()
     factorized = np.einsum("ac,bd->abcd", omega, omega)
-    lhs = abs(np.einsum("ca,db,abcd->", O1.matrix, O2.matrix, G - factorized))
-    rhs = (bmap.n_particles * O1.hs_norm * O2.operator_norm
-           * number_shifted(xi, shift=1.0).norm())
+    lhs = abs(np.einsum("ca,db,abcd->", O1, O2, G - factorized))
+    op, hs, _ = one_body_norms(np.stack([O1, O2]))
+    shifted = (_particle_numbers(bmap.modes) + 1.0) * xi
+    rhs = bmap.n_particles * hs[0] * op[1] * np.linalg.norm(shifted)
     return float(lhs), float(rhs)
 
 
-def mixed_norm_fock(state: FockState, omega: np.ndarray) -> float:
+def mixed_norm_fock(psi: np.ndarray, omega: np.ndarray) -> float:
     """Mixed norm of the two-particle factorization defect, exact modes path.
 
     Computes ( sum_{u1,w1} [ sum_y |gamma2(u1,y; w1,y)
               - omega(u1;w1) omega(y;y)| ]^2 )^(1/2) on unit mode weights.
     """
-    G = gamma2_fock(state)
+    G = gamma2_fock(psi)
     # gamma2(u1, y; w1, y): kernel indices G[z1,z2,x1,x2] with row pair
     # (z1,z2) and column pair (x1,x2); here row=(u1,y), col=(w1,y)
     diag = np.einsum("uywy->uwy", G)

@@ -113,15 +113,14 @@ def _nbody_stage(state0: mb.ManyBodyState, potential: Potential, dt: float,
     |E(end) - E(0)| and adot = H a / (i hbar) at mid.  The flow, and so
     H, lives only inside this call.
 
-    Returns mid, end, adot at mid, the energy drift and the largest norm
-    of a piece that the flow dropped (`SlaterFlow.dropped_norm`).
+    Returns mid, end, adot at mid and the energy drift.
     """
     flow = mb.SlaterFlow(state0.grid, potential)
     half = steps // 2
     later = flow.trajectory(state0, dt, steps, max(half, 1))[1:]
     mid, end = (later[0] if half else state0), later[-1]
     drift = abs(flow.energy(end) - flow.energy(state0))
-    return mid, end, flow.time_derivative(mid), drift, flow.dropped_norm
+    return mid, end, flow.time_derivative(mid), drift
 
 
 def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
@@ -135,10 +134,9 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float) -> Path:
 
     # ---- N-body propagation and conservation ------------------------------
     steps = max(1, int(round(cfg.horizon / cfg.dt)))
-    mid, end, adot_mid, energy_drift, dropped = _nbody_stage(
+    mid, end, adot_mid, energy_drift = _nbody_stage(
         state0, potential, cfg.dt, steps)
     _record(rows, "norm_drift", abs(end.norm() - 1.0), 1e-10, cfg, end.time)
-    _record(rows, "flow_dropped_norm", dropped, 1e-10, cfg, end.time)
     _record(rows, "antisymmetry_defect", mb.antisymmetry_defect(end), 1e-10,
             cfg, end.time)
     _record(rows, "energy_drift", energy_drift, 1e-8, cfg, end.time)

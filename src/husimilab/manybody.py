@@ -321,20 +321,20 @@ class SlaterFlow:
     each into the coordinates of the two blocks, up to four real pieces
     of about C(M, N) / 2 entries.  A piece whose norm is at or below
     sqrt(C(M, N)) eps ||c||, the rounding of the coefficients, is
-    dropped; `dropped_norm` keeps the largest norm dropped.  A Hermite or
-    plane-wave Slater state is real up to its phase and of one parity, so
-    it keeps one piece, and the states it evolves to keep two (their real
-    and imaginary parts) in the same block; a random-orbital state keeps
-    all four, so each of its products reads every stored entry of both
-    blocks twice, as many as the two full-basis products of its real and
-    imaginary parts.
+    dropped.  A Hermite or plane-wave Slater state is real up to its
+    phase and of one parity, so it keeps one piece, and the states it
+    evolves to keep two (their real and imaginary parts) in the same
+    block; a random-orbital state keeps all four, so each of its products
+    reads every stored entry of both blocks twice, as many as the two
+    full-basis products of its real and imaginary parts.
 
     A block's H is built on first use and kept in the block
     (`_build`): a real CSR matrix with a fixed row width, one slot per
     (pair, mode), on the block's rows only.  The blocks that one product
-    needs are built from one table of `_signed_ranks`.  So a run that
-    evolves a Hermite state builds one block, and the full-basis H never
-    exists.
+    needs are built from one table of `_signed_ranks`, once the budget
+    admits them with the blocks already built.  So a run that evolves a
+    Hermite state builds, and is charged for, one block, and the
+    full-basis H never exists.
     A run builds one flow in its N-body stage, which takes every product
     with H the run needs (the trajectory, both energies and d/dt a at the
     residue snapshot) and then drops it, so H is freed before the residue
@@ -351,7 +351,6 @@ class SlaterFlow:
         N, M = grid.N, grid.M
         vhat = potential.centered_spectrum.real / M
         modes = [m for m in range(1, M) if abs(vhat[m]) > 1e-15]
-        _check_hamiltonian_budget(M, N, len(modes))
         self.grid, self._vhat, self._modes = grid, vhat, modes
         mirror, sigma = _parity_map(M, N)
         ranks = np.arange(len(mirror))
@@ -362,7 +361,6 @@ class SlaterFlow:
         fixed = np.flatnonzero(ranks == mirror)
         self.blocks = [_ParityBlock(s, fixed[sigma[fixed] == s])
                        for s in (1, -1)]
-        self.dropped_norm = 0.0
 
     def _build(self, block: _ParityBlock, signed_ranks) -> None:
         """Set block.H and block.bounds (see the class docstring);
@@ -436,11 +434,18 @@ class SlaterFlow:
         factor is e^{i theta} or i e^{i theta}, so that `_merge` of the
         factor * u of every piece gives c back.  The blocks of the pieces
         that are not built yet are built here, after the temporaries of
-        `_pieces` are freed, from one table of `_signed_ranks`."""
+        `_pieces` are freed, from one table of `_signed_ranks`, once the
+        entries of the blocks built and to be built pass the budget
+        (`_check_hamiltonian_budget`)."""
         pieces = self._pieces(c)
         unbuilt = [block for block in self.blocks if block.H is None
                    and any(block is b for b, _, _ in pieces)]
         if unbuilt:
+            g = self.grid
+            rows = sum(len(self._rep) + len(block.fixed)
+                       for block in self.blocks
+                       if block.H is not None or block in unbuilt)
+            _check_hamiltonian_budget(rows, g.M, g.N, len(self._modes))
             # the first build makes the table, after its target maps: a
             # table made before them raised the peak RSS of the N = 3
             # benchmark run by 2 MB
@@ -470,13 +475,9 @@ class SlaterFlow:
         squares = [float(np.sum(part * part)) for _, _, part in candidates]
         # ||c||^2 is the sum of the squared norms of the pieces
         level = np.sqrt(len(c) * fsum(squares)) * np.finfo(float).eps
-        pieces = []
-        for (block, factor, part), square in zip(candidates, squares):
-            if np.sqrt(square) > level:
-                pieces.append((block, factor, np.ascontiguousarray(part)))
-            else:
-                self.dropped_norm = max(self.dropped_norm, np.sqrt(square))
-        return pieces
+        return [(block, factor, np.ascontiguousarray(part))
+                for (block, factor, part), square in zip(candidates, squares)
+                if np.sqrt(square) > level]
 
     def _merge(self, out: np.ndarray, parts: dict) -> None:
         """Write into out, zero on entry, the vector whose coordinates in
@@ -650,22 +651,24 @@ def _bessel_orders(R: float, top: int) -> list[float]:
     return [x / norm for x in J]
 
 
-def _check_hamiltonian_budget(M: int, N: int, modes: int) -> None:
-    """Refuse an H whose stored entries C(M,N) (1 + C(N,2) modes), those
-    of both parity blocks, pass the amplitude budget of `make_grid`; name
-    a power-of-two M that fits."""
-    def entries(m: int) -> int:
-        return comb(m, N) * (1 + comb(N, 2) * min(modes, m - 1))
+def _check_hamiltonian_budget(rows: int, M: int, N: int,
+                              modes: int) -> None:
+    """Refuse parity blocks of H with `rows` rows in all, whose stored
+    entries rows (1 + C(N,2) modes) pass the amplitude budget of
+    `make_grid`; name a power-of-two M at which even both blocks,
+    C(M,N) rows, fit."""
+    def entries(rows: int, m: int) -> int:
+        return rows * (1 + comb(N, 2) * min(modes, m - 1))
 
-    limit = _active_budget(None)
-    if entries(M) <= limit:
+    need, limit = entries(rows, M), _active_budget(None)
+    if need <= limit:
         return
     smaller = M // 2
-    while smaller > 2 and entries(smaller) > limit:
+    while smaller > 2 and entries(comb(smaller, N), smaller) > limit:
         smaller //= 2
     raise GridError(
-        f"the N-body Hamiltonian needs {entries(M)} stored entries "
-        f"({entries(M) * 12 / 2 ** 20:.1f} MiB) > budget {limit} at M={M}, "
+        f"the N-body Hamiltonian needs {need} stored entries "
+        f"({need * 12 / 2 ** 20:.1f} MiB) > budget {limit} at M={M}, "
         f"N={N} with {modes} potential modes; use M={smaller}")
 
 

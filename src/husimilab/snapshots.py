@@ -97,14 +97,16 @@ def write_field(path, values: np.ndarray, grid: GridSpec,
 
 
 def field_csv(path, qs, ps, values) -> None:
-    """Rows q,p,value in np.savetxt's "%.18e" format, from one string
-    format over all rows."""
-    Q, P = np.meshgrid(qs, ps, indexing="ij")
-    data = np.column_stack([Q.reshape(-1), P.reshape(-1), values.reshape(-1)])
-    rows = "%.18e,%.18e,%.18e\n" * len(data)
+    """Rows q,p,value, q major, in np.savetxt's "%.18e" format; each q and
+    each p is formatted once, not once per row."""
+    p_text = ["%.18e," % p for p in np.asarray(ps).tolist()]
+    values = np.reshape(values, (len(qs), len(p_text)))
     with open(path, "w") as fh:
         fh.write("q,p,value\n")
-        fh.write(rows % tuple(data.ravel().tolist()))
+        for q, row in zip(np.asarray(qs).tolist(), values):
+            head = "%.18e," % q
+            fh.write("".join([head + p + "%.18e\n" % v
+                              for p, v in zip(p_text, row.tolist())]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ def random_orthonormal(rng, modes, n):
 
 def random_state(rng, modes):
     dim = 1 << modes
-    return fock.FockState(modes, rng.standard_normal(dim)
-                          + 1j * rng.standard_normal(dim)).normalized()
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -21,14 +21,14 @@ def random_state(rng, modes):
 # ---------------------------------------------------------------------------
 
 def test_create_on_vacuum():
-    vac = fock.vacuum(4).amplitudes
+    vac = fock.vacuum(4)
     expect = np.zeros(16, dtype=complex)
     expect[1] = 1.0
     assert np.array_equal(fock.mode_operators(4)[0].T @ vac, expect)
 
 
 def test_annihilate_vacuum_is_zero():
-    vac = fock.vacuum(4).amplitudes
+    vac = fock.vacuum(4)
     assert not (fock.mode_operators(4)[0] @ vac).any()
 
 
@@ -68,57 +68,87 @@ def test_number_operator_on_slater():
     bmap = fock.BogoliubovMap(random_orthonormal(np.random.default_rng(3),
                                                  6, 2))
     sl = fock.slater_state(bmap)
-    counted = fock.number_shifted(sl, shift=0.0)
-    assert np.max(np.abs(counted.amplitudes - 2.0 * sl.amplitudes)) < 1e-12
+    counted = fock._particle_numbers(6) * sl
+    assert np.max(np.abs(counted - 2.0 * sl)) < 1e-12
 
 
 def test_dgamma_identity_is_number_operator():
     rng = np.random.default_rng(0)
     for _ in range(100):
         psi = random_state(rng, 5)
-        a = fock.dgamma(np.eye(5), psi).amplitudes
-        b = fock.number_shifted(psi, shift=0.0).amplitudes
+        a = fock.quadratic_images(np.eye(5), psi)[0]
+        b = fock._particle_numbers(5) * psi
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_dgamma_operator_norm_bound():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        O = fock.OneBodyOperator(rng.standard_normal((8, 8))
-                                 + 1j * rng.standard_normal((8, 8)))
+        O = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         psi = random_state(rng, 8)
-        lhs = fock.dgamma(O.matrix, psi).norm()
-        rhs = O.operator_norm * fock.number_shifted(psi, shift=0.0).norm()
+        lhs = np.linalg.norm(fock.quadratic_images(O, psi)[0])
+        rhs = (fock.one_body_norms(O)[0]
+               * np.linalg.norm(fock._particle_numbers(8) * psi))
         assert lhs <= rhs + 1e-10
 
 
 def test_one_body_norm_ordering():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        O = fock.OneBodyOperator(rng.standard_normal((7, 7))
-                                 + 1j * rng.standard_normal((7, 7)))
-        assert O.operator_norm <= O.hs_norm + 1e-10
-        assert O.hs_norm <= O.trace_norm + 1e-10
+    O = rng.standard_normal((50, 7, 7)) + 1j * rng.standard_normal((50, 7, 7))
+    op, hs, tr = fock.one_body_norms(O)
+    assert op.shape == hs.shape == tr.shape == (50,)
+    assert np.all(op <= hs + 1e-10) and np.all(hs <= tr + 1e-10)
+    # each matrix of the stack as on its own
+    for k in (0, 49):
+        alone = np.linalg.svd(O[k], compute_uv=False)
+        assert (op[k], hs[k], tr[k]) == pytest.approx(
+            (alone[0], np.linalg.norm(O[k]), alone.sum()), rel=1e-14)
+
+
+def _quadratic_forms_by_hand(O, psi):
+    """sum_ij O_ij x_i y_j psi for (x, y) = (a*, a), (a, a), (a*, a*), as
+    the double sum over the single mode operators."""
+    a = fock.mode_operators(O.shape[0])
+    c = [op.T for op in a]
+    return [sum(O[i, j] * (x[i] @ (y[j] @ psi))
+                for i in range(len(a)) for j in range(len(a)))
+            for x, y in ((c, a), (a, a), (c, c))]
+
+
+def test_quadratic_images_match_the_double_sums():
+    rng = np.random.default_rng(15)
+    for modes in (1, 3, 6):
+        O = (rng.standard_normal((modes, modes))
+             + 1j * rng.standard_normal((modes, modes)))
+        psi = random_state(rng, modes)
+        for got, want in zip(fock.quadratic_images(O, psi),
+                             _quadratic_forms_by_hand(O, psi)):
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _suite_instance_by_hand(modes, rng):
-    """The seven ratios of one instance of the suite, drawn from `rng` in
-    the suite's order and recomputed from the operators and norms."""
-    O = fock.OneBodyOperator(rng.standard_normal((modes, modes))
-                             + 1j * rng.standard_normal((modes, modes)))
+    """The seven ratios of one instance of the suite, drawn from `rng` as
+    Re O, Im O, Re Psi, Im Psi in four calls and recomputed from the
+    double sums over the mode operators, the singular values of O and the
+    particle number of each bitmask."""
+    dim = 1 << modes
+    O = (rng.standard_normal((modes, modes))
+         + 1j * rng.standard_normal((modes, modes)))
     psi = random_state(rng, modes)
-    lhs = {"dgamma": fock.dgamma(O.matrix, psi).norm(),
-           "pair_ann": fock.pair_annihilation(O.matrix, psi).norm(),
-           "pair_cre": fock.pair_creation(O.matrix, psi).norm()}
-    n_psi = fock.number_shifted(psi, shift=0.0).norm()
-    sqrt_n_psi = fock.number_shifted(psi, shift=0.0, power=0.5).norm()
-    sqrt_n1_psi = fock.number_shifted(psi, shift=1.0, power=0.5).norm()
-    return {"dgamma_op": lhs["dgamma"] / (O.operator_norm * n_psi),
-            "dgamma_hs": lhs["dgamma"] / (O.hs_norm * sqrt_n_psi),
-            "pair_ann_hs": lhs["pair_ann"] / (O.hs_norm * sqrt_n_psi),
-            "pair_cre_hs": lhs["pair_cre"] / (2.0 * O.hs_norm * sqrt_n1_psi),
-            **{f"{name}_tr": value / (2.0 * O.trace_norm)
-               for name, value in lhs.items()}}
+    dg, pa, pc = map(np.linalg.norm, _quadratic_forms_by_hand(O, psi))
+    sv = np.linalg.svd(O, compute_uv=False)
+    op, hs, tr = sv[0], np.sqrt(np.sum(sv ** 2)), np.sum(sv)
+    n = np.array([bin(mask).count("1") for mask in range(dim)])
+    n_psi = np.linalg.norm(n * psi)
+    sqrt_n_psi = np.linalg.norm(np.sqrt(n) * psi)
+    sqrt_n1_psi = np.linalg.norm(np.sqrt(n + 1.0) * psi)
+    return {"dgamma_op": dg / (op * n_psi),
+            "dgamma_hs": dg / (hs * sqrt_n_psi),
+            "pair_ann_hs": pa / (hs * sqrt_n_psi),
+            "pair_cre_hs": pc / (2.0 * hs * sqrt_n1_psi),
+            "dgamma_tr": dg / (2.0 * tr),
+            "pair_ann_tr": pa / (2.0 * tr),
+            "pair_cre_tr": pc / (2.0 * tr)}
 
 
 def test_operator_inequality_suite_holds_and_repeats():
@@ -132,9 +162,34 @@ def test_operator_inequality_suite_holds_and_repeats():
 
 
 def test_operator_inequality_suite_instance_matches_recomputation():
-    report = fock.operator_inequality_suite(4, 1, np.random.default_rng(0))
-    want = _suite_instance_by_hand(4, np.random.default_rng(0))
-    assert report["max_lhs_over_rhs"] == pytest.approx(want, rel=1e-14)
+    """The suite's maxima are those of the ratios recomputed instance by
+    instance from the same generator, drawn in four calls per instance:
+    so its one draw per instance reads the same stream.  At one mode
+    a_0 a_0 = 0, so both pair ratios read 0."""
+    for modes, n_instances in [(1, 6), (4, 7), (8, 3)]:
+        report = fock.operator_inequality_suite(modes, n_instances,
+                                                np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        by_hand = [_suite_instance_by_hand(modes, rng)
+                   for _ in range(n_instances)]
+        want = {name: max(r[name] for r in by_hand) for name in by_hand[0]}
+        assert report["instances"] == n_instances
+        assert report["max_lhs_over_rhs"] == pytest.approx(want, rel=1e-14)
+
+
+def test_operator_inequality_suite_without_instances_reads_zero():
+    report = fock.operator_inequality_suite(8, 0, np.random.default_rng(0))
+    assert report["instances"] == 0
+    assert set(report["max_lhs_over_rhs"].values()) == {0.0}
+
+
+def test_operator_inequality_suite_checks_modes_before_drawing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for modes in (0, fock.MAX_MODES + 1):
+        with pytest.raises(fock.FockError, match="mode count"):
+            fock.operator_inequality_suite(modes, 1, rng)
+    assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +263,7 @@ def test_conjugation_unitary_preserves_norms():
     R = fock.bogoliubov_unitary(bmap)
     for _ in range(20):
         psi = random_state(rng, 6)
-        assert abs(np.linalg.norm(R @ psi.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(R @ psi) - 1.0) < 1e-12
 
 
 def test_slater_gamma1_matches_projector():
@@ -220,7 +275,7 @@ def test_slater_gamma1_matches_projector():
         assert np.max(np.abs(g1 - bmap.omega())) < 1e-10
         # exponential-free column construction agrees up to global phase
         direct = fock.slater_state(bmap)
-        assert abs(abs(np.vdot(direct.amplitudes, sl.amplitudes)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(direct, sl)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +296,7 @@ def test_slater_gamma2_is_pure_exchange():
 def test_wick_gap_zero_operators():
     rng = np.random.default_rng(13)
     bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 2))
-    zero = fock.OneBodyOperator(np.zeros((6, 6)))
+    zero = np.zeros((6, 6))
     lhs, rhs = fock.wick_gap_bound_check(zero, zero, fock.vacuum(6), bmap)
     assert lhs == 0.0 and rhs == 0.0
 
@@ -251,10 +306,10 @@ def test_wick_gap_bound_random_instances():
     modes, n = 8, 2
     for _ in range(100):
         bmap = fock.BogoliubovMap(random_orthonormal(rng, modes, n))
-        O1 = fock.OneBodyOperator(rng.standard_normal((modes, modes))
-                                  + 1j * rng.standard_normal((modes, modes)))
-        O2 = fock.OneBodyOperator(rng.standard_normal((modes, modes))
-                                  + 1j * rng.standard_normal((modes, modes)))
+        O1 = (rng.standard_normal((modes, modes))
+              + 1j * rng.standard_normal((modes, modes)))
+        O2 = (rng.standard_normal((modes, modes))
+              + 1j * rng.standard_normal((modes, modes)))
         xi = random_state(rng, modes)
         lhs, rhs = fock.wick_gap_bound_check(O1, O2, xi, bmap)
         assert lhs <= rhs + 1e-10

@@ -220,14 +220,23 @@ def test_nan_detection_through_merged_kicks_n3():
 
 
 def test_hamiltonian_over_budget_rejected(monkeypatch):
+    """The budget charges the parity blocks a product builds: at (3, 32)
+    the Hermite state's one block holds 2495 (1 + 3 * 4) = 32435 entries
+    and runs under a budget of 50000, while a random-orbital state needs
+    both blocks, C(32, 3) (1 + 3 * 4) = 64480 entries, and is refused
+    before either is built.  The grid's 32^3 amplitudes fit."""
     grid = make_grid(M=32, L=12.0, hbar=1.0 / 3.0, N=3)
-    state = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
     V = Potential.cosine(grid, [0.4, 0.15])
-    # C(32, 3) (1 + 3 * 4) = 64480 entries; the grid's 32^3 amplitudes fit
     monkeypatch.setenv(BUDGET_ENV_VAR, "50000")
+    hermite = mb.build_slater(grid, mf.hermite_orbitals(grid, 3))
+    assert mb.propagate(hermite, V, 0.002, 10).norm() == pytest.approx(1.0)
+    random = mb.build_slater(grid, harness.build_orbitals(
+        grid, "random", np.random.default_rng(0)))
+    flow = mb.SlaterFlow(grid, V)
     with pytest.raises(GridError,
                        match=r"64480 stored entries \(0\.7 MiB\).*M=16"):
-        mb.propagate(state, V, 0.002, 10)
+        flow.trajectory(random, 0.002, 10, 10)
+    assert all(block.H is None for block in flow.blocks)
 
 
 def test_negative_step_count_rejected(slater_n2):
@@ -397,12 +406,13 @@ def test_propagate_matches_dense_exponential(N, M, t, state):
                                            ("plane_wave", 3, 32),
                                            ("random", 3, 32)])
 def test_flow_drops_only_rounding(family, N, M, monkeypatch):
-    """The products of a run's N-body stage (trajectory to t = 0.02 and
-    0.04, both energies and d/dt a at the mid state): a random-orbital
-    state drops no piece, a Hermite or plane-wave Slater state drops only
-    pieces at or below the level sqrt(C(M, N)) eps of a unit state and
-    builds one parity block.  Either way the table of signed ranks is
-    made once."""
+    """The vectors of a run's N-body stage (the initial state, and the
+    trajectory's states at t = 0.02 and 0.04, whose energies and d/dt a
+    the stage takes): merging the pieces `_split` keeps gives each back
+    to within sqrt(C(M, N)) eps ||c||.  A random-orbital state keeps all
+    four pieces and builds both parity blocks; a Hermite or plane-wave
+    Slater state keeps one piece, its evolved states at most two, all in
+    one block.  Either way the table of signed ranks is made once."""
     tables = []
     signed_ranks = mb._signed_ranks
     monkeypatch.setattr(mb, "_signed_ranks",
@@ -413,17 +423,24 @@ def test_flow_drops_only_rounding(family, N, M, monkeypatch):
     state = mb.build_slater(grid, harness.build_orbitals(
         grid, family, np.random.default_rng(0)))
     flow = mb.SlaterFlow(grid, V)
-    _, mid, end = flow.trajectory(state, 0.002, 20, 10)
-    flow.energy(end)
-    flow.energy(state)
-    flow.time_derivative(mid)
+    for k, c in enumerate(s.coeffs
+                          for s in flow.trajectory(state, 0.002, 20, 10)):
+        pieces = flow._split(c)
+        parts: dict = {}
+        for block, factor, u in pieces:
+            parts[block] = parts.get(block, 0) + factor * u
+        merged = np.zeros_like(c)
+        flow._merge(merged, parts)
+        assert (np.linalg.norm(merged - c)
+                <= np.sqrt(comb(M, N)) * np.finfo(float).eps
+                * np.linalg.norm(c))
+        if family == "random":
+            assert len(pieces) == 4
+        else:
+            assert len(pieces) == (1 if k == 0 else 2)
+            assert len(parts) == 1
     built = sum(block.H is not None for block in flow.blocks)
-    if family == "random":
-        assert flow.dropped_norm == 0.0
-        assert built == 2
-    else:
-        assert flow.dropped_norm <= np.sqrt(comb(M, N)) * np.finfo(float).eps
-        assert built == 1
+    assert built == (2 if family == "random" else 1)
     assert tables == [(M, N)]
 
 
