@@ -1,21 +1,21 @@
 """Exact finite-mode fermionic Fock space.
 
 States live on 2^modes complex amplitudes indexed by occupation bitmasks
-with mode 0 as the least significant bit.  `mode_operators` is the one
-place the Jordan-Wigner sign lives: it builds a_m as a sparse matrix with
-the parity of the occupied modes below m.  Every kernel is a product with
-those matrices stacked over the modes (`_stacked`), so no kernel loops
-over modes or basis states in Python.  The module provides second
-quantization of one-body operators, Bogoliubov pairs built from an
-orthonormal orbital family, and the exact contractions used to test the
-operator inequalities and the two-particle factorization bound.
+with mode 0 as the least significant bit.  The table `_jordan_wigner` is
+the one place the Jordan-Wigner sign lives: for each mode m and bitmask
+with bit m set, the bitmask with m emptied and the parity of the occupied
+modes below m.  Every kernel is a product with the mode operators read
+off it and stacked over the modes (`_stacked`), so no kernel loops over
+modes or basis states in Python.  The module provides second quantization
+of one-body operators, Bogoliubov pairs built from an orthonormal orbital
+family, and the exact contractions used to test the operator inequalities
+and the two-particle factorization bound.
 
 `operator_inequality_suite`, behind `husimilab fock-check`, makes one
 pass per random instance over plain arrays: one draw for O and Psi, the
-three quadratic forms of O from one shared O (a Psi) product
-(`quadratic_images`), the number-operator norms as dot products of
-|Psi|^2 with fixed weights, and the norms of all instances' O from one
-stacked SVD (`one_body_norms`).
+three quadratic forms of O from two sparse products (`quadratic_images`),
+the number-operator norms as dot products of |Psi|^2 with fixed weights,
+and the norms of all instances' O from one stacked SVD (`one_body_norms`).
 """
 
 from __future__ import annotations
@@ -60,56 +60,62 @@ def vacuum(modes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mode_operators(modes: int):
-    """Sparse matrices of a_0 .. a_{modes-1} (annihilation).
+def _jordan_wigner(modes: int):
+    """The Jordan-Wigner table: row m holds each bitmask S with bit m set
+    (ascending), S ^ 2^m and the complex sign (-1)^popcount(S & (2^m - 1)),
+    so a_m |S> = sign |S ^ 2^m> and a*_m |S ^ 2^m> = sign |S>."""
+    m = np.arange(modes)[:, None]
+    k, low = np.arange(1 << (modes - 1)), (1 << m) - 1
+    src = ((k & ~low) << 1) | (1 << m) | (k & low)
+    sign = 1.0 - 2.0 * (_popcount(src & low) & 1)
+    return src, src ^ (1 << m), sign.astype(complex)
 
-    a_m |S> = (-1)^popcount(S & (2^m - 1)) |S ^ 2^m> when bit m of S is
-    set, else 0: the Jordan-Wigner sign is the parity of the occupied
-    modes below m.  The entries are real, so a*_m is the transpose.
-    """
+
+@lru_cache(maxsize=None)
+def mode_operators(modes: int):
+    """Sparse a_0 .. a_{modes-1} (annihilation), the first row blocks of
+    down (`_stacked`); the entries are real, so a*_m is the transpose."""
     dim = 1 << modes
-    idx = np.arange(dim, dtype=np.int64)
-    ops = []
-    for m in range(modes):
-        src = idx[(idx >> m) & 1 == 1]
-        sign = 1 - 2 * (_popcount(src & ((1 << m) - 1)) % 2)
-        ops.append(sparse.csr_matrix((sign.astype(complex),
-                                      (src ^ (1 << m), src)),
-                                     shape=(dim, dim)))
-    return ops
+    return [_stacked(modes)[0][m * dim:(m + 1) * dim] for m in range(modes)]
 
 
 @lru_cache(maxsize=None)
 def _stacked(modes: int):
-    """The mode operators of kind "a" (a_m) and "c" (a*_m), stacked two ways.
+    """The mode operators stacked into the pair (down, up), from the table.
 
-    rows[kind] (vstack) maps psi to the [mode, amplitude] block of op_m psi;
-    cols[kind] (hstack) maps a [mode, amplitude] block phi to
-    sum_m op_m phi_m.
+    down = [a_0; ..; a_{modes-1}; a*_0; ..] maps psi to the [kind, mode,
+    amplitude] block of op_m psi (CSC: most rows are empty).  up = [[a*, 0],
+    [a, 0], [0, a*]] folds such a block phi, a row of modes blocks per entry,
+    to sum_m a*_m phi[0, m], sum_m a_m phi[0, m] and sum_m a*_m phi[1, m].
     """
-    ops = {"a": mode_operators(modes)}
-    ops["c"] = [a.T.tocsr() for a in ops["a"]]
-    rows = {kind: sparse.vstack(v, format="csr") for kind, v in ops.items()}
-    cols = {kind: sparse.hstack(v, format="csr") for kind, v in ops.items()}
-    return rows, cols
+    src, dst, sign = _jordan_wigner(modes)
+    dim, size = 1 << modes, modes << modes
+    at = np.arange(modes)[:, None] << modes  # mode m's block starts at m dim
+    # (format, rows, cols, shape): the table's signs sit at (rows[b], cols[b])
+    down_at = (sparse.csc_matrix, (at + dst, size + at + src), (src, dst),
+               (2 * size, dim))
+    up_at = (sparse.csr_matrix, (src, dim + dst, 2 * dim + src),
+             (at + dst, at + src, size + at + dst), (3 * dim, 2 * size))
+    return tuple(fmt((np.tile(sign.ravel(), len(rows)),
+                      (np.ravel(rows), np.ravel(cols))), shape=shape)
+                 for fmt, rows, cols, shape in (down_at, up_at))
 
 
 def _mode_sum(kind: str, coeffs: np.ndarray) -> sparse.csr_matrix:
     """sum_m coeffs_m op_m as one sparse matrix, op = a ("a") or a* ("c").
 
-    This is cols[kind] applied to outer(coeffs, .): block m of the stacked
-    columns is scaled by coeffs_m and the blocks are folded onto one
+    This is a fold of up (`_stacked`) applied to outer(coeffs, .): block m
+    of the fold is scaled by coeffs_m and the blocks are folded onto one
     another.  No two modes reach the same entry (op_m changes bit m only),
     so the fold sums nothing.  With kind "c" it is a*(g) for g = coeffs.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    modes = coeffs.size
-    _, cols = _stacked(modes)
-    stack = cols[kind]
+    modes, dim = coeffs.size, 1 << coeffs.size
+    _, up = _stacked(modes)
+    stack = up[:dim] if kind == "c" else up[dim:2 * dim]
     return sparse.csr_matrix((stack.data * coeffs[stack.indices >> modes],
-                              stack.indices & ((1 << modes) - 1),
-                              stack.indptr.copy()),
-                             shape=(1 << modes, 1 << modes))
+                              stack.indices & (dim - 1), stack.indptr),
+                             shape=(dim, dim))
 
 
 def quadratic_images(O: np.ndarray, psi: np.ndarray):
@@ -119,20 +125,19 @@ def quadratic_images(O: np.ndarray, psi: np.ndarray):
         dGamma(O) psi = sum_ij O_ij a*_i a_j psi,
         sum_ij O_ij a_i a_j psi   and   sum_ij O_ij a*_i a*_j psi,
 
-    from five products with the stacked mode operators (`_stacked`): row i
-    of O (a psi) is sum_j O_ij a_j psi, which folded with a* gives
-    dGamma(O) psi and folded with a the annihilation pair; O (a* psi)
-    folded with a* gives the creation pair.
+    as the rows of a (3, 2^modes) array, from two products with the stacked
+    pair (`_stacked`): O applied to down psi gives the rows
+    sum_j O_ij a_j psi and sum_j O_ij a*_j psi, which up folds with a*, a
+    and a* into the three forms.
     """
     O = np.asarray(O, dtype=complex)
     modes = O.shape[0]
     if O.shape != (modes, modes) or psi.shape != (1 << modes,):
         raise FockError("one-body matrix and amplitude vector do not match "
                         "one mode count")
-    rows, cols = _stacked(modes)
-    lowered = (O @ (rows["a"] @ psi).reshape(modes, -1)).ravel()
-    raised = (O @ (rows["c"] @ psi).reshape(modes, -1)).ravel()
-    return cols["c"] @ lowered, cols["a"] @ lowered, cols["c"] @ raised
+    down, up = _stacked(modes)
+    lowered = (O @ (down @ psi).reshape(2, modes, -1)).ravel()
+    return (up @ lowered).reshape(3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +188,10 @@ def operator_inequality_suite(modes: int, n_instances: int,
     left side below 1e-14 and is not counted.
     """
     _check_modes(modes)
+    if n_instances < 0:
+        raise FockError(f"instance count must be >= 0, got {n_instances}")
+    names = ["dgamma_op", "dgamma_hs", "pair_ann_hs", "pair_cre_hs",
+             "dgamma_tr", "pair_ann_tr", "pair_cre_tr"]
     dim, size = 1 << modes, modes * modes
     weights = _number_weights(modes)
     worst = np.zeros(7)
@@ -207,12 +216,12 @@ def operator_inequality_suite(modes: int, n_instances: int,
                                  hs * number[:, 1], 2.0 * hs * number[:, 2],
                                  2.0 * tr, 2.0 * tr, 2.0 * tr])
         zero = right == 0
-        assert np.all(left[zero] < 1e-14)
+        if (bad := zero & ~(left < 1e-14)).any():
+            raise FockError(f"bound {names[bad.any(axis=0).argmax()]} has "
+                            "right side 0 and left side not below 1e-14")
         ratio = np.divide(left, right, out=np.zeros_like(left),
                           where=~zero)
         worst = np.maximum(worst, ratio.max(axis=0))
-    names = ["dgamma_op", "dgamma_hs", "pair_ann_hs", "pair_cre_hs",
-             "dgamma_tr", "pair_ann_tr", "pair_cre_tr"]
     return {"instances": n_instances,
             "max_lhs_over_rhs": dict(zip(names, worst.tolist()))}
 
@@ -337,8 +346,8 @@ def apply_bogoliubov(bmap: BogoliubovMap, xi: np.ndarray) -> np.ndarray:
 def gamma1_fock(psi: np.ndarray) -> np.ndarray:
     """gamma(x; z) = <Psi, a*_z a_x Psi> as a modes x modes matrix."""
     modes = psi.size.bit_length() - 1
-    rows, _ = _stacked(modes)
-    lowered = (rows["a"] @ psi).reshape(modes, -1)
+    down, _ = _stacked(modes)
+    lowered = (down @ psi)[:modes << modes].reshape(modes, -1)
     return lowered @ lowered.conj().T  # [x, z] = <a_z psi, a_x psi>
 
 
@@ -349,9 +358,9 @@ def gamma2_fock(psi: np.ndarray) -> np.ndarray:
     fine for the mode counts this module allows.
     """
     m = psi.size.bit_length() - 1
-    rows, _ = _stacked(m)
-    first = (rows["a"] @ psi).reshape(m, -1)  # [z1, S]
-    second = (rows["a"] @ first.T).reshape(m, -1, m)  # [z2, S, z1]
+    down, _ = _stacked(m)
+    first = (down @ psi)[:m << m].reshape(m, -1)  # [z1, S]
+    second = (down @ first.T)[:m << m].reshape(m, -1, m)  # [z2, S, z1]
     flat = second.transpose(2, 0, 1).reshape(m * m, -1)  # [(z1, z2), S]
     # [(z1,z2),(x1,x2)] = <a_{x2} a_{x1} Psi, a_{z2} a_{z1} Psi>
     overlaps = flat @ flat.conj().T

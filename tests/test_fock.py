@@ -43,11 +43,15 @@ def annihilate_reference(modes, mask, m):
 
 
 def test_mode_operators_match_matrix_free_path():
-    ops = fock.mode_operators(5)
-    for m in range(5):
-        for mask, basis in enumerate(np.eye(1 << 5, dtype=complex)):
-            got = ops[m] @ basis
-            assert np.array_equal(got, annihilate_reference(5, mask, m))
+    # one mode and the fock-check default of 8: both ends of the bit range
+    for modes in (1, 5, 8):
+        ops = fock.mode_operators(modes)
+        assert len(ops) == modes
+        for m in range(modes):
+            for mask, basis in enumerate(np.eye(1 << modes, dtype=complex)):
+                got = ops[m] @ basis
+                assert np.array_equal(got,
+                                      annihilate_reference(modes, mask, m))
 
 
 def test_car_full_basis():
@@ -117,7 +121,7 @@ def _quadratic_forms_by_hand(O, psi):
 
 def test_quadratic_images_match_the_double_sums():
     rng = np.random.default_rng(15)
-    for modes in (1, 3, 6):
+    for modes in (1, 3, 6, 8):
         O = (rng.standard_normal((modes, modes))
              + 1j * rng.standard_normal((modes, modes)))
         psi = random_state(rng, modes)
@@ -186,10 +190,23 @@ def test_operator_inequality_suite_without_instances_reads_zero():
 def test_operator_inequality_suite_checks_modes_before_drawing():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    for modes in (0, fock.MAX_MODES + 1):
-        with pytest.raises(fock.FockError, match="mode count"):
-            fock.operator_inequality_suite(modes, 1, rng)
+    for modes, n_instances, match in [(0, 1, "mode count"),
+                                      (fock.MAX_MODES + 1, 1, "mode count"),
+                                      (4, -1, "instance count .* -1")]:
+        with pytest.raises(fock.FockError, match=match):
+            fock.operator_inequality_suite(modes, n_instances, rng)
     assert rng.bit_generator.state == before
+
+
+def test_operator_inequality_suite_refuses_a_left_side_over_zero(
+        monkeypatch):
+    """With every norm of O read as 0 every right side is 0 while the left
+    sides are not: the refusal names the first such bound, dgamma_op, and
+    is no assert, so python -O keeps it."""
+    monkeypatch.setattr(fock, "one_body_norms",
+                        lambda O: (np.zeros(len(O)),) * 3)
+    with pytest.raises(fock.FockError, match="bound dgamma_op"):
+        fock.operator_inequality_suite(4, 3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

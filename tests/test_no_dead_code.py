@@ -26,9 +26,10 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Definitions in `src` that only tests call: closed forms, brute-force
 # builders and property checks that the tests hold the run's kernels to.
 ORACLES = (
-    # fock
-    "vacuum", "bogoliubov_conjugate", "slater_state", "gamma1_fock",
-    "mixed_norm_fock",
+    # fock; mode_operators is the per-mode reference the stacked pair is
+    # tested against
+    "vacuum", "mode_operators", "bogoliubov_conjugate", "slater_state",
+    "gamma1_fock", "mixed_norm_fock",
     # fock: the paper's two-particle factorization check
     "BogoliubovMap", "_mode_sum", "_rotation_unitary", "apply_bogoliubov",
     "bogoliubov_unitary", "gamma2_fock", "wick_gap_bound_check",
