@@ -67,8 +67,8 @@ def test_gamma1(benchmark, N, M):
 @pytest.mark.parametrize("N, M", [(2, 64), (3, 64), (4, 32), (2, 256)])
 def test_gamma2_partial_hat(benchmark, N, M):
     state, potential = _snapshot(N, M)
-    ks, _ = potential._active_modes()
-    ks = ks[np.abs(ks) > 0]
+    m, ks, _ = potential.modes()
+    ks = ks[m > 0]
     out = benchmark.pedantic(rs._gamma2_partial_hat, args=(state, ks),
                              rounds=10, warmup_rounds=1)
     assert out.shape == (M, M, len(ks))

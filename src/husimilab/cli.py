@@ -23,6 +23,7 @@ from husimilab import manybody as mb
 from husimilab import phasespace as ps
 from husimilab import residues as rsd
 from husimilab import snapshots as io
+from husimilab.grid import GridError
 
 
 def _load_config(path, seed=None) -> harness.RunConfig:
@@ -165,7 +166,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (GridError, fock.FockError) as exc:
+        # refused input exits 2, as argparse's usage errors do; 1 is a
+        # broken bound of fock-check
+        print(f"husimilab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -113,12 +113,14 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 
 class Potential:
-    """Even periodic interaction potential with spectral evaluation.
+    """Even periodic pair potential V with one real spectrum.
 
-    Stores lattice samples, Fourier coefficients c_k (V(x) = sum c_k
-    e^{i k x}), the gradient table, a rigorous bound on the second
-    derivative, and the weighted coefficient sum sum_k (1+k^2)|c_k| that
-    witnesses the regularity the estimates require.
+    `values` samples V on the grid.  `spectrum[m]` is c_m in
+    V(x) = sum_m c_m e^{i k_m x}, k_m the FFT-ordered wavenumbers: the
+    FFT of V(r dx mod L) over M, real since V is even.  The N-body
+    Hamiltonian, the interaction residues, the V' table and evaluation
+    off the grid all take V's modes from `modes()`; the V table is the
+    samples.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -132,53 +134,31 @@ class Potential:
                 f"potential is not even: max |V(-x) - V(x)| = {even_defect:.3e}")
         self.grid = grid
         self.values = values
-        k = grid.wavenumbers()
-        # coefficients with respect to absolute coordinates, so evaluation
-        # at arbitrary (off-lattice) points is exact for band-limited V
-        self.fourier = np.fft.fft(values) / grid.M * np.exp(1j * k * 0.5 * grid.L)
-        self._k = k
-        self.grad = spectral_derivative(values, grid.L)
-        self.hess_bound = float(np.sum((k ** 2) * np.abs(self.fourier)))
-        self.sobolev_sum = float(np.sum((1.0 + k ** 2) * np.abs(self.fourier)))
+        # the grid starts at -L/2, so values[r] samples V at r dx - L/2;
+        # the roll puts V(r dx) at r
+        self.spectrum = _read_only(
+            np.fft.fft(np.roll(values, -(grid.M // 2))).real / grid.M)
 
-    def _active_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = np.abs(self.fourier) > 1e-15
-        return self._k[mask], self.fourier[mask]
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(m, k_m, c_m) of the modes with |c_m| > 1e-15, m ascending."""
+        m = np.flatnonzero(np.abs(self.spectrum) > 1e-15)
+        return m, self.grid.wavenumbers()[m], self.spectrum[m]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate V at arbitrary points by Fourier synthesis."""
-        k, c = self._active_modes()
-        pts = np.asarray(points, dtype=float)
-        out = np.tensordot(np.exp(1j * np.multiply.outer(pts, k)), c, axes=1)
-        return out.real
+        _, k, c = self.modes()
+        kx = np.multiply.outer(np.asarray(points, dtype=float), k)
+        return np.cos(kx) @ c
 
     def evaluate_grad(self, points: np.ndarray) -> np.ndarray:
-        k, c = self._active_modes()
-        pts = np.asarray(points, dtype=float)
-        out = np.tensordot(np.exp(1j * np.multiply.outer(pts, k)), 1j * k * c,
-                           axes=1)
-        return out.real
+        _, k, c = self.modes()
+        kx = np.multiply.outer(np.asarray(points, dtype=float), k)
+        return -np.sin(kx) @ (k * c)
 
     def grad_sup(self) -> float:
         """Rigorous bound on ||dV/dx||_inf from the coefficient sum."""
-        k, c = self._active_modes()
-        return float(np.sum(np.abs(k) * np.abs(c)))
-
-    # The grid starts at -L/2, so values[(i-j) % M] samples V at
-    # x_{i-j} = (i-j) dx - L/2, not at the difference (i-j) dx.  All
-    # difference lookups go through the centered accessors below.
-
-    def centered_values(self) -> np.ndarray:
-        """samples of V at the centered offsets: out[r] = V(r dx mod L)."""
-        return np.roll(self.values, -(self.grid.M // 2))
-
-    def centered_grad(self) -> np.ndarray:
-        return np.roll(self.grad, -(self.grid.M // 2))
-
-    @cached_property
-    def centered_spectrum(self) -> np.ndarray:
-        """fft(centered_values()), built once and read-only."""
-        return _read_only(np.fft.fft(self.centered_values()))
+        _, k, c = self.modes()
+        return float(np.sum(np.abs(k * c)))
 
     def difference_table(self) -> np.ndarray:
         """Vd[i, j] = V(x_i - x_j) on the lattice, built once and read-only."""
@@ -190,10 +170,13 @@ class Potential:
 
     @cached_property
     def _difference_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(self.grid.M)
-        diff = (idx[:, None] - idx[None, :]) % self.grid.M
-        return (_read_only(self.centered_values()[diff]),
-                _read_only(self.centered_grad()[diff]))
+        M = self.grid.M
+        idx = np.arange(M)
+        diff = (idx[:, None] - idx[None, :]) % M
+        # out[r] is V or V' at the difference r dx
+        values = np.roll(self.values, -(M // 2))
+        grad = self.evaluate_grad(idx * self.grid.dx)
+        return _read_only(values[diff]), _read_only(grad[diff])
 
     # -- presets ------------------------------------------------------------
 

@@ -349,9 +349,11 @@ class SlaterFlow:
 
     def __init__(self, grid: GridSpec, potential: Potential):
         N, M = grid.N, grid.M
-        vhat = potential.centered_spectrum.real / M
-        modes = [m for m in range(1, M) if abs(vhat[m]) > 1e-15]
-        self.grid, self._vhat, self._modes = grid, vhat, modes
+        m, _, c = potential.modes()
+        # the mean only shifts the diagonal; it is read whole, below the
+        # cut of modes() too, as the samples of V hold it
+        self.grid, self._mean = grid, potential.spectrum[0]
+        self._modes = list(zip(m[m > 0].tolist(), c[m > 0].tolist()))
         mirror, sigma = _parity_map(M, N)
         ranks = np.arange(len(mirror))
         # the orbits {rep, img} of two tuples, shared by both blocks
@@ -405,17 +407,17 @@ class SlaterFlow:
         cols = np.empty((n, width), dtype=np.int32)
         cols[:, 0] = np.arange(n)
         data[:, 0] = (_kinetic_diagonal(g, K)
-                      + len(pairs) * self._vhat[0] / N)
+                      + len(pairs) * self._mean / N)
         radius = np.zeros(n)
         slot = 1
         for i, j in pairs:
-            for m in self._modes:
+            for m, c in self._modes:
                 signed = table[flat + ((K[i] - m) % M - K[i]) * place[i]
                                + ((K[j] + m) % M - K[j]) * place[j]]
                 target = np.abs(signed) - 1
                 cols[:, slot] = column[target]
                 d = data[:, slot]
-                np.multiply(np.sign(signed), self._vhat[m] / N, out=d)
+                np.multiply(np.sign(signed), c / N, out=d)
                 d[:p] *= weights[0][target[:p]]
                 d[p:] *= weights[1][target[p:]]
                 radius += np.abs(d)

@@ -22,7 +22,7 @@ marginal and one mean-field force.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class CoherentFrame:
     grid: GridSpec
     window: np.ndarray
     kind: str
-    norms: dict = field(default_factory=dict)
 
     def derivative_window(self) -> np.ndarray:
         return spectral_derivative(self.window, self.grid.L)
@@ -106,14 +105,7 @@ def _finish_frame(grid: GridSpec, raw: np.ndarray,
     norm = np.sqrt(np.sum(raw ** 2) * grid.dx)
     if norm == 0:
         raise GridError("window vanishes on the grid")
-    w = raw / norm
-    grad = spectral_derivative(w, grid.L)
-    norms = {
-        "l2": 1.0,
-        "linf": float(np.max(np.abs(w))),
-        "grad_l2": float(np.sqrt(np.sum(grad ** 2) * grid.dx)),
-    }
-    return CoherentFrame(grid, w, kind, norms)
+    return CoherentFrame(grid, raw / norm, kind)
 
 
 def gaussian_frame(grid: GridSpec) -> CoherentFrame:

@@ -15,15 +15,23 @@ with c = 1/(2 pi hbar N), rho(q) = sum_p m dp, and
     Rm(q,p) = (1/N) sum f_qp(w1) conj(f_qp(u1)) D(q,w2)
               [ A(u1,w1,w2) - gamma1(u1;w1) gamma1(w2;w2) ] dx^3,
 
-where A(u1,w1,w2) = gamma2(u1,w2; w1,w2), S is the segment-averaged
-gradient int_0^1 V'(s u1 + (1-s) w1 - w2) ds (fixed-order Gauss-Legendre,
-spectrally exact for band-limited V), and D(q,w2) is V' smeared by the
-squared window at scale sqrt(hbar).  The inner (q2, p2) coherent pair has
-already been collapsed through the exact lattice completeness relation.
-For N = 1 there is no pair interaction and the bracket on the right is
-absent.  All (q,p) fields are evaluated through the same two-FFT
-machinery as the Husimi transform, organized mode-by-mode in the
-potential's spectrum.
+where A(u1,w1,w2) = gamma2(u1,w2; w1,w2), D(q,w2) is V' smeared by the
+squared window at scale sqrt(hbar), and S is the average of V'(. - w2)
+along the short way round the torus from w1 to u1,
+
+    S(u1,w1,w2) = int_0^1 V'(w1 + s d - w2) ds
+                = (V(u1 - w2) - V(w1 - w2)) / d,   S = V'(u1 - w2) at d = 0,
+
+with d the torus separation of u1 and w1: the centered offset of
+u1 - w1 in [-L/2, L/2), the separation the derivative on the p lattice
+sees.  An average along the chord through the box, over u1 - w1,
+breaks the identity for a state whose gamma1 reaches across the box.
+V is the band-limited V of `Potential.modes`, so S is exact
+mode by mode.  The inner (q2, p2) coherent pair has already been
+collapsed through the exact lattice completeness relation.  For N = 1
+there is no pair interaction and the bracket on the right is absent.
+All (q,p) fields are evaluated through the same two-FFT machinery as the
+Husimi transform, organized mode-by-mode in the potential's spectrum.
 
 The consistency defect pairs every term of the identity with a test
 function at one snapshot.  d/dt m is exact: it is the Husimi transform of
@@ -46,12 +54,6 @@ from husimilab.manybody import (ManyBodyState, OneBodyKernel, gamma1,
 from husimilab.phasespace import (CoherentFrame, PhaseSpaceField,
                                   PhaseSpaceLattice, _centered_offsets,
                                   bilinear_phase_field, natural_lattice)
-
-
-def gauss_legendre_unit():
-    """Eight Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(8)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _paired(a: np.ndarray, b: np.ndarray, field_vals: np.ndarray,
@@ -120,7 +122,8 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     `kern` is gamma1 of `state` and `b1` its complex transform
     `bilinear_phase_field(kern.matrix, window, window)`, whose real part
     is the Husimi field.  Using V'(z) = sum_k i k c_k e^{i k z}
-    every contraction separates: the segment average S needs only
+    every contraction separates: the segment average S is
+    sum_k c_k e^{-i k w2} (e^{i k u1} - e^{i k w1}) / d, so it needs only
     w2-transforms of A at the active modes, and the smeared gradient
     D(q, w2) becomes a phase in q times kappa_hat(k), so each mode costs
     one bilinear transform.  The transform is linear in its kernel, so
@@ -129,9 +132,8 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     """
     g = state.grid
     lattice = natural_lattice(g)
-    ks, cs = potential._active_modes()
-    keep = np.abs(ks) > 0  # the k = 0 mode has zero gradient
-    ks, cs = ks[keep], cs[keep]
+    m, ks, cs = potential.modes()
+    ks, cs = ks[m > 0], cs[m > 0]  # the k = 0 mode has zero gradient
     nq = len(lattice.qs)
     npts = len(lattice.ps)
     if len(ks) == 0:
@@ -141,18 +143,19 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     Ahat = _gamma2_partial_hat(state, ks)
     kappa_hat = _window_mode_factors(frame, ks)
     x = g.axis_points()
-    nodes, weights = gauss_legendre_unit()
+    idx = np.arange(g.M)
+    d = _centered_offsets(g)[(idx[:, None] - idx[None, :]) % g.M]
+    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
     rho_diag = np.real(np.diag(kern.matrix))
     rho_hat = np.exp(-1j * np.outer(ks, x)) @ rho_diag * g.dx
 
-    # first semiclassical piece: one kernel from the segment average
+    # first semiclassical piece: one kernel from the segment average,
+    # i k c_k times (e^{iku} - e^{ikw}) / (i k d), and times e^{iku} at d = 0
     C1 = np.zeros((g.M, g.M), dtype=complex)
     for a, (k, c) in enumerate(zip(ks, cs)):
-        gk = np.zeros((g.M, g.M), dtype=complex)
-        for s, wgt in zip(nodes, weights):
-            gk += wgt * np.outer(np.exp(1j * k * s * x),
-                                 np.exp(1j * k * (1.0 - s) * x))
-        C1 += 1j * k * c * gk * Ahat[:, :, a]
+        eu = np.exp(1j * k * x)
+        sk = np.subtract.outer(eu, eu) * inv_d + np.diag(1j * k * eu)
+        C1 += c * sk * Ahat[:, :, a]
     term1 = bilinear_phase_field(C1, frame.window, frame.window, g)
 
     # per-mode smeared-gradient pieces for the Rs subtraction and Rm

@@ -36,8 +36,8 @@ def from_grid(grid, psi: np.ndarray, time: float = 0.0) -> mb.ManyBodyState:
 def pair_potential_table(grid, potential) -> np.ndarray:
     """W(x_1..x_N) = (1/2N) sum_{i/=j} V(x_i - x_j) on the N-body lattice."""
     N, M = grid.N, grid.M
-    vtab = potential.centered_values()  # V at lattice differences
     idx = np.arange(M)
+    vtab = potential.evaluate(idx * grid.dx)  # V at lattice differences
     W = np.zeros((M,) * N)
     for i, j in combinations(range(N), 2):
         diff = (idx.reshape([-1 if a == i else 1 for a in range(N)])

@@ -12,6 +12,10 @@ References inside the definition itself (recursion) do not count.
 A reference made inside a test-only definition counts as a test
 reference, so a helper that only oracles reach is test-only too.  The
 test-only set is grown to a fixed point.
+
+Every public attribute that the `__init__` of a class in `src` (one not
+on `ORACLES`) assigns as `self.name = ...` is read as an attribute in
+`src/` or `perfbench/`: a value that nothing reads is not computed.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ ORACLES = (
     "BogoliubovMap", "_mode_sum", "_rotation_unitary", "apply_bogoliubov",
     "bogoliubov_unitary", "gamma2_fock", "wick_gap_bound_check",
     # grid
-    "Potential.evaluate", "Potential.evaluate_grad", "Potential.grad_sup",
+    "Potential.evaluate", "Potential.grad_sup",
     # manybody
     "OneBodyKernel.hermiticity_defect", "OneBodyKernel.occupations",
     "gaussian_orbital", "free_gaussian_evolution", "kinetic_bound_check",
@@ -58,6 +62,23 @@ def _definitions(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, DEFS) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item
+
+
+def _init_attributes(tree: ast.Module):
+    """Class.name of each public attribute that the `__init__` of a
+    class off `ORACLES` assigns to self."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name in ORACLES:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"
+                            and not sub.attr.startswith("_")):
+                        yield f"{node.name}.{sub.attr}"
 
 
 def _references(tree: ast.Module):
@@ -143,3 +164,15 @@ def test_a_local_named_like_a_method_is_no_reference():
                        for ref, attribute in refs if ref == name)
         assert _refers_to(name, False)
     assert ("apply", True) in refs and _refers_to("SlaterFlow.apply", True)
+
+
+def test_every_init_attribute_is_read():
+    reads = {node.attr
+             for path in _py_files("src/husimilab", "perfbench")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = [name for path in sorted(PACKAGE.glob("*.py"))
+              for name in _init_attributes(ast.parse(path.read_text()))
+              if name.rsplit(".")[-1] not in reads]
+    assert not unread, "attributes no code reads: " + ", ".join(unread)

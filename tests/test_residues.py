@@ -9,6 +9,7 @@ from husimilab import cli, harness
 from husimilab import manybody as mb
 from husimilab import phasespace as ps
 from husimilab import residues as rs
+from husimilab import snapshots as io
 from husimilab.grid import GridError, Potential, bump_test_function, make_grid
 
 import grid_oracles as go
@@ -21,22 +22,27 @@ PHI_P = {"center": 0.0, "radius": 2.0, "s": 3}
 POINTS = [(1, 0.5), (2, 0.5), (3, 1.0 / 3.0)]
 
 
-def _snapshot(n, hbar):
+def _snapshot(n, hbar, family="hermite"):
     """A state at t = 0.02, its adot = H a / (i hbar), the frame and V."""
     grid = make_grid(M=64, L=12.0, hbar=hbar, N=n)
     potential = harness.build_potential(
         grid, {"kind": "cosine", "amplitudes": [0.4, 0.15]})
     frame = harness.build_frame(grid, "gaussian")
-    state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
-                                                         None))
+    state = mb.build_slater(grid, harness.build_orbitals(grid, family, None))
     state = mb.propagate(state, potential, 0.002, 10)
     adot = mb.SlaterFlow(grid, potential).time_derivative(state)
     return state, adot, frame, potential
 
 
-@pytest.mark.parametrize("n, hbar", POINTS)
-def test_consistency_defect_at_rounding_level(n, hbar):
-    state, adot, frame, potential = _snapshot(n, hbar)
+# plane-wave orbitals: gamma1 reaches across the whole box, so the
+# segment average must take the short way round the torus
+@pytest.mark.parametrize("n, hbar, family",
+                         [pytest.param(n, hbar, "hermite", id=f"{n}-{hbar}")
+                          for n, hbar in POINTS]
+                         + [(2, 0.5, "plane_wave"),
+                            (3, 1.0 / 3.0, "plane_wave")])
+def test_consistency_defect_at_rounding_level(n, hbar, family):
+    state, adot, frame, potential = _snapshot(n, hbar, family)
     fields, report = rs.snapshot_residues(state, adot, frame, potential,
                                           PHI_Q, PHI_P)
     assert report.consistency_defect_rel < 1e-12
@@ -73,7 +79,7 @@ def test_gamma2_partial_hat_matches_the_whole_partial_diag(N, M, block,
                              + 1j * rng.standard_normal((M,) * N))
     state = go.from_grid(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
                                              * grid.dx ** N))
-    ks, _ = Potential.cosine(grid, [0.4, 0.15])._active_modes()
+    _, ks, _ = Potential.cosine(grid, [0.4, 0.15]).modes()
     phases = np.exp(-1j * np.outer(grid.axis_points(), ks))
     want = np.matmul(go.gamma2_partial_diag(state), phases) * grid.dx
     got = rs._gamma2_partial_hat(state, ks)
@@ -103,19 +109,23 @@ def test_residue_pass_holds_no_m_cubed_array():
 def _direct_interaction_residues(state, frame, potential):
     """Rs and Rm of the module docstring, summed directly over
     (u1, w1, w2) at every point of the natural lattice.  S is the
-    Gauss-Legendre segment average of `Potential.evaluate_grad`, D the
-    gradient smeared by the squared window, A `gamma2_partial_diag` and
-    gamma1 `gamma1`."""
+    difference quotient (V(u1 - w2) - V(w1 - w2)) / d of
+    `Potential.evaluate` over the torus separation d of u1 and w1, and
+    `Potential.evaluate_grad` at d = 0; D the gradient smeared by the
+    squared window, A `gamma2_partial_diag` and gamma1 `gamma1`."""
     g = state.grid
     x = g.axis_points()
     A = go.gamma2_partial_diag(state)
     gam = mb.gamma1(state).matrix
     product = gam[:, :, None] * np.real(np.diag(gam))[None, None, :]
     u, w, y = np.meshgrid(x, x, x, indexing="ij")
-    nodes, weights = rs.gauss_legendre_unit()
-    S = sum(wt * potential.evaluate_grad(s * u + (1.0 - s) * w - y)
-            for s, wt in zip(nodes, weights))
     offsets = ps._centered_offsets(g)
+    idx = np.arange(g.M)
+    d = offsets[(idx[:, None] - idx[None, :]) % g.M][:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = np.where(d == 0, potential.evaluate_grad(u - y),
+                     (potential.evaluate(u - y) - potential.evaluate(w - y))
+                     / d)
     lattice = ps.natural_lattice(g)
     fields = np.empty((2, len(lattice.qs), len(lattice.ps)))
     for a, q in enumerate(lattice.qs):
@@ -176,6 +186,26 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     assert cli.main(["report", str(run), "--out", str(report)]) == 0
     (row,) = json.loads(report.read_text())["rows"]
     assert row["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fock-check", "--instances", "-1"], "instance count"),
+    (["fock-check", "--modes", "0"], "mode count"),
+    (["residues", "STATE", "--box", "12", "--potential", "nope"], "nope"),
+])
+def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
+                                               capsys):
+    """Refused input exits 2, as argparse's usage errors do, with its
+    message on stderr, and writes no report."""
+    grid = make_grid(M=16, L=12.0, hbar=0.5, N=2)
+    state = tmp_path / "state.husi"
+    io.write_state(state, mb.build_slater(
+        grid, harness.build_orbitals(grid, "hermite", None)))
+    out = tmp_path / "out.json"
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_rejects_unknown_keys():
