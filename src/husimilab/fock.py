@@ -7,9 +7,9 @@ with bit m set, the bitmask with m emptied and the parity of the occupied
 modes below m.  Every kernel is a product with the mode operators read
 off it and stacked over the modes (`_stacked`), so no kernel loops over
 modes or basis states in Python.  The module provides second quantization
-of one-body operators, Bogoliubov pairs built from an orthonormal orbital
-family, and the exact contractions used to test the operator inequalities
-and the two-particle factorization bound.
+of one-body operators, the operator inequalities it obeys, and the
+two-particle density tensor with the mixed norm of its factorization
+defect, an exact oracle for that norm of an N-body state.
 
 `operator_inequality_suite`, behind `husimilab fock-check`, makes one
 pass per random instance over plain arrays: one draw for O and Psi, the
@@ -99,23 +99,6 @@ def _stacked(modes: int):
     return tuple(fmt((np.tile(sign.ravel(), len(rows)),
                       (np.ravel(rows), np.ravel(cols))), shape=shape)
                  for fmt, rows, cols, shape in (down_at, up_at))
-
-
-def _mode_sum(kind: str, coeffs: np.ndarray) -> sparse.csr_matrix:
-    """sum_m coeffs_m op_m as one sparse matrix, op = a ("a") or a* ("c").
-
-    This is a fold of up (`_stacked`) applied to outer(coeffs, .): block m
-    of the fold is scaled by coeffs_m and the blocks are folded onto one
-    another.  No two modes reach the same entry (op_m changes bit m only),
-    so the fold sums nothing.  With kind "c" it is a*(g) for g = coeffs.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    modes, dim = coeffs.size, 1 << coeffs.size
-    _, up = _stacked(modes)
-    stack = up[:dim] if kind == "c" else up[dim:2 * dim]
-    return sparse.csr_matrix((stack.data * coeffs[stack.indices >> modes],
-                              stack.indices & (dim - 1), stack.indptr),
-                             shape=(dim, dim))
 
 
 def quadratic_images(O: np.ndarray, psi: np.ndarray):
@@ -227,129 +210,8 @@ def operator_inequality_suite(modes: int, n_instances: int,
 
 
 # ---------------------------------------------------------------------------
-# Bogoliubov machinery
+# the two-particle density and its factorization defect
 # ---------------------------------------------------------------------------
-
-class BogoliubovMap:
-    """(u, v) pair generated by an orthonormal orbital family.
-
-    For orbitals e_1..e_N (columns of E) the map carries
-
-        v = sum_j |conj(e_j)><e_j|   (complex symmetric, v* v a projection)
-        u = 1 - sum_j |e_j><e_j|     (orthogonal projection)
-
-    so that conjugating a_x yields a(u_x) + a*(vbar_x), which on the
-    quasi-free vacuum produces the Slater state with one-body matrix
-    omega = E E^H.
-    """
-
-    def __init__(self, orbitals: np.ndarray):
-        E = np.asarray(orbitals, dtype=complex)
-        if E.ndim != 2:
-            raise FockError("orbitals must be a (modes, N) matrix")
-        if E.shape[1] > 0:
-            gram = E.conj().T @ E
-            defect = np.max(np.abs(gram - np.eye(E.shape[1])))
-            if defect > 1e-10:
-                raise FockError(
-                    f"orbital family is not orthonormal: Gram defect {defect:.3e}")
-        self.orbitals = E
-        self.modes = E.shape[0]
-        self.n_particles = E.shape[1]
-        self.v = np.conj(E @ E.T)
-        self.u = np.eye(self.modes, dtype=complex) - E @ E.conj().T
-
-    def omega(self) -> np.ndarray:
-        """One-body density matrix of the associated Slater state."""
-        return self.orbitals @ self.orbitals.conj().T
-
-
-def bogoliubov_conjugate(bmap: BogoliubovMap, mode: int):
-    """Return (annihilation_image, creation_image) as sparse matrices.
-
-    annihilation_image = a(u_{.,mode}) + a*(vbar_{.,mode}),
-    creation_image is its adjoint.
-    """
-    ann = (_mode_sum("a", np.conj(bmap.u[:, mode]))
-           + _mode_sum("c", np.conj(bmap.v[:, mode])))
-    return ann, ann.conj().T.tocsr()
-
-
-def _rotation_unitary(modes: int, theta: np.ndarray) -> np.ndarray:
-    """Fock-space unitary implementing the one-body basis rotation theta.
-
-    Column for bitmask S is built exponential-free as the product of the
-    creation operators a*(theta_b) of its bits, lowest bit outermost,
-    applied to the vacuum: the order that defines the occupation basis
-    itself.  So column S is a*(theta_b) applied to the column of S without
-    its lowest set bit b, and walking b from the highest mode down fills
-    each mode's columns in one block product.
-    """
-    dim = 1 << modes
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0, 0] = 1.0
-    for b in reversed(range(modes)):
-        above = np.arange(1 << (modes - b - 1)) << (b + 1)
-        out[:, above | (1 << b)] = _mode_sum("c", theta[:, b]) @ out[:, above]
-    return out
-
-
-def bogoliubov_unitary(bmap: BogoliubovMap) -> np.ndarray:
-    """Dense unitary R with R* a_x R = a(u_x) + a*(vbar_x).
-
-    Built as Gamma(theta) . PH . Gamma(theta)* where theta rotates the
-    computational modes onto the orbital family (completed to a basis) and
-    PH is the particle-hole flip on the first N modes.  Each flip factor
-    carries the parity of the higher modes so the conjugation comes out
-    sign-free on every mode.  Dense construction is kept to modest mode
-    counts; exactness is the point, not scale.
-    """
-    if bmap.modes > 12:
-        raise FockError("dense Bogoliubov unitary limited to modes <= 12")
-    E = bmap.orbitals
-    # complete the family to an orthonormal basis whose first N columns are
-    # the orbitals themselves (QR keeps their span but may rotate within it)
-    q, _ = np.linalg.qr(np.hstack([E, np.eye(bmap.modes, dtype=complex)]))
-    rest = q[:, bmap.n_particles:bmap.modes]
-    q2, _ = np.linalg.qr(rest - E @ (E.conj().T @ rest))
-    gamma = _rotation_unitary(bmap.modes, np.hstack([E, q2]))
-    # PH = F_0 .. F_{N-1} is a signed permutation, PH |S> = sign[S]
-    # |target[S]>.  F_j is the bare flip of bit j (no Jordan-Wigner string)
-    # times the parity of the modes above j; this conjugates a_j -> a*_j
-    # and leaves every other mode operator untouched, sign-free
-    target = np.arange(1 << bmap.modes, dtype=np.int64)
-    sign = np.ones(1 << bmap.modes)
-    for j in reversed(range(bmap.n_particles)):
-        sign *= 1 - 2 * (_popcount(target >> (j + 1)) % 2)
-        target ^= 1 << j
-    return (gamma[:, target] * sign) @ gamma.conj().T
-
-
-def slater_state(bmap: BogoliubovMap) -> np.ndarray:
-    """R_V applied to the vacuum: the Slater state of the orbital family."""
-    amps = vacuum(bmap.modes)
-    for j in range(bmap.n_particles):
-        amps = _mode_sum("c", bmap.orbitals[:, j]) @ amps
-    return amps / np.linalg.norm(amps)
-
-
-def apply_bogoliubov(bmap: BogoliubovMap, xi: np.ndarray) -> np.ndarray:
-    """R_V xi through the dense unitary."""
-    R = bogoliubov_unitary(bmap)
-    return R @ xi
-
-
-# ---------------------------------------------------------------------------
-# reduced density matrices and the factorization gap
-# ---------------------------------------------------------------------------
-
-def gamma1_fock(psi: np.ndarray) -> np.ndarray:
-    """gamma(x; z) = <Psi, a*_z a_x Psi> as a modes x modes matrix."""
-    modes = psi.size.bit_length() - 1
-    down, _ = _stacked(modes)
-    lowered = (down @ psi)[:modes << modes].reshape(modes, -1)
-    return lowered @ lowered.conj().T  # [x, z] = <a_z psi, a_x psi>
-
 
 def gamma2_fock(psi: np.ndarray) -> np.ndarray:
     """Full two-particle reduced density tensor G[z1,z2,x1,x2].
@@ -365,27 +227,6 @@ def gamma2_fock(psi: np.ndarray) -> np.ndarray:
     # [(z1,z2),(x1,x2)] = <a_{x2} a_{x1} Psi, a_{z2} a_{z1} Psi>
     overlaps = flat @ flat.conj().T
     return overlaps.reshape(m, m, m, m)
-
-
-def wick_gap_bound_check(O1: np.ndarray, O2: np.ndarray, xi: np.ndarray,
-                         bmap: BogoliubovMap):
-    """Exact two-particle factorization gap against its operator bound.
-
-    For one-body matrices O1, O2 and Psi = R_V xi computes
-    lhs = |Tr (O1 x O2)(gamma2 - omega x omega)| and
-    rhs = N ||O1||_HS ||O2|| ||(N+1) xi||; returns both.
-    """
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
-        raise FockError("xi must be normalized")
-    psi = apply_bogoliubov(bmap, xi)
-    G = gamma2_fock(psi)
-    omega = bmap.omega()
-    factorized = np.einsum("ac,bd->abcd", omega, omega)
-    lhs = abs(np.einsum("ca,db,abcd->", O1, O2, G - factorized))
-    op, hs, _ = one_body_norms(np.stack([O1, O2]))
-    shifted = (_particle_numbers(bmap.modes) + 1.0) * xi
-    rhs = bmap.n_particles * hs[0] * op[1] * np.linalg.norm(shifted)
-    return float(lhs), float(rhs)
 
 
 def mixed_norm_fock(psi: np.ndarray, omega: np.ndarray) -> float:

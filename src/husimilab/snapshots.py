@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from husimilab.grid import GridSpec, make_grid
+from husimilab.grid import GridError, GridSpec, make_grid
 from husimilab.manybody import ManyBodyState
 
 MAGIC = b"HUSI"
@@ -49,25 +49,29 @@ def write_state(path, state: ManyBodyState) -> None:
 
 
 def read_state(path, L: float) -> ManyBodyState:
+    """Read a version-2 N-body snapshot; header faults raise GridError."""
     with open(path, "rb") as fh:
-        magic, version, d, M, N, time, hbar = HEADER.unpack(fh.read(HEADER.size))
+        header = fh.read(HEADER.size)
+        if len(header) < HEADER.size:
+            raise GridError(f"{path}: shorter than the 32-byte header")
+        magic, version, d, M, N, time, hbar = HEADER.unpack(header)
         if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
+            raise GridError(f"{path}: bad magic {magic!r}, not a snapshot")
         if version == 1:
-            raise ValueError(
+            raise GridError(
                 f"{path} is a version-1 snapshot: mean-field orbitals, a "
                 "phase-space field, or an N-body state stored as M^N grid "
                 "amplitudes, a format no longer read; for a version-2 state "
                 "re-run `husimilab simulate` with the run's config.json")
         if version != 2:
-            raise ValueError(f"{path}: unknown snapshot version {version}")
+            raise GridError(f"{path}: unknown snapshot version {version}")
         if d != 1:
-            raise ValueError(f"{path}: header has d={d}; husimilab states "
-                             "live on a one-dimensional grid (d=1)")
+            raise GridError(f"{path}: header has d={d}; husimilab states "
+                            "live on a one-dimensional grid (d=1)")
         found = os.fstat(fh.fileno()).st_size - HEADER.size
         expected = comb(M, N)
         if found != 16 * expected:
-            raise ValueError(
+            raise GridError(
                 f"{path}: header (M={M}, N={N}) needs {expected} "
                 f"coefficients ({16 * expected} bytes), found {found} bytes; "
                 "the file is truncated or was not written by write_state")

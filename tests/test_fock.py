@@ -16,6 +16,17 @@ def random_state(rng, modes):
     return psi / np.linalg.norm(psi)
 
 
+def slater_from_modes(E):
+    """a*(e_N) .. a*(e_1)|0> for the orbitals e_j, the columns of E, with
+    a*(g) = sum_m g_m a*_m from `mode_operators`."""
+    modes = E.shape[0]
+    creators = [op.T for op in fock.mode_operators(modes)]
+    psi = fock.vacuum(modes)
+    for e in E.T:
+        psi = sum(g * (c @ psi) for g, c in zip(e, creators))
+    return psi
+
+
 # ---------------------------------------------------------------------------
 # CAR algebra and elementary operators
 # ---------------------------------------------------------------------------
@@ -69,9 +80,7 @@ def test_car_full_basis():
 
 
 def test_number_operator_on_slater():
-    bmap = fock.BogoliubovMap(random_orthonormal(np.random.default_rng(3),
-                                                 6, 2))
-    sl = fock.slater_state(bmap)
+    sl = slater_from_modes(random_orthonormal(np.random.default_rng(3), 6, 2))
     counted = fock._particle_numbers(6) * sl
     assert np.max(np.abs(counted - 2.0 * sl)) < 1e-12
 
@@ -210,133 +219,24 @@ def test_operator_inequality_suite_refuses_a_left_side_over_zero(
 
 
 # ---------------------------------------------------------------------------
-# Bogoliubov machinery
-# ---------------------------------------------------------------------------
-
-def test_bogoliubov_map_invariants():
-    rng = np.random.default_rng(4)
-    E = random_orthonormal(rng, 8, 3)
-    bmap = fock.BogoliubovMap(E)
-    # <vbar_x, u_y> = 0 for all column pairs
-    vbar = np.conj(bmap.v)
-    assert np.max(np.abs(vbar.conj().T @ bmap.u)) < 1e-12
-    vsv = bmap.v.conj().T @ bmap.v
-    assert abs(np.trace(vsv) - 3.0) < 1e-12
-    assert np.max(np.abs(vsv @ vsv - vsv)) < 1e-12  # projection
-    assert np.max(np.abs(bmap.u @ bmap.u - bmap.u)) < 1e-12
-    assert np.linalg.norm(bmap.u, 2) <= 1.0 + 1e-12
-    assert np.linalg.norm(bmap.v, 2) <= 1.0 + 1e-12
-    assert np.linalg.norm(bmap.v) == pytest.approx(np.sqrt(3.0), abs=1e-12)
-
-
-def test_bogoliubov_rejects_non_orthonormal():
-    rng = np.random.default_rng(5)
-    E = rng.standard_normal((6, 2)) + 0j
-    with pytest.raises(fock.FockError, match="Gram defect"):
-        fock.BogoliubovMap(E)
-
-
-def test_trivial_conjugation_is_identity():
-    bmap = fock.BogoliubovMap(np.zeros((4, 0), dtype=complex))
-    ops = fock.mode_operators(4)
-    R = fock.bogoliubov_unitary(bmap)
-    assert np.max(np.abs(R - np.eye(16))) < 1e-12
-    for x in range(4):
-        ann, _ = fock.bogoliubov_conjugate(bmap, x)
-        assert np.max(np.abs(ann.toarray() - ops[x].toarray())) < 1e-12
-
-
-@pytest.mark.parametrize("modes,n", [(6, 1), (6, 2), (6, 3)])
-def test_conjugation_matches_unitary(modes, n):
-    rng = np.random.default_rng(6 + n)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, modes, n))
-    R = fock.bogoliubov_unitary(bmap)
-    assert np.max(np.abs(R @ R.conj().T - np.eye(1 << modes))) < 1e-12
-    ops = fock.mode_operators(modes)
-    for x in range(modes):
-        ann, cre = fock.bogoliubov_conjugate(bmap, x)
-        lhs = R.conj().T @ ops[x].toarray() @ R
-        assert np.max(np.abs(lhs - ann.toarray())) < 1e-10
-        assert np.max(np.abs(lhs.conj().T - cre.toarray())) < 1e-10
-
-
-def test_conjugation_preserves_anticommutators():
-    rng = np.random.default_rng(9)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 2))
-    images = [fock.bogoliubov_conjugate(bmap, x) for x in range(6)]
-    eye = np.eye(1 << 6)
-    for i in range(6):
-        ai = images[i][0].toarray()
-        for j in range(6):
-            aj_dag = images[j][1].toarray()
-            acomm = ai @ aj_dag + aj_dag @ ai
-            target = eye if i == j else 0.0 * eye
-            assert np.max(np.abs(acomm - target)) < 1e-10
-
-
-def test_conjugation_unitary_preserves_norms():
-    rng = np.random.default_rng(10)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 3))
-    R = fock.bogoliubov_unitary(bmap)
-    for _ in range(20):
-        psi = random_state(rng, 6)
-        assert abs(np.linalg.norm(R @ psi) - 1.0) < 1e-12
-
-
-def test_slater_gamma1_matches_projector():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3):
-        bmap = fock.BogoliubovMap(random_orthonormal(rng, 8, n))
-        sl = fock.apply_bogoliubov(bmap, fock.vacuum(8))
-        g1 = fock.gamma1_fock(sl)
-        assert np.max(np.abs(g1 - bmap.omega())) < 1e-10
-        # exponential-free column construction agrees up to global phase
-        direct = fock.slater_state(bmap)
-        assert abs(abs(np.vdot(direct, sl)) - 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# two-particle factorization gap
+# two-particle density and its factorization defect
 # ---------------------------------------------------------------------------
 
 def test_slater_gamma2_is_pure_exchange():
     rng = np.random.default_rng(12)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 2))
-    psi = fock.apply_bogoliubov(bmap, fock.vacuum(6))
-    G = fock.gamma2_fock(psi)
-    om = bmap.omega()
+    E = random_orthonormal(rng, 6, 2)
+    G = fock.gamma2_fock(slater_from_modes(E))
+    om = E @ E.conj().T
     direct = np.einsum("ac,bd->abcd", om, om)
     exchange = np.einsum("ad,bc->abcd", om, om)
     assert np.max(np.abs((G - direct) + exchange)) < 1e-12
 
 
-def test_wick_gap_zero_operators():
-    rng = np.random.default_rng(13)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 2))
-    zero = np.zeros((6, 6))
-    lhs, rhs = fock.wick_gap_bound_check(zero, zero, fock.vacuum(6), bmap)
-    assert lhs == 0.0 and rhs == 0.0
-
-
-def test_wick_gap_bound_random_instances():
-    rng = np.random.default_rng(14)
-    modes, n = 8, 2
-    for _ in range(100):
-        bmap = fock.BogoliubovMap(random_orthonormal(rng, modes, n))
-        O1 = (rng.standard_normal((modes, modes))
-              + 1j * rng.standard_normal((modes, modes)))
-        O2 = (rng.standard_normal((modes, modes))
-              + 1j * rng.standard_normal((modes, modes)))
-        xi = random_state(rng, modes)
-        lhs, rhs = fock.wick_gap_bound_check(O1, O2, xi, bmap)
-        assert lhs <= rhs + 1e-10
-
-
 def test_mixed_norm_fock_slater_closed_form():
     rng = np.random.default_rng(17)
-    bmap = fock.BogoliubovMap(random_orthonormal(rng, 6, 2))
-    psi = fock.slater_state(bmap)
-    om = bmap.omega()
+    E = random_orthonormal(rng, 6, 2)
+    psi = slater_from_modes(E)
+    om = E @ E.conj().T
     got = fock.mixed_norm_fock(psi, om)
     absom = np.abs(om)
     expect = np.sqrt(np.sum((absom @ absom) ** 2))

@@ -31,12 +31,10 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # builders and property checks that the tests hold the run's kernels to.
 ORACLES = (
     # fock; mode_operators is the per-mode reference the stacked pair is
-    # tested against
-    "vacuum", "mode_operators", "bogoliubov_conjugate", "slater_state",
-    "gamma1_fock", "mixed_norm_fock",
-    # fock: the paper's two-particle factorization check
-    "BogoliubovMap", "_mode_sum", "_rotation_unitary", "apply_bogoliubov",
-    "bogoliubov_unitary", "gamma2_fock", "wick_gap_bound_check",
+    # tested against and builds the tests' Slater states
+    "vacuum", "mode_operators",
+    # fock: the exact mixed norm of the two-particle factorization defect
+    "gamma2_fock", "mixed_norm_fock",
     # grid
     "Potential.evaluate", "Potential.grad_sup",
     # manybody

@@ -192,19 +192,36 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     (["fock-check", "--instances", "-1"], "instance count"),
     (["fock-check", "--modes", "0"], "mode count"),
     (["residues", "STATE", "--box", "12", "--potential", "nope"], "nope"),
+    (["simulate", "--config", "M48"], "M not power of two"),
+    (["simulate", "--config", "FAMILY"], "orbital family 'nope'"),
+    (["residues", "SHORT", "--box", "12"], "shorter than the 32-byte header"),
+    (["transform", "SHORT", "--box", "12"], "shorter than the 32-byte header"),
+    (["residues", "MAGIC", "--box", "12"], "bad magic b'NOPE'"),
+    (["transform", "MAGIC", "--box", "12"], "bad magic b'NOPE'"),
 ])
 def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
                                                capsys):
-    """Refused input exits 2, as argparse's usage errors do, with its
-    message on stderr, and writes no report."""
+    """Refused input exits 2, as argparse's usage errors do, with one
+    message line on stderr, and writes no report and no run directory.
+    The inputs: a valid state, a 7-byte file, a 32-byte header with a bad
+    magic, and configs with a lattice size and an orbital family that a
+    run refuses."""
     grid = make_grid(M=16, L=12.0, hbar=0.5, N=2)
-    state = tmp_path / "state.husi"
-    io.write_state(state, mb.build_slater(
+    inputs = {name: tmp_path / name
+              for name in ("STATE", "SHORT", "MAGIC", "M48", "FAMILY")}
+    io.write_state(inputs["STATE"], mb.build_slater(
         grid, harness.build_orbitals(grid, "hermite", None)))
-    out = tmp_path / "out.json"
-    argv = [str(state) if a == "STATE" else a for a in argv]
+    inputs["SHORT"].write_bytes(io.MAGIC + b"\x02\x00\x01")
+    inputs["MAGIC"].write_bytes(io.HEADER.pack(b"NOPE", 2, 1, 16, 2, 0.0,
+                                               0.5))
+    inputs["M48"].write_text(json.dumps({"M": 48}))
+    inputs["FAMILY"].write_text(json.dumps({"orbital_family": "nope"}))
+    out = tmp_path / "out"
+    argv = [str(inputs[a]) if a in inputs else a for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"husimilab {argv[0]}: error: ")
+    assert message in line
     assert not out.exists()
 
 
