@@ -30,7 +30,11 @@ def _load_config(path, seed=None) -> harness.RunConfig:
     if path is None:
         cfg = harness.RunConfig()
     else:
-        cfg = harness.RunConfig.from_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise GridError(f"cannot read config {path}: {exc}") from exc
+        cfg = harness.RunConfig.from_dict(data)
     if seed is not None:
         cfg.seed = seed
     return cfg

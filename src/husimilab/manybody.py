@@ -157,20 +157,9 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions of perm."""
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _check_propagation_input(state: ManyBodyState, steps: int) -> None:

@@ -87,32 +87,6 @@ def hermite_orbitals(grid: GridSpec, N: int) -> list[np.ndarray]:
     return [Q[:, j] / np.sqrt(grid.dx) for j in range(N)]
 
 
-def commutator_norms(kernel: np.ndarray, grid: GridSpec, p_values) -> dict:
-    """Trace norms of [e^{ipx}, omega] and [hbar d/dx, omega].
-
-    Diagnostics for the semiclassical structure of an initial one-body
-    matrix; reported per momentum, no optimality claimed.
-    """
-    x = grid.axis_points()
-    out = {}
-    worst = 0.0
-    for p in np.atleast_1d(p_values):
-        phase = np.exp(1j * p * x)
-        comm = phase[:, None] * kernel - kernel * phase[None, :]
-        tr = float(np.sum(np.linalg.svd(comm * grid.dx, compute_uv=False)))
-        out[float(p)] = tr
-        worst = max(worst, tr / (1.0 + abs(p)))
-    k = grid.wavenumbers()
-    dmat = np.fft.ifft(np.fft.fft(kernel, axis=0) * (1j * k)[:, None], axis=0)
-    dmat = dmat - np.fft.ifft(np.fft.fft(kernel, axis=1)
-                              * (-1j * k)[None, :], axis=1)
-    grad_comm = float(np.sum(np.linalg.svd(grid.hbar * dmat * grid.dx,
-                                           compute_uv=False)))
-    return {"exp_commutators": out, "sup_weighted": worst,
-            "grad_commutator": grad_comm,
-            "scale_N_hbar": grid.N * grid.hbar}
-
-
 # ---------------------------------------------------------------------------
 # Hartree-Fock
 # ---------------------------------------------------------------------------

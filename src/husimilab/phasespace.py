@@ -298,19 +298,6 @@ def moments(fld: PhaseSpaceField) -> tuple[float, float, float]:
     return fld.mass(), qmom, p2mom
 
 
-def moment_growth_check(fields, times) -> dict:
-    """Smallest C with (|q| + |p|^2) moment(t) <= C (1 + t^3)."""
-    vals = []
-    for fld in fields:
-        _, qm, p2 = moments(fld)
-        vals.append(qm + p2)
-    cs = [v / (1.0 + t ** 3) for v, t in zip(vals, times)]
-    C = max(cs)
-    if not np.isfinite(C):
-        raise GridError("moment growth unbounded on the horizon")
-    return {"times": list(times), "moments": vals, "fitted_C": float(C)}
-
-
 # ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------
@@ -323,26 +310,3 @@ def log_log_fit(xs, ys) -> tuple[float, float]:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(res[0]) / ss_tot if res.size and ss_tot > 0 else 1.0
     return float(coef[0]), r2
-
-
-# ---------------------------------------------------------------------------
-# localized number operator
-# ---------------------------------------------------------------------------
-
-def localized_number_check(kernel: OneBodyKernel, radius: float) -> dict:
-    """Double integral of the density over balls |x - q| <= sqrt(hbar) R.
-
-    Fubini makes it exactly (lattice ball volume) x N; the returned ratio
-    to hbar^(-1/2) is the scale the localization bound controls.
-    """
-    g = kernel.grid
-    delta = _centered_offsets(g)
-    ball = np.sum(np.abs(delta) <= np.sqrt(g.hbar) * radius) * g.dx
-    density = np.real(np.diag(kernel.matrix))
-    value = float(ball * np.sum(density) * g.dx)
-    return {
-        "value": value,
-        "ball_volume": float(ball),
-        "ratio_to_scale": value * g.hbar ** 0.5,
-        "hbar": g.hbar,
-    }

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from husimilab.grid import Potential, TestFunction, bump_test_function
+from husimilab.grid import (GridError, Potential, TestFunction,
+                            bump_test_function)
 from husimilab.manybody import (ManyBodyState, OneBodyKernel, gamma1,
                                 gamma1_time_derivative, gamma2_diag_blocks)
 from husimilab.phasespace import (CoherentFrame, PhaseSpaceField,
@@ -179,13 +180,14 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
 
 @dataclass
 class SnapshotFields:
-    """The costly objects of one snapshot, each computed once.
+    """The costly objects of one snapshot, each computed once from one
+    gamma1 of the state: its Husimi field, the kinetic residue field and
+    the interaction residue fields.
 
     `interaction` is None for N = 1, which has no pair interaction.
     """
 
     state: ManyBodyState
-    kernel: OneBodyKernel
     husimi: PhaseSpaceField
     kinetic: np.ndarray
     interaction: InteractionResidues | None
@@ -259,6 +261,23 @@ def reformulation_consistency(fields: SnapshotFields, adot: np.ndarray,
     return {"defect": defect, "defect_rel": defect / scale, "parts": parts}
 
 
+def pairing_test_functions(lattice: PhaseSpaceLattice, phi_q: dict,
+                           phi_p: dict):
+    """The bumps of the specs `phi_q` and `phi_p` (center, radius, s) on
+    the q and p axes of `lattice`; a spec with a key the bump does not
+    take, or a support that crosses the box, raises GridError naming it."""
+    bumps = []
+    for name, axis, spec in (("phi_q", lattice.qs, phi_q),
+                             ("phi_p", lattice.ps, phi_p)):
+        try:
+            bumps.append(bump_test_function(axis, **spec))
+        except (TypeError, GridError) as exc:
+            raise GridError(f"{name} {spec}: {exc}; a spec holds center, "
+                            "radius and s, with its support inside the "
+                            "box") from exc
+    return bumps
+
+
 def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
                       frame: CoherentFrame, potential: Potential,
                       phi_q: dict, phi_p: dict):
@@ -278,12 +297,11 @@ def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
     b1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
     lattice = natural_lattice(g)
     fields = SnapshotFields(
-        state, kern, PhaseSpaceField(b1.real, lattice),
+        state, PhaseSpaceField(b1.real, lattice),
         kinetic_residue_field(kern, frame),
         interaction_residue_fields(state, kern, b1, frame, potential)
         if g.N >= 2 else None)
-    tq = bump_test_function(lattice.qs, **phi_q)
-    tp = bump_test_function(lattice.ps, **phi_p)
+    tq, tp = pairing_test_functions(lattice, phi_q, phi_p)
     cons = reformulation_consistency(fields, adot, frame, potential, tq, tp)
     parts = cons["parts"]
     report = ResidueReport(

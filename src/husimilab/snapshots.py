@@ -41,16 +41,28 @@ HEADER = struct.Struct("<4sHHIIdd")
 assert HEADER.size == 32
 
 
+def _write(path, version: int, M: int, N: int, time: float, hbar: float,
+           values: np.ndarray) -> None:
+    """The header, then `values` as little-endian complex128."""
+    with open(path, "wb") as fh:
+        fh.write(HEADER.pack(MAGIC, version, 1, M, N, time, hbar))
+        fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+
+
 def write_state(path, state: ManyBodyState) -> None:
     g = state.grid
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 2, 1, g.M, g.N, state.time, g.hbar))
-        fh.write(np.ascontiguousarray(state.coeffs, dtype="<c16").tobytes())
+    _write(path, 2, g.M, g.N, state.time, g.hbar, state.coeffs)
 
 
 def read_state(path, L: float) -> ManyBodyState:
-    """Read a version-2 N-body snapshot; header faults raise GridError."""
-    with open(path, "rb") as fh:
+    """Read a version-2 N-body snapshot; a file that cannot be opened and
+    header faults raise GridError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise GridError(
+            f"cannot read snapshot {path}: {exc.strerror}") from exc
+    with fh:
         header = fh.read(HEADER.size)
         if len(header) < HEADER.size:
             raise GridError(f"{path}: shorter than the 32-byte header")
@@ -83,21 +95,15 @@ def read_state(path, L: float) -> ManyBodyState:
 def write_orbitals(path, orbitals: np.ndarray, grid: GridSpec,
                    time: float = 0.0) -> None:
     """Mean-field orbitals: N one-body kernels-worth of vectors, concatenated."""
-    n = orbitals.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 1, 1, grid.M, n, time, grid.hbar))
-        fh.write(np.ascontiguousarray(orbitals, dtype="<c16").tobytes())
+    _write(path, 1, grid.M, orbitals.shape[0], time, grid.hbar, orbitals)
 
 
 def write_field(path, values: np.ndarray, grid: GridSpec,
                 time: float = 0.0) -> None:
     """One-particle phase-space field in the snapshot format, with the q
     and p point counts in the M and N slots."""
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, 1, 1, values.shape[0],
-                             values.shape[1], time, grid.hbar))
-        fh.write(np.ascontiguousarray(values.astype(complex),
-                                      dtype="<c16").tobytes())
+    q_points, p_points = values.shape
+    _write(path, 1, q_points, p_points, time, grid.hbar, values)
 
 
 def field_csv(path, qs, ps, values) -> None:

@@ -142,3 +142,34 @@ def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
     assert counts == {"flow": 1, "block": 1, "export": 0,
                       "slab": mb._SLABS}
     assert alive_at_residues == [False]
+
+
+def _records(run_dir) -> dict:
+    summary = json.loads((run_dir / "summary.json").read_text())
+    return {r["observable"]: r for r in summary["records"]}
+
+
+@pytest.mark.parametrize("point", [{}, {"N": 3, "hbar": 1.0 / 3.0}],
+                         ids=["N2", "N3"])
+def test_a_one_step_run_passes_its_hard_checks(point, tmp_path):
+    """With one N-body step the residue snapshot is at T/2, not at t = 0,
+    where every paired term of the Hermite state is at rounding level and
+    the relative consistency defect reads about 1."""
+    cfg = harness.RunConfig(horizon=0.002, **point)
+    records = _records(harness.run_experiment(cfg, tmp_path / "run"))
+    assert all(r["passed"] for r in records.values())
+    assert records["consistency_defect_rel"]["t"] == 0.001
+
+
+@pytest.mark.parametrize("horizon, dt, vsteps", [(0.03, 0.03, 2),
+                                                 (0.05, 0.05, 3),
+                                                 (0.2, 0.002, 100)])
+def test_vlasov_steps_stay_inside_the_cfl_limit(horizon, dt, vsteps,
+                                                tmp_path):
+    """The Vlasov stepper takes the fewest steps no longer than dt and 0.9
+    of the CFL step (0.0224 at L = 12, M = 64, hbar = 1/2); the mass-drift
+    tolerance, 1e-8 per step, shows the count."""
+    cfg = harness.RunConfig(horizon=horizon, dt=dt)
+    records = _records(harness.run_experiment(cfg, tmp_path / "run"))
+    assert records["vlasov_mass_drift"]["tolerance"] == 1e-8 * vsteps
+    assert records["vlasov_energy_drift_rate"]["passed"]

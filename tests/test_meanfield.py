@@ -24,20 +24,6 @@ def test_orbital_families_orthonormal():
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
 
-def test_commutator_norms_reported():
-    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
-    for family in ("plane", "hermite"):
-        orbs = (mf.plane_wave_orbitals(grid, 2) if family == "plane"
-                else mf.hermite_orbitals(grid, 2))
-        st = mf.MeanFieldState(grid, np.array(orbs))
-        out = mf.commutator_norms(st.omega(), grid, [0.5, 1.0])
-        assert np.isfinite(out["sup_weighted"])
-        assert out["grad_commutator"] >= 0
-        if family == "plane":
-            # plane-wave projector commutes with the gradient exactly
-            assert out["grad_commutator"] < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # Hartree-Fock
 # ---------------------------------------------------------------------------

@@ -43,10 +43,11 @@ ORACLES = (
     "kinetic_energy",
     # meanfield
     "free_transport_exact",
-    # phasespace
+    # phasespace; moments holds the Husimi transform and the free flow to
+    # the closed-form Gaussian moments
     "husimi1_direct", "husimi_point", "_coherent_state",
     "wigner_position_marginal", "gaussian_wigner_closed_form",
-    "convolution_bridge_check",
+    "convolution_bridge_check", "moments",
 )
 
 

@@ -310,19 +310,6 @@ def test_free_evolution_preserves_p2_moment():
     assert ps.moments(f1)[2] == pytest.approx(ps.moments(f0)[2], abs=1e-6)
 
 
-def test_moment_growth_check_interacting():
-    grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
-    frame = ps.gaussian_frame(grid)
-    V = Potential.gaussian_bump(grid, 0.8, 1.5)
-    state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
-    traj = mb.SlaterFlow(grid, V).trajectory(state, dt=0.004, steps=250,
-                                             store_every=125)
-    fields = [ps.husimi1(mb.gamma1(s), frame) for s in traj]
-    report = ps.moment_growth_check(fields, [s.time for s in traj])
-    assert np.isfinite(report["fitted_C"])
-    assert report["fitted_C"] > 0
-
-
 # ---------------------------------------------------------------------------
 # oscillation estimate
 # ---------------------------------------------------------------------------
@@ -433,37 +420,3 @@ def test_oscillation_quadrature_matches_closed_form():
         quad_val = oscillatory_integral(fn, 110.0, x, hb)
         assert quad_val == pytest.approx(float(fourier_transform(x / hb).real),
                                          abs=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# localized number operator
-# ---------------------------------------------------------------------------
-
-def test_localized_number_is_ball_volume_times_n():
-    grid = make_grid(M=128, L=12.0, hbar=0.5, N=1)
-    psi = mb.gaussian_orbital(grid, width=0.9)
-    kern = mb.gamma1(from_grid(grid, psi))
-    out = ps.localized_number_check(kern, radius=1.0)
-    assert out["value"] == pytest.approx(out["ball_volume"] * 1.0, rel=1e-10)
-
-
-def test_localized_number_coupled_sweep_ratio():
-    # hbar = 1/N preset; gamma1 of the Slater family without the N-body array
-    ratios = []
-    for N in (2, 4):
-        grid = make_grid(M=128, L=12.0, hbar=1.0 / N, N=N,
-                         budget=2 ** 30)
-        hf = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, N)))
-        out = ps.localized_number_check(hf.omega_kernel(), radius=1.0)
-        ratios.append(out["ratio_to_scale"])
-    assert max(ratios) / min(ratios) < 2.0
-
-
-def test_localized_number_doubling_radius():
-    grid = make_grid(M=128, L=12.0, hbar=0.5, N=2)
-    state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
-    kern = mb.gamma1(state)
-    small = ps.localized_number_check(kern, radius=1.0)["value"]
-    large = ps.localized_number_check(kern, radius=2.0)["value"]
-    assert large <= 2.0 * small * (1.0 + 2.0 * grid.dx)
-    assert large >= small  # monotone in R

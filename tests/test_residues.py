@@ -198,17 +198,29 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     (["transform", "SHORT", "--box", "12"], "shorter than the 32-byte header"),
     (["residues", "MAGIC", "--box", "12"], "bad magic b'NOPE'"),
     (["transform", "MAGIC", "--box", "12"], "bad magic b'NOPE'"),
+    (["simulate", "--config", "NOTJSON"], "cannot read config"),
+    (["simulate", "--config", "MISSING"], "cannot read config"),
+    (["simulate", "--config", "MSTR"], "M='64' is not int"),
+    (["simulate", "--config", "NFLOAT"], "N=2.5 is not int"),
+    (["simulate", "--config", "WIDE"], "crosses the periodic boundary"),
+    (["simulate", "--config", "SPECKEY"], "unexpected keyword argument"),
+    (["residues", "MISSING", "--box", "12"], "cannot read snapshot"),
+    (["transform", "MISSING", "--box", "12"], "cannot read snapshot"),
 ])
 def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
                                                capsys):
     """Refused input exits 2, as argparse's usage errors do, with one
     message line on stderr, and writes no report and no run directory.
     The inputs: a valid state, a 7-byte file, a 32-byte header with a bad
-    magic, and configs with a lattice size and an orbital family that a
-    run refuses."""
+    magic, a path that does not exist, a config that is no JSON, and
+    configs with a lattice size, an orbital family, a value type and a
+    test function (one whose support crosses the box, one with a key the
+    bump does not take) that a run refuses before any compute."""
     grid = make_grid(M=16, L=12.0, hbar=0.5, N=2)
     inputs = {name: tmp_path / name
-              for name in ("STATE", "SHORT", "MAGIC", "M48", "FAMILY")}
+              for name in ("STATE", "SHORT", "MAGIC", "M48", "FAMILY",
+                           "NOTJSON", "MISSING", "MSTR", "NFLOAT", "WIDE",
+                           "SPECKEY")}
     io.write_state(inputs["STATE"], mb.build_slater(
         grid, harness.build_orbitals(grid, "hermite", None)))
     inputs["SHORT"].write_bytes(io.MAGIC + b"\x02\x00\x01")
@@ -216,6 +228,13 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
                                                0.5))
     inputs["M48"].write_text(json.dumps({"M": 48}))
     inputs["FAMILY"].write_text(json.dumps({"orbital_family": "nope"}))
+    inputs["NOTJSON"].write_text("{M: 64")
+    inputs["MSTR"].write_text(json.dumps({"M": "64"}))
+    inputs["NFLOAT"].write_text(json.dumps({"N": 2.5}))
+    inputs["WIDE"].write_text(json.dumps(
+        {"phi_q": {"center": 0.0, "radius": 6.5, "s": 3}}))
+    inputs["SPECKEY"].write_text(json.dumps(
+        {"phi_q": {"center": 0.0, "radius": 3.5, "s": 3, "width": 1.0}}))
     out = tmp_path / "out"
     argv = [str(inputs[a]) if a in inputs else a for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == 2
