@@ -8,8 +8,12 @@ random-orbital state at (3, 64), which keeps both blocks; the residue
 pass's w2-transform of the y-diagonal of gamma2
 (`residues._gamma2_partial_hat`, over the blocks of
 `manybody.gamma2_diag_blocks`) at (2, 64), (3, 64), (4, 32) and
-(2, 256); `antisymmetry_defect` at (3, 64) and (4, 32); and the Chebyshev
-coefficients `_jacobi_anger` of an HF half kick and of the flow.
+(2, 256); the whole residue pass `residues.snapshot_residues` (gamma1
+and its rate, the Husimi field and its rate, the residue fields and the
+paired consistency defect) with the run's default test functions at
+(2, 64) and (3, 64); `antisymmetry_defect` at (3, 64) and (4, 32); and
+the Chebyshev coefficients `_jacobi_anger` of an HF half kick and of the
+flow.
 Hermite orbitals but for the random-orbital cases (seed 0), default
 cosine V, L = 12, coupled line hbar = 1/N; the reduced density matrices
 and the energy are taken on the state propagated to t = 0.1, the run's
@@ -27,6 +31,7 @@ import pytest
 from husimilab import harness
 from husimilab import manybody as mb
 from husimilab import meanfield as mf
+from husimilab import phasespace as ps
 from husimilab import residues as rs
 from husimilab.grid import make_grid
 
@@ -72,6 +77,18 @@ def test_gamma2_partial_hat(benchmark, N, M):
     out = benchmark.pedantic(rs._gamma2_partial_hat, args=(state, ks),
                              rounds=10, warmup_rounds=1)
     assert out.shape == (M, M, len(ks))
+
+
+@pytest.mark.parametrize("N, M", [(2, 64), (3, 64)])
+def test_snapshot_residues(benchmark, N, M):
+    state, potential = _snapshot(N, M)
+    adot = mb.SlaterFlow(state.grid, potential).time_derivative(state)
+    cfg = harness.RunConfig()
+    _, report = benchmark.pedantic(
+        rs.snapshot_residues, args=(state, adot, ps.gaussian_frame(state.grid),
+                                    potential, cfg.phi_q, cfg.phi_p),
+        rounds=10, warmup_rounds=1)
+    assert report.consistency_defect_rel < 1e-12
 
 
 @pytest.mark.parametrize("N, M", POINTS)

@@ -85,12 +85,14 @@ def cmd_residues(args) -> int:
     frame = harness.build_frame(grid, args.frame)
     potential = harness.build_potential(grid, {"kind": args.potential,
                                                "amplitudes": args.amplitude})
+    phi_q = {"center": 0.0, "radius": args.phi_q_radius, "s": 3}
+    phi_p = {"center": 0.0, "radius": args.phi_p_radius, "s": 3}
+    # refused test functions exit before the flow is built
+    rsd.pairing_test_functions(ps.natural_lattice(grid), phi_q, phi_p)
     # the one product with H this command needs; H is freed at once
     adot = mb.SlaterFlow(grid, potential).time_derivative(state)
-    _, rep = rsd.snapshot_residues(
-        state, adot, frame, potential,
-        {"center": 0.0, "radius": args.phi_q_radius, "s": 3},
-        {"center": 0.0, "radius": args.phi_p_radius, "s": 3})
+    _, rep = rsd.snapshot_residues(state, adot, frame, potential, phi_q,
+                                   phi_p)
     io.write_report(args.out, asdict(rep))
     print(json.dumps(asdict(rep), indent=2))
     return 0

@@ -716,16 +716,17 @@ def gamma1(state: ManyBodyState) -> OneBodyKernel:
     return OneBodyKernel(_one_body_matrix(g, B, B), g)
 
 
-def gamma1_time_derivative(state: ManyBodyState,
-                           adot: np.ndarray) -> np.ndarray:
-    """d/dt gamma1 under the flow of H, as a matrix: Xdot + Xdot^H with
-    Xdot = F Bdot B^H F^H (`_one_body_matrix`), B and Bdot the
-    one-free-axis extensions of a and of adot = H a / (i hbar)
+def gamma1_and_rate(state: ManyBodyState,
+                    adot: np.ndarray) -> tuple[OneBodyKernel, np.ndarray]:
+    """gamma1 = F B B^H F^H, as `gamma1`, and its rate under the flow of H,
+    Xdot + Xdot^H with Xdot = F Bdot B^H F^H (`_one_body_matrix`), from one
+    one-free-axis extension B of a; Bdot is that of adot = H a / (i hbar)
     (`SlaterFlow.time_derivative`)."""
     g = state.grid
-    xdot = _one_body_matrix(g, _antisymmetric_extension(g, adot, 1),
-                            _antisymmetric_extension(g, state.coeffs, 1))
-    return xdot + xdot.conj().T
+    B = _antisymmetric_extension(g, state.coeffs, 1)
+    xdot = _one_body_matrix(g, _antisymmetric_extension(g, adot, 1), B)
+    return (OneBodyKernel(_one_body_matrix(g, B, B), g),
+            xdot + xdot.conj().T)
 
 
 _Y_BLOCK = 8  # y values per block of the y-diagonal of gamma2

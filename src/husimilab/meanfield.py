@@ -42,7 +42,7 @@ W_s(0) / B(0) = 1, so every shift keeps the mass of its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -229,19 +229,17 @@ def hartree_fock_evolve(state: MeanFieldState, potential: Potential,
 
 
 def hf_energy(state: MeanFieldState, potential: Potential) -> float:
-    """Kinetic + (direct - exchange)/2 energy; conserved by the exact flow."""
+    """Kinetic + (direct - exchange)/2 energy; conserved by the exact flow.
+    The pair half is (1/2) Re sum_j <e_j, U e_j> dx with U the one-body
+    matrix of the step, `mean_field_matrix`."""
     g = state.grid
     k = g.wavenumbers()
-    orb_hat = np.fft.fft(state.orbitals, axis=1)
+    orb = state.orbitals
     kinetic = (0.5 * g.hbar ** 2
-               * np.sum(k ** 2 * np.abs(orb_hat) ** 2) * g.dx / g.M)
-    N = len(state.orbitals)
-    omega = state.omega()
-    rho_raw = np.real(np.diag(omega))  # omega(x;x), mass N
-    vdiff = potential.difference_table()
-    direct = 0.5 / N * float(rho_raw @ vdiff @ rho_raw) * g.dx ** 2
-    exchange = 0.5 / N * float(np.sum(vdiff * np.abs(omega) ** 2)) * g.dx ** 2
-    return float(kinetic + direct - exchange)
+               * np.sum(k ** 2 * np.abs(np.fft.fft(orb, axis=1)) ** 2)
+               * g.dx / g.M)
+    U = mean_field_matrix(state, potential)
+    return float(kinetic + 0.5 * g.dx * np.vdot(orb, orb @ U.T).real)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +316,8 @@ def vlasov_from_husimi(field: PhaseSpaceField,
                        field.lattice, 0.0, scale)
 
 
-def vlasov_force(state: VlasovState, potential: Potential) -> np.ndarray:
-    """F(q) = -force_scale (V' * rho)(q) on the unstrided natural lattice."""
-    return state.force(potential, state.force_scale)
-
-
 def vlasov_cfl(state: VlasovState, potential: Potential, dt: float) -> dict:
-    fmax = float(np.max(np.abs(vlasov_force(state, potential))))
+    fmax = float(np.max(np.abs(state.force(potential, state.force_scale))))
     return _cfl(state.lattice, fmax, dt)
 
 
@@ -338,14 +331,6 @@ def _cfl(lat: PhaseSpaceLattice, fmax: float, dt: float) -> dict:
               lat.dp / fmax if fmax > 0 else np.inf)
     return {"ok": q_ok and p_ok, "suggested_dt": sug,
             "pmax": pmax, "fmax": fmax}
-
-
-def _require_cfl(lat: PhaseSpaceLattice, fmax: float, dt: float) -> None:
-    cfl = _cfl(lat, fmax, dt)
-    if not cfl["ok"]:
-        raise MeanFieldError(
-            f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
-            f"suggested dt <= {cfl['suggested_dt']:.3e}")
 
 
 @lru_cache(maxsize=8)
@@ -387,20 +372,13 @@ def _half_q_transfer(n: int, shifts: bytes) -> np.ndarray:
     return _read_only(_shift_transfer(n, np.frombuffer(shifts)))
 
 
-def _shift_along_q(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-    """out[:, b] = m(q - s_b, p_b), periodic, for the `_shift_transfer`
-    of the shifts s."""
-    spectrum = np.fft.rfft(values, axis=0)
-    spectrum *= transfer
-    return np.fft.irfft(spectrum, n=values.shape[0], axis=0)
-
-
-def _shift_along_p(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-    """out[a, :] = m(q_a, p - s_a), periodic, for the `_shift_transfer`
-    of the shifts s."""
-    spectrum = np.fft.rfft(values, axis=1)
-    spectrum *= transfer.T
-    return np.fft.irfft(spectrum, n=values.shape[1], axis=1)
+def _shift(values: np.ndarray, transfer: np.ndarray, axis: int) -> np.ndarray:
+    """Each line along `axis` moved by its own shift s, periodic, for the
+    `_shift_transfer` of the shifts s: out[:, b] = m(q - s_b, p_b) at
+    axis 0 and out[a, :] = m(q_a, p - s_a) at axis 1."""
+    spectrum = np.fft.rfft(values, axis=axis)
+    spectrum *= np.moveaxis(transfer, 0, axis)
+    return np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
 
 
 def vlasov_step(state: VlasovState, potential: Potential,
@@ -413,21 +391,24 @@ def vlasov_step(state: VlasovState, potential: Potential,
     one multiplier, built once per (lattice, dt).  W_s(0) / B(0) = 1 by
     the B-spline partition of unity, so every shift keeps the lattice sum
     to rounding.  The p axis is wrapped too, valid while the field
-    vanishes near the p box edges.  The CFL guard checks the shifts
-    applied: the q-shift pmax dt before any work, and the p-shift of the
-    mid-step force (the one force of the step) before the kick.
-    Negative overshoot is clipped at 0 and the clipped mass logged.
+    vanishes near the p box edges.  One CFL check, after the half
+    q-transport, guards both shifts: the q-shift pmax dt and the p-shift
+    of the mid-step force, the one force of the step, whose fmax a
+    refusal names.  Negative overshoot is clipped at 0 and the clipped
+    mass logged.
     """
     lat = state.lattice
-    _require_cfl(lat, 0.0, dt)
     half_q = _half_q_transfer(len(lat.qs),
                               (lat.ps * (0.5 * dt) / lat.dq).tobytes())
-    vals = _shift_along_q(state.values, half_q)
-    force = vlasov_force(replace(state, values=vals), potential)
-    _require_cfl(lat, float(np.max(np.abs(force))), dt)
-    vals = _shift_along_p(vals, _shift_transfer(len(lat.ps),
-                                                force * dt / lat.dp))
-    vals = _shift_along_q(vals, half_q)
+    vals = _shift(state.values, half_q, 0)
+    force = PhaseSpaceField(vals, lat).force(potential, state.force_scale)
+    cfl = _cfl(lat, float(np.max(np.abs(force))), dt)
+    if not cfl["ok"]:
+        raise MeanFieldError(
+            f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
+            f"suggested dt <= {cfl['suggested_dt']:.3e}")
+    vals = _shift(vals, _shift_transfer(len(lat.ps), force * dt / lat.dp), 1)
+    vals = _shift(vals, half_q, 0)
     clip = float(-np.sum(np.minimum(vals, 0.0)) * lat.cell)
     np.maximum(vals, 0.0, out=vals)
     return VlasovState(vals, lat, state.time + dt, state.force_scale,
@@ -456,5 +437,5 @@ def vlasov_energy(state: VlasovState, potential: Potential) -> float:
 def free_transport_exact(initial: VlasovState, t: float) -> np.ndarray:
     """Method of characteristics for V = 0: m_t(q, p) = m_0(q - p t, p)."""
     lat = initial.lattice
-    return _shift_along_q(initial.values,
-                          _shift_transfer(len(lat.qs), lat.ps * t / lat.dq))
+    return _shift(initial.values,
+                  _shift_transfer(len(lat.qs), lat.ps * t / lat.dq), 0)

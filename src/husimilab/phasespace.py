@@ -238,51 +238,12 @@ def wigner1(kernel: OneBodyKernel) -> PhaseSpaceField:
         grid.axis_points(), ps[order], grid.hbar))
 
 
-def wigner_position_marginal(wf: PhaseSpaceField, N: int) -> np.ndarray:
-    """N (2 pi hbar)^(-1) sum_p W dp; equals the density gamma(x; x)."""
-    return N * wf.density() / wf.lattice.canonical
-
-
 def gaussian_wigner_closed_form(qs, ps, width: float, x0: float, p0: float,
                                 hbar: float) -> np.ndarray:
     """W of the width-a Gaussian packet: 2 exp(-(x-x0)^2/a - a (p-p0)^2/hbar^2)."""
     Q, P = np.meshgrid(qs, ps, indexing="ij")
     return 2.0 * np.exp(-((Q - x0) ** 2) / width
                         - width * (P - p0) ** 2 / hbar ** 2)
-
-
-def convolution_bridge_check(wf: PhaseSpaceField, kernel: OneBodyKernel,
-                             frame: CoherentFrame) -> dict:
-    """Max defect of  m = prefactor (W * G)  with the Gaussian smoothing.
-
-    The convolution is a lattice quadrature on the lattice of `wf`, which
-    may be a sublattice of the Wigner lattice; the Husimi side is
-    evaluated exactly at the same points, so the defect isolates the
-    quadrature error and shrinks superalgebraically as the lattice is
-    refined.  Only the Gaussian window satisfies the identity; other
-    frames are refused.
-    """
-    if frame.kind != "gaussian":
-        raise GridError("convolution bridge requires the gaussian frame")
-    g = kernel.grid
-    lat = wf.lattice
-    qs, ps, W = lat.qs, lat.ps, wf.values
-    dq, dp, hbar = lat.dq, lat.dp, lat.hbar
-    # separable Gaussian kernels; q wrapped over periodic images
-    dq_mat = qs[:, None] - qs[None, :]
-    gq = np.zeros_like(dq_mat)
-    for shift in (-1, 0, 1):
-        gq += np.exp(-((dq_mat + shift * g.L) ** 2) / hbar)
-    gp = np.exp(-((ps[:, None] - ps[None, :]) ** 2) / hbar)
-    conv = (gq @ W @ gp.T) * dq * dp / (np.pi * hbar)
-    prefactor = 1.0  # N (N-1) ... (N-k+1) / N^k at k = 1
-    defect = 0.0
-    for a, q in enumerate(qs):
-        for b, p in enumerate(ps):
-            m = husimi_point(kernel, frame, q, p)
-            defect = max(defect, abs(m - prefactor * conv[a, b]))
-    return {"max_defect": float(defect), "dq": dq, "dp": dp,
-            "points": int(len(qs) * len(ps)), "n_particles": g.N}
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,11 @@ The consistency defect pairs every term of the identity with a test
 function at one snapshot.  d/dt m is exact: it is the Husimi transform of
 d/dt gamma1, formed from adot = H a / (i hbar), which the caller takes
 while it holds H (a run in its N-body stage, before H is freed), so the
-defect sits at rounding level.  That holds only while the Husimi field has
-no mass on the edges of the (q, p) box: the lattice is periodic in q and
-in p, and mass that wraps across an edge breaks the identity.
+defect sits at rounding level; gamma1 and its rate share one extension
+of the coefficients (`manybody.gamma1_and_rate`).  That holds only while
+the Husimi field has no mass on the edges of the (q, p) box: the lattice
+is periodic in q and in p, and mass that wraps across an edge breaks the
+identity.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import numpy as np
 
 from husimilab.grid import (GridError, Potential, TestFunction,
                             bump_test_function)
-from husimilab.manybody import (ManyBodyState, OneBodyKernel, gamma1,
-                                gamma1_time_derivative, gamma2_diag_blocks)
+from husimilab.manybody import (ManyBodyState, OneBodyKernel,
+                                gamma1_and_rate, gamma2_diag_blocks)
 from husimilab.phasespace import (CoherentFrame, PhaseSpaceField,
                                   PhaseSpaceLattice, _centered_offsets,
                                   bilinear_phase_field, natural_lattice)
@@ -180,15 +182,16 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
 
 @dataclass
 class SnapshotFields:
-    """The costly objects of one snapshot, each computed once from one
-    gamma1 of the state: its Husimi field, the kinetic residue field and
-    the interaction residue fields.
+    """The costly objects of one snapshot, each computed once from gamma1
+    and its rate: the Husimi field and its rate d/dt m, the kinetic
+    residue field and the interaction residue fields.
 
     `interaction` is None for N = 1, which has no pair interaction.
     """
 
     state: ManyBodyState
     husimi: PhaseSpaceField
+    husimi_rate: np.ndarray
     kinetic: np.ndarray
     interaction: InteractionResidues | None
 
@@ -209,23 +212,14 @@ class ResidueReport:
     test_functions: dict = field(default_factory=dict)
 
 
-def _husimi_time_derivative(state: ManyBodyState, adot: np.ndarray,
-                            frame: CoherentFrame) -> np.ndarray:
-    """d/dt m on the natural lattice, from d/dt gamma1 of adot = H a /
-    (i hbar): the Husimi transform is linear in the kernel."""
-    return bilinear_phase_field(gamma1_time_derivative(state, adot),
-                                frame.window, frame.window, state.grid).real
-
-
-def reformulation_consistency(fields: SnapshotFields, adot: np.ndarray,
-                              frame: CoherentFrame, potential: Potential,
+def reformulation_consistency(fields: SnapshotFields, potential: Potential,
                               phi_q: TestFunction,
                               phi_p: TestFunction) -> dict:
     """Paired defect of the reformulated equation at one snapshot.
 
     Every term is evaluated exactly at the snapshot, the time derivative
-    included (from `adot`, H a / (i hbar) of the snapshot's coefficients),
-    and all divergences are moved onto the test functions.
+    included (`fields.husimi_rate`, the transform of d/dt gamma1), and all
+    divergences are moved onto the test functions.
     `defect_rel` is the defect over the largest of the six paired terms;
     it is at rounding level while the Husimi field has no mass on the
     box edges.
@@ -233,9 +227,9 @@ def reformulation_consistency(fields: SnapshotFields, adot: np.ndarray,
     g = fields.state.grid
     lattice = fields.husimi.lattice
     m = fields.husimi.values
-    dm_dt = _husimi_time_derivative(fields.state, adot, frame)
     parts = {
-        "time": _paired(phi_q.values, phi_p.values, dm_dt, lattice),
+        "time": _paired(phi_q.values, phi_p.values, fields.husimi_rate,
+                        lattice),
         "transport": -_paired(phi_q.grad, phi_p.values,
                               m * lattice.ps[None, :], lattice),
         "kinetic_residue": -_paired(phi_q.grad, phi_p.values,
@@ -291,18 +285,19 @@ def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
     `ResidueReport`.
     """
     g = state.grid
-    kern = gamma1(state)
-    # one transform of gamma1: the Husimi field is its real part, and the
-    # mean-field residue takes it whole
+    kern, rate = gamma1_and_rate(state, adot)
+    # the Husimi field and its rate are the real parts of the transforms of
+    # gamma1 and its rate; the mean-field residue takes the first whole
     b1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
     lattice = natural_lattice(g)
     fields = SnapshotFields(
         state, PhaseSpaceField(b1.real, lattice),
+        bilinear_phase_field(rate, frame.window, frame.window, g).real,
         kinetic_residue_field(kern, frame),
         interaction_residue_fields(state, kern, b1, frame, potential)
         if g.N >= 2 else None)
     tq, tp = pairing_test_functions(lattice, phi_q, phi_p)
-    cons = reformulation_consistency(fields, adot, frame, potential, tq, tp)
+    cons = reformulation_consistency(fields, potential, tq, tp)
     parts = cons["parts"]
     report = ResidueReport(
         abs(parts["kinetic_residue"]), abs(parts["semiclassical_residue"]),

@@ -579,10 +579,10 @@ def test_coefficient_kernels_match_grid_contractions(N):
     mat = psi.reshape(grid.M, -1)
     xdot = (go.time_derivative(grid, psi, V).reshape(mat.shape)
             @ mat.conj().T * N * grid.dx ** (N - 1))
-    for got, want in ((mb.gamma1(state).matrix, go.gamma1(grid, psi)),
-                      (mb.gamma1_time_derivative(
-                          state, flow.time_derivative(state)),
-                       xdot + xdot.conj().T),
+    kern, rate = mb.gamma1_and_rate(state, flow.time_derivative(state))
+    assert np.array_equal(kern.matrix, mb.gamma1(state).matrix)
+    for got, want in ((kern.matrix, go.gamma1(grid, psi)),
+                      (rate, xdot + xdot.conj().T),
                       (go.gamma2_partial_diag(state),
                        go.partial_diag(grid, psi))):
         assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))

@@ -98,6 +98,29 @@ def test_hf_energy_conserved():
     assert abs(mf.hf_energy(out, V) - e0) < 1e-5  # per unit time
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_hf_energy_matches_the_pair_sums(N):
+    """hf_energy, whose interaction is read off the one-body matrix of the
+    step, against the kinetic sum and the direct and exchange double sums
+    over the lattice, on random orthonormal orbitals."""
+    grid = make_grid(M=64, L=12.0, hbar=1.0 / N, N=N)
+    V = Potential.gaussian_bump(grid, 0.8, 1.5)
+    orbitals = np.array(harness.build_orbitals(
+        grid, "random", np.random.default_rng(N)))
+    state = mf.MeanFieldState(grid, orbitals)
+    k = grid.wavenumbers()
+    kinetic = (0.5 * grid.hbar ** 2 * grid.dx / grid.M
+               * np.sum(k ** 2 * np.abs(np.fft.fft(orbitals, axis=1)) ** 2))
+    omega = orbitals.T @ np.conj(orbitals)
+    rho = np.real(np.diag(omega))
+    vdiff = V.difference_table()
+    direct = 0.5 / N * float(rho @ vdiff @ rho) * grid.dx ** 2
+    exchange = (0.5 / N * float(np.sum(vdiff * np.abs(omega) ** 2))
+                * grid.dx ** 2)
+    want = kinetic + direct - exchange
+    assert abs(mf.hf_energy(state, V) - want) <= 1e-13 * abs(want)
+
+
 def test_hf_step_second_order():
     """Halving dt cuts the change in omega by 4 (2 for a first-order step)."""
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=3)
@@ -261,10 +284,21 @@ def test_vlasov_mass_conserved_per_step(gaussian_blob):
 
 
 def test_vlasov_cfl_refusal(gaussian_blob):
+    """A step too long for both shifts is refused, and the message names
+    the fmax of the force the kick would apply: that of the field after
+    the half q-transport, not 0."""
     grid, state = gaussian_blob
     V = Potential.cosine(grid, [0.4])
-    with pytest.raises(mf.MeanFieldError, match="suggested dt"):
-        mf.vlasov_step(state, V, dt=10.0)
+    dt = 10.0
+    lat = state.lattice
+    half = mf._shift(state.values, mf._shift_transfer(
+        len(lat.qs), lat.ps * (0.5 * dt) / lat.dq), 0)
+    fmax = float(np.max(np.abs(mf.VlasovState(half, lat).force(
+        V, state.force_scale))))
+    assert fmax > 0.0
+    with pytest.raises(mf.MeanFieldError, match="suggested dt") as refused:
+        mf.vlasov_step(state, V, dt=dt)
+    assert f"fmax={fmax:.3g})" in str(refused.value)
 
 
 def test_vlasov_cfl_checks_the_applied_kick():
@@ -302,8 +336,8 @@ def test_spline_shifts_match_map_coordinates(M):
                               mode="grid-wrap")
     along_p = map_coordinates(vals, [rows, cols - shifts[:, None]], order=3,
                               mode="grid-wrap")
-    for got, want in ((mf._shift_along_q(vals, transfer), along_q),
-                      (mf._shift_along_p(vals, transfer), along_p)):
+    for got, want in ((mf._shift(vals, transfer, 0), along_q),
+                      (mf._shift(vals, transfer, 1), along_p)):
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
 
 
@@ -371,7 +405,8 @@ def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
     assert not np.array_equal(chained[1], chained[2])
 
 
-def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
+def test_vlasov_cfl_refuses_a_strided_lattice(gaussian_blob):
+    """The force of a Vlasov state needs the unstrided q lattice."""
     grid, state = gaussian_blob
     lat = state.lattice
     strided = mf.VlasovState(state.values[::2],
@@ -379,7 +414,7 @@ def test_vlasov_force_refuses_a_strided_lattice(gaussian_blob):
                                                   lat.hbar),
                              0.0, state.force_scale)
     with pytest.raises(GridError, match="M=256"):
-        mf.vlasov_force(strided, Potential.cosine(grid, [0.4]))
+        mf.vlasov_cfl(strided, Potential.cosine(grid, [0.4]), 0.01)
 
 
 def test_vlasov_energy_drift(gaussian_blob):
@@ -445,7 +480,7 @@ def test_vlasov_rotation_period_matches_characteristics():
     times = np.array(times)
     assert np.max(np.abs(np.array(rho1) / rho1[0] - 1.0)) < 0.05
 
-    force0 = mf.vlasov_force(state, V)
+    force0 = state.force(V, state.force_scale)
     keep = vals > 1e-8 * vals.max()
     weights = vals[keep]
     n = weights.size

@@ -59,7 +59,7 @@ def test_consistency_defect_sees_a_missing_meanfield_residue(n, hbar):
     fields.interaction.meanfield[:] = 0.0
     lattice = fields.husimi.lattice
     cons = rs.reformulation_consistency(
-        fields, adot, frame, potential,
+        fields, potential,
         bump_test_function(lattice.qs, **PHI_Q),
         bump_test_function(lattice.ps, **PHI_P))
     assert cons["defect_rel"] > 1e-3
@@ -206,16 +206,24 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     (["simulate", "--config", "SPECKEY"], "unexpected keyword argument"),
     (["residues", "MISSING", "--box", "12"], "cannot read snapshot"),
     (["transform", "MISSING", "--box", "12"], "cannot read snapshot"),
+    (["residues", "STATE", "--box", "12", "--phi-q-radius", "6.5"],
+     "crosses the periodic boundary"),
 ])
 def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
-                                               capsys):
+                                               capsys, monkeypatch):
     """Refused input exits 2, as argparse's usage errors do, with one
     message line on stderr, and writes no report and no run directory.
     The inputs: a valid state, a 7-byte file, a 32-byte header with a bad
     magic, a path that does not exist, a config that is no JSON, and
     configs with a lattice size, an orbital family, a value type and a
     test function (one whose support crosses the box, one with a key the
-    bump does not take) that a run refuses before any compute."""
+    bump does not take) that a run refuses before any compute.  Every
+    refusal comes before any flow is built: a `SlaterFlow` fails the
+    case."""
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a SlaterFlow was built before the refusal")
+
+    monkeypatch.setattr(mb.SlaterFlow, "__init__", no_flow)
     grid = make_grid(M=16, L=12.0, hbar=0.5, N=2)
     inputs = {name: tmp_path / name
               for name in ("STATE", "SHORT", "MAGIC", "M48", "FAMILY",
