@@ -86,7 +86,8 @@ def test_snapshot_residues(benchmark, N, M):
     cfg = harness.RunConfig()
     _, report = benchmark.pedantic(
         rs.snapshot_residues, args=(state, adot, ps.gaussian_frame(state.grid),
-                                    potential, cfg.phi_q, cfg.phi_p),
+                                    potential, ps.natural_lattice(state.grid),
+                                    cfg.phi_q, cfg.phi_p),
         rounds=10, warmup_rounds=1)
     assert report.consistency_defect_rel < 1e-12
 
@@ -154,8 +155,7 @@ def _hf_kick(N, M):
     Gershgorin bounds of the mean field of the Hermite orbitals, as
     `meanfield._apply_mean_field_exp` takes them, dt / 2 and hbar."""
     cfg, grid, potential, orbitals = _point(N, M)
-    U = mf.mean_field_matrix(mf.MeanFieldState(grid, np.array(orbitals)),
-                             potential)
+    U = mf.mean_field_matrix(np.array(orbitals), potential)
     diag = U.diagonal()
     radius = np.sum(np.abs(U), axis=1) - np.abs(diag)
     return (float(np.min(diag.real - radius)),

@@ -1,6 +1,7 @@
-"""Timings of the effective dynamics of a `husimilab simulate` run: 100
-`hartree_fock_step`s at (N, M) = (2, 64) and (3, 64), and 100
-`vlasov_step`s at M = 64 and 256 (N = 2).  Hermite orbitals, default
+"""Timings of the effective dynamics of a `husimilab simulate` run: one
+`hartree_fock_evolve` of 100 steps at (N, M) = (2, 64) and (3, 64), and
+one `vlasov_evolve` of 100 steps at M = 64 and 256 (N = 2).  Each call
+builds its tables once, as a run's does.  Hermite orbitals, default
 cosine V, L = 12, coupled line hbar = 1/N.  The HF step is dt = 0.002;
 the Vlasov datum is the Husimi field of the Slater state and its step
 is chosen as the run chooses it, min(dt, 0.9 x the CFL limit).

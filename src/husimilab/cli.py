@@ -87,12 +87,14 @@ def cmd_residues(args) -> int:
                                                "amplitudes": args.amplitude})
     phi_q = {"center": 0.0, "radius": args.phi_q_radius, "s": 3}
     phi_p = {"center": 0.0, "radius": args.phi_p_radius, "s": 3}
+    # the one lattice of the command, so an undersampled one warns once;
     # refused test functions exit before the flow is built
-    rsd.pairing_test_functions(ps.natural_lattice(grid), phi_q, phi_p)
+    lattice = ps.natural_lattice(grid)
+    rsd.pairing_test_functions(lattice, phi_q, phi_p)
     # the one product with H this command needs; H is freed at once
     adot = mb.SlaterFlow(grid, potential).time_derivative(state)
-    _, rep = rsd.snapshot_residues(state, adot, frame, potential, phi_q,
-                                   phi_p)
+    _, rep = rsd.snapshot_residues(state, adot, frame, potential, lattice,
+                                   phi_q, phi_p)
     io.write_report(args.out, asdict(rep))
     print(json.dumps(asdict(rep), indent=2))
     return 0

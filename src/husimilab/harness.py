@@ -30,6 +30,11 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
 
 @dataclass
 class RunConfig:
+    """One run's parameters.  The horizon must be a positive whole number
+    of dt steps (relative tolerance 1e-9), so the N-body, HF and Vlasov
+    stages all end at it; another raises GridError naming the nearest
+    horizons that are."""
+
     M: int = 64
     L: float = 12.0
     hbar: float = 0.5
@@ -45,6 +50,20 @@ class RunConfig:
     phi_p: dict = field(default_factory=lambda: {"center": 0.0, "radius": 2.0,
                                                  "s": 3})
     seed: int = 0
+
+    def __post_init__(self):
+        steps = self.horizon / self.dt if self.dt > 0 else math.nan
+        if not math.isfinite(steps):
+            raise GridError(f"need dt > 0 and a finite horizon, got "
+                            f"dt={self.dt}, horizon={self.horizon}")
+        if not math.isclose(max(1, round(steps)) * self.dt, self.horizon,
+                            rel_tol=1e-9):
+            near = sorted({max(1, math.floor(steps)),
+                           max(1, math.ceil(steps))})
+            raise GridError(
+                f"horizon={self.horizon} is not a whole number of "
+                f"dt={self.dt} steps; the nearest horizons that are: "
+                + ", ".join(f"{n * self.dt:.12g}" for n in near))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -117,7 +136,8 @@ def run_experiment(cfg: RunConfig, outdir) -> Path:
     The set-up refuses, with a `GridError` raised before the run directory
     exists and before any compute: a lattice `make_grid` refuses, an
     unknown potential, frame or orbital family, and a `phi_q` or `phi_p`
-    that `residues.pairing_test_functions` refuses.
+    that `residues.pairing_test_functions` refuses.  The natural lattice
+    is built once, here, so an undersampled one warns once.
     """
     started = _time.time()
     grid = make_grid(M=cfg.M, L=cfg.L, hbar=cfg.hbar, N=cfg.N)
@@ -125,12 +145,13 @@ def run_experiment(cfg: RunConfig, outdir) -> Path:
     frame = build_frame(grid, cfg.frame)
     orbitals = build_orbitals(grid, cfg.orbital_family,
                               np.random.default_rng(cfg.seed))
-    rs.pairing_test_functions(ps.natural_lattice(grid), cfg.phi_q, cfg.phi_p)
+    lattice = ps.natural_lattice(grid)
+    rs.pairing_test_functions(lattice, cfg.phi_q, cfg.phi_p)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _run_experiment_inner(cfg, out, started, potential, frame,
-                                     orbitals)
+                                     lattice, orbitals)
     except Exception as exc:
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise RuntimeError(f"run failed in {out}: {exc}") from exc
@@ -155,13 +176,14 @@ def _nbody_stage(state0: mb.ManyBodyState, potential: Potential, dt: float,
 
 
 def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
-                          potential: Potential, frame, orbitals) -> Path:
+                          potential: Potential, frame, lattice,
+                          orbitals) -> Path:
     grid = potential.grid
     state0 = mb.build_slater(grid, orbitals)
     rows: list[dict] = []
 
     # ---- N-body propagation and conservation ------------------------------
-    steps = max(1, int(round(cfg.horizon / cfg.dt)))
+    steps = round(cfg.horizon / cfg.dt)
     mid, end, adot_mid, energy_drift = _nbody_stage(
         state0, potential, cfg.dt, steps)
     _record(rows, "norm_drift", abs(end.norm() - 1.0), 1e-10, cfg, end.time)
@@ -174,9 +196,8 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
 
     # ---- one residue pass at mid: Husimi invariants, residues, identity -----
     snap, report = rs.snapshot_residues(mid, adot_mid, frame, potential,
-                                        cfg.phi_q, cfg.phi_p)
+                                        lattice, cfg.phi_q, cfg.phi_p)
     husimi_mid = snap.husimi
-    lattice = husimi_mid.lattice
     _record(rows, "husimi_min", husimi_mid.values.min(), -1e-12, cfg,
             mid.time, holds=operator.ge)
     _record(rows, "husimi_max", husimi_mid.values.max(), 1.0 + 1e-8, cfg,
@@ -194,7 +215,6 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     hf0 = mf.MeanFieldState(grid, np.array(orbitals))
     hf_e0 = mf.hf_energy(hf0, potential)
     hf_end = mf.hartree_fock_evolve(hf0, potential, cfg.dt, steps)
-    horizon = max(cfg.horizon, 1e-9)
     _record(rows, "hf_trace_drift",
             abs(np.real(np.trace(hf_end.omega())) * grid.dx - cfg.N),
             1e-8, cfg, hf_end.time)
@@ -203,8 +223,8 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     _record(rows, "hf_orthonormality", hf_end.orthonormality_defect(), 1e-8,
             cfg, hf_end.time)
     _record(rows, "hf_energy_drift_rate",
-            abs(mf.hf_energy(hf_end, potential) - hf_e0) / horizon, 1e-5, cfg,
-            hf_end.time)
+            abs(mf.hf_energy(hf_end, potential) - hf_e0) / cfg.horizon, 1e-5,
+            cfg, hf_end.time)
     io.write_orbitals(out / "hf_orbitals.husi", hf_end.orbitals, grid,
                       hf_end.time)
     kern_end = mb.gamma1(end)
@@ -217,17 +237,17 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     # the fewest steps no longer than vdt; the ceiling of the rounded
     # quotient can overshoot that count by one
     vdt = min(cfg.dt, 0.9 * cfl["suggested_dt"])
-    vsteps = max(1, math.ceil(cfg.horizon / vdt))
+    vsteps = math.ceil(cfg.horizon / vdt)
     if vsteps > 1 and cfg.horizon / (vsteps - 1) <= vdt:
         vsteps -= 1
     vdt = cfg.horizon / vsteps
     v_e0 = mf.vlasov_energy(vl, potential)
     v_end = mf.vlasov_evolve(vl, potential, vdt, vsteps)
     _record(rows, "vlasov_mass_drift", abs(v_end.mass() - vl.mass()),
-            1e-8 * max(1, vsteps), cfg, v_end.time)
+            1e-8 * vsteps, cfg, v_end.time)
     _record(rows, "vlasov_energy_drift_rate",
-            abs(mf.vlasov_energy(v_end, potential) - v_e0) / horizon, 1e-4,
-            cfg, v_end.time)
+            abs(mf.vlasov_energy(v_end, potential) - v_e0) / cfg.horizon,
+            1e-4, cfg, v_end.time)
 
     husimi_end = ps.husimi1(kern_end, frame)
     l1, w1, renorm = mf.husimi_vlasov_distance(husimi_end, v_end)

@@ -1,24 +1,20 @@
 """Effective dynamics: time-dependent Hartree-Fock and the Vlasov equation.
 
-Hartree-Fock advances N orthonormal orbitals with Strang splitting of the
-self-consistent one-body Hamiltonian
+Hartree-Fock advances N orthonormal orbitals under the self-consistent
+one-body Hamiltonian
 
     h[omega] = -(hbar^2/2) Laplacian + (V * rho) - X,
     rho(x) = omega(x; x)/N,   X(x; y) = V(x - y) omega(x; y) / N,
 
-where the first half-kick freezes the mean field of the state at the
-start of the step and the second freezes the field of a predicted
-endpoint (one explicit Euler half-kick from the state after the kinetic
-step), which keeps the scheme symmetric and second order.  The kinetic
-step is an FFT phase; each kick exp(-i dt U / 2 hbar) is applied to the
-N orbitals by the Jacobi-Anger Chebyshev series that also drives the
-exact N-body flow (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967),
-so no M x M matrix is diagonalized.
+by Strang splitting (`hartree_fock_evolve`).  Each kick exp(-i dt U /
+2 hbar) is applied to the N orbitals by the Jacobi-Anger Chebyshev series
+that also drives the exact N-body flow (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81 (1984) 3967), so no M x M matrix is diagonalized.
 
-The Vlasov solver is a Strang-split semi-Lagrangian scheme on the
-phase-space lattice (Cheng & Knorr, J. Comput. Phys. 22 (1976) 330;
-Sonnendruecker et al., J. Comput. Phys. 149 (1999) 201) with the
-self-consistent force
+The Vlasov solver (`vlasov_evolve`) is a Strang-split semi-Lagrangian
+scheme on the phase-space lattice (Cheng & Knorr, J. Comput. Phys. 22
+(1976) 330; Sonnendruecker et al., J. Comput. Phys. 149 (1999) 201) with
+the self-consistent force
 
     F(q) = -force_scale * (dV/dq * rho)(q),     rho(q) = sum_p m dp,
 
@@ -27,17 +23,7 @@ residue-free limit of the reformulated phase-space identity when the
 initial datum carries the Husimi normalization (it reduces to the usual
 1/(2 pi) under the coupling hbar = 1/N).  The Vlasov state is a
 `PhaseSpaceField`: this force and the identity's mean-field term are
-both `PhaseSpaceField.force`.  Each split step moves every lattice line
-by one constant shift s (in cells), so periodic cubic B-spline
-interpolation at x - s is a DFT multiplier along the line:
-
-    m_hat(k) -> m_hat(k) W_s(k) / B(k),   B(k) = (4 + 2 cos k) / 6,
-    W_s(k) = sum_{j=-1..2} beta_3(j - f) e^{-i k (n + j)},
-
-with s = n + f, n = floor(s), beta_3 the cubic B-spline and k = 2 pi l/M.
-1/B is the spline prefilter and W_s evaluates the spline at the four
-nodes n - 1 .. n + 2.  The B-spline partition of unity gives
-W_s(0) / B(0) = 1, so every shift keeps the mass of its line.
+both `PhaseSpaceField.force`.
 """
 
 from __future__ import annotations
@@ -107,45 +93,40 @@ class MeanFieldState:
     def omega_kernel(self) -> OneBodyKernel:
         return OneBodyKernel(self.omega(), self.grid)
 
-    def _gram_gap(self) -> np.ndarray:
-        """G - I, G = conj(E) E^T dx the Gram matrix of the orbitals E."""
-        gram = (np.conj(self.orbitals) @ self.orbitals.T) * self.grid.dx
-        return gram - np.eye(len(self.orbitals))
-
     def orthonormality_defect(self) -> float:
-        return float(np.max(np.abs(self._gram_gap())))
+        return float(np.max(np.abs(_gram_gap(self.orbitals, self.grid.dx))))
 
     def idempotency_defect(self) -> float:
         """max |om om - om| for om = omega dx = E^T conj(E) dx, formed as
         E^T (G - I) conj(E) dx with no M x M x M product."""
         E = self.orbitals
         return float(np.max(np.abs(
-            E.T @ (self._gram_gap() @ np.conj(E)) * self.grid.dx)))
+            E.T @ (_gram_gap(E, self.grid.dx) @ np.conj(E)) * self.grid.dx)))
 
 
-def mean_field_matrix(state: MeanFieldState, potential: Potential) -> np.ndarray:
-    """Direct-minus-exchange one-body matrix U = diag(V * rho) - X dx.
+def _gram_gap(orbitals: np.ndarray, dx: float) -> np.ndarray:
+    """G - I, G = conj(E) E^T dx the Gram matrix of the orbitals E."""
+    gram = (np.conj(orbitals) @ orbitals.T) * dx
+    return gram - np.eye(len(orbitals))
+
+
+def mean_field_matrix(orbitals: np.ndarray,
+                      potential: Potential) -> np.ndarray:
+    """Direct-minus-exchange one-body matrix U = diag(V * rho) - X dx of
+    the (N, M) orbital rows on the grid of `potential`.
 
     Built in one M x M buffer: the exchange product V_d o omega scaled by
     -dx/N, then the direct term V_d @ rho dx (the lattice convolution)
     added on the diagonal.
     """
-    g = state.grid
-    orb = state.orbitals
-    N, M = orb.shape
+    dx = potential.grid.dx
+    N, M = orbitals.shape
     vdiff = potential.difference_table()
-    U = orb.T @ (np.conj(orb) * (-g.dx / N))
+    U = orbitals.T @ (np.conj(orbitals) * (-dx / N))
     U *= vdiff
-    rho = np.sum(orb.real ** 2 + orb.imag ** 2, axis=0)
-    U.flat[::M + 1] += vdiff @ rho * (g.dx / N)
+    rho = np.sum(orbitals.real ** 2 + orbitals.imag ** 2, axis=0)
+    U.flat[::M + 1] += vdiff @ rho * (dx / N)
     return U
-
-
-@lru_cache(maxsize=8)
-def _kinetic_step_factor(grid: GridSpec, dt: float) -> np.ndarray:
-    """exp(-i dt hbar k^2 / 2), built once per (grid, dt) and read-only."""
-    k = grid.wavenumbers()
-    return _read_only(np.exp(-0.5j * dt * grid.hbar * k ** 2))
 
 
 def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
@@ -181,64 +162,62 @@ def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
     return out
 
 
-def hartree_fock_step(state: MeanFieldState, potential: Potential,
-                      dt: float) -> MeanFieldState:
-    """One Strang step: half mean field, full kinetic, half mean field.
+def hartree_fock_evolve(state: MeanFieldState, potential: Potential,
+                        dt: float, steps: int) -> MeanFieldState:
+    """`steps` Strang steps of dt: half mean field, full kinetic, half
+    mean field.
 
-    The first half-kick freezes the mean field U(omega) of the input
-    state.  The second freezes the field of a predicted endpoint: with
-    psi' the orbitals after the kinetic step and U1 = U(psi'),
+    The first half-kick freezes the mean field U(omega) of the orbitals
+    at the start of the step.  The second freezes the field of a
+    predicted endpoint: with psi' the orbitals after the kinetic step and
+    U1 = U(psi'),
 
         g = psi' - i (dt / 2 hbar) U1 psi',
         psi_new = exp(-i U(g) dt / 2 hbar) psi'.
 
     Freezing the field at both ends of the step makes the scheme
     symmetric and second order; freezing the second half at U1 alone
-    would make it first order.  A single orbital
-    satisfies U1 psi' = 0 exactly (the rank-1 direct/exchange
-    cancellation), so g = psi', both kicks act as the identity and the
-    orbital propagates freely to machine precision.  Each step forms
-    three mean-field matrices and applies two Chebyshev kicks
-    (`_apply_mean_field_exp`); the kinetic phase is built once per
-    (grid, dt).
+    would make it first order.  A single orbital satisfies U1 psi' = 0
+    exactly (the rank-1 direct/exchange cancellation), so g = psi', both
+    kicks act as the identity and the orbital propagates freely to
+    machine precision.  Each step forms three mean-field matrices and
+    applies two Chebyshev kicks (`_apply_mean_field_exp`); the kinetic
+    phase exp(-i dt hbar k^2 / 2) is built once per call.  A step whose
+    orthonormality defect exceeds HF_ABORT_TOL raises MeanFieldError.
     """
     g = state.grid
-    U0 = mean_field_matrix(state, potential)
-    orb = _apply_mean_field_exp(U0, state.orbitals, 0.5 * dt, g.hbar)
-    orb = np.fft.fft(orb, axis=1)
-    orb *= _kinetic_step_factor(g, dt)
-    orb = np.fft.ifft(orb, axis=1)
-    U1 = mean_field_matrix(MeanFieldState(g, orb), potential)
-    predicted = orb - (0.5j * dt / g.hbar) * (orb @ U1.T)
-    U2 = mean_field_matrix(MeanFieldState(g, predicted), potential)
-    orb = _apply_mean_field_exp(U2, orb, 0.5 * dt, g.hbar)
-    new = MeanFieldState(g, orb, state.time + dt)
-    defect = new.orthonormality_defect()
-    if defect > HF_ABORT_TOL:
-        raise MeanFieldError(
-            f"orthonormality defect {defect:.3e} exceeds {HF_ABORT_TOL:.1e}")
-    return new
-
-
-def hartree_fock_evolve(state: MeanFieldState, potential: Potential,
-                        dt: float, steps: int) -> MeanFieldState:
-    cur = state
+    k = g.wavenumbers()
+    kinetic = np.exp(-0.5j * dt * g.hbar * k ** 2)
+    orb, time = state.orbitals, state.time
     for _ in range(steps):
-        cur = hartree_fock_step(cur, potential, dt)
-    return cur
+        U0 = mean_field_matrix(orb, potential)
+        orb = _apply_mean_field_exp(U0, orb, 0.5 * dt, g.hbar)
+        orb = np.fft.fft(orb, axis=1)
+        orb *= kinetic
+        orb = np.fft.ifft(orb, axis=1)
+        U1 = mean_field_matrix(orb, potential)
+        predicted = orb - (0.5j * dt / g.hbar) * (orb @ U1.T)
+        U2 = mean_field_matrix(predicted, potential)
+        orb = _apply_mean_field_exp(U2, orb, 0.5 * dt, g.hbar)
+        time += dt
+        defect = float(np.max(np.abs(_gram_gap(orb, g.dx))))
+        if defect > HF_ABORT_TOL:
+            raise MeanFieldError(f"orthonormality defect {defect:.3e} "
+                                 f"exceeds {HF_ABORT_TOL:.1e}")
+    return MeanFieldState(g, orb, time)
 
 
 def hf_energy(state: MeanFieldState, potential: Potential) -> float:
     """Kinetic + (direct - exchange)/2 energy; conserved by the exact flow.
     The pair half is (1/2) Re sum_j <e_j, U e_j> dx with U the one-body
-    matrix of the step, `mean_field_matrix`."""
+    matrix of the HF step, `mean_field_matrix`."""
     g = state.grid
     k = g.wavenumbers()
     orb = state.orbitals
     kinetic = (0.5 * g.hbar ** 2
                * np.sum(k ** 2 * np.abs(np.fft.fft(orb, axis=1)) ** 2)
                * g.dx / g.M)
-    U = mean_field_matrix(state, potential)
+    U = mean_field_matrix(orb, potential)
     return float(kinetic + 0.5 * g.dx * np.vdot(orb, orb @ U.T).real)
 
 
@@ -347,10 +326,10 @@ def _spline_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _shift_transfer(n: int, shifts: np.ndarray) -> np.ndarray:
     """rfft multipliers W_s(k) / B(k) of periodic cubic B-spline
-    interpolation at x - s on n points (see the module docstring), one
-    column per shift s, in cells: the four B-spline weights of the
-    fraction f through the node phases of `_spline_tables`, times
-    e^{-i k floor(s)} from the roots of unity."""
+    interpolation at x - s on n points (see `vlasov_evolve`), one column
+    per shift s, in cells: the four B-spline weights of the fraction f
+    through the node phases of `_spline_tables`, times e^{-i k floor(s)}
+    from the roots of unity."""
     base = np.floor(shifts)
     f = shifts - base
     weights = np.stack([(1.0 - f) ** 3 / 6.0,
@@ -364,14 +343,6 @@ def _shift_transfer(n: int, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _half_q_transfer(n: int, shifts: bytes) -> np.ndarray:
-    """`_shift_transfer` of the half q-transport shifts p dt / (2 dq),
-    which repeat every step of one run: memoized on the exact bytes of
-    the shifts, so it is built once per (lattice, dt), and read-only."""
-    return _read_only(_shift_transfer(n, np.frombuffer(shifts)))
-
-
 def _shift(values: np.ndarray, transfer: np.ndarray, axis: int) -> np.ndarray:
     """Each line along `axis` moved by its own shift s, periodic, for the
     `_shift_transfer` of the shifts s: out[:, b] = m(q - s_b, p_b) at
@@ -381,46 +352,49 @@ def _shift(values: np.ndarray, transfer: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.irfft(spectrum, n=values.shape[axis], axis=axis)
 
 
-def vlasov_step(state: VlasovState, potential: Potential,
-                dt: float) -> VlasovState:
-    """Strang: half q-transport, full p-kick, half q-transport.
-
-    Each transport shifts every lattice line by a constant: one rfft, the
-    multiplier W_s(k) / B(k) of periodic cubic B-spline interpolation
-    (module docstring) and one irfft.  The two half q-transports share
-    one multiplier, built once per (lattice, dt).  W_s(0) / B(0) = 1 by
-    the B-spline partition of unity, so every shift keeps the lattice sum
-    to rounding.  The p axis is wrapped too, valid while the field
-    vanishes near the p box edges.  One CFL check, after the half
-    q-transport, guards both shifts: the q-shift pmax dt and the p-shift
-    of the mid-step force, the one force of the step, whose fmax a
-    refusal names.  Negative overshoot is clipped at 0 and the clipped
-    mass logged.
-    """
-    lat = state.lattice
-    half_q = _half_q_transfer(len(lat.qs),
-                              (lat.ps * (0.5 * dt) / lat.dq).tobytes())
-    vals = _shift(state.values, half_q, 0)
-    force = PhaseSpaceField(vals, lat).force(potential, state.force_scale)
-    cfl = _cfl(lat, float(np.max(np.abs(force))), dt)
-    if not cfl["ok"]:
-        raise MeanFieldError(
-            f"CFL violated (pmax={cfl['pmax']:.3g}, fmax={cfl['fmax']:.3g}); "
-            f"suggested dt <= {cfl['suggested_dt']:.3e}")
-    vals = _shift(vals, _shift_transfer(len(lat.ps), force * dt / lat.dp), 1)
-    vals = _shift(vals, half_q, 0)
-    clip = float(-np.sum(np.minimum(vals, 0.0)) * lat.cell)
-    np.maximum(vals, 0.0, out=vals)
-    return VlasovState(vals, lat, state.time + dt, state.force_scale,
-                       state.clipped_mass + clip)
-
-
 def vlasov_evolve(state: VlasovState, potential: Potential, dt: float,
                   steps: int) -> VlasovState:
-    cur = state
+    """`steps` Strang steps of dt: half q-transport, full p-kick, half
+    q-transport.
+
+    Each split step moves every lattice line by one constant shift s (in
+    cells), so periodic cubic B-spline interpolation at x - s is a DFT
+    multiplier along the line: one rfft, then
+
+        m_hat(k) -> m_hat(k) W_s(k) / B(k),   B(k) = (4 + 2 cos k) / 6,
+        W_s(k) = sum_{j=-1..2} beta_3(j - f) e^{-i k (n + j)},
+
+    then one irfft, with s = n + f, n = floor(s), beta_3 the cubic
+    B-spline and k = 2 pi l/M.  1/B is the spline prefilter and W_s
+    evaluates the spline at the four nodes n - 1 .. n + 2.  The B-spline
+    partition of unity gives W_s(0) / B(0) = 1, so every shift keeps the
+    mass of its line.  The two half q-transports of every step share one
+    multiplier, built once per call.  The p axis is wrapped too, valid
+    while the field vanishes near the p box edges.  One CFL check per
+    step, after the half q-transport, guards both shifts: the q-shift
+    pmax dt and the p-shift of the mid-step force, the one force of the
+    step, whose fmax a refusal (MeanFieldError) names.  Negative
+    overshoot is clipped at 0 and the clipped mass logged.
+    """
+    lat = state.lattice
+    half_q = _shift_transfer(len(lat.qs), lat.ps * (0.5 * dt) / lat.dq)
+    vals, time, clipped = state.values, state.time, state.clipped_mass
     for _ in range(steps):
-        cur = vlasov_step(cur, potential, dt)
-    return cur
+        vals = _shift(vals, half_q, 0)
+        force = PhaseSpaceField(vals, lat).force(potential, state.force_scale)
+        cfl = _cfl(lat, float(np.max(np.abs(force))), dt)
+        if not cfl["ok"]:
+            raise MeanFieldError(
+                f"CFL violated (pmax={cfl['pmax']:.3g}, "
+                f"fmax={cfl['fmax']:.3g}); "
+                f"suggested dt <= {cfl['suggested_dt']:.3e}")
+        kick = _shift_transfer(len(lat.ps), force * dt / lat.dp)
+        vals = _shift(vals, kick, 1)
+        vals = _shift(vals, half_q, 0)
+        clipped += float(-np.sum(np.minimum(vals, 0.0)) * lat.cell)
+        np.maximum(vals, 0.0, out=vals)
+        time += dt
+    return VlasovState(vals, lat, time, state.force_scale, clipped)
 
 
 def vlasov_energy(state: VlasovState, potential: Potential) -> float:

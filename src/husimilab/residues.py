@@ -56,7 +56,7 @@ from husimilab.manybody import (ManyBodyState, OneBodyKernel,
                                 gamma1_and_rate, gamma2_diag_blocks)
 from husimilab.phasespace import (CoherentFrame, PhaseSpaceField,
                                   PhaseSpaceLattice, _centered_offsets,
-                                  bilinear_phase_field, natural_lattice)
+                                  bilinear_phase_field)
 
 
 def _paired(a: np.ndarray, b: np.ndarray, field_vals: np.ndarray,
@@ -110,11 +110,11 @@ def _gamma2_partial_hat(state: ManyBodyState, ks: np.ndarray) -> np.ndarray:
 
 @dataclass
 class InteractionResidues:
-    """Semiclassical and mean-field residue fields on the full lattice."""
+    """Semiclassical and mean-field residue fields on the full natural
+    lattice, q rows, p columns."""
 
     semiclassical: np.ndarray
     meanfield: np.ndarray
-    lattice: PhaseSpaceLattice
 
 
 def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
@@ -134,14 +134,11 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     smeared force f(q) = sum_k i k c_k kappa_hat(k) rho_hat(k) e^{i k q}.
     """
     g = state.grid
-    lattice = natural_lattice(g)
     m, ks, cs = potential.modes()
     ks, cs = ks[m > 0], cs[m > 0]  # the k = 0 mode has zero gradient
-    nq = len(lattice.qs)
-    npts = len(lattice.ps)
     if len(ks) == 0:
-        zero = np.zeros((nq, npts))
-        return InteractionResidues(zero, zero.copy(), lattice)
+        zero = np.zeros((g.M, g.M))
+        return InteractionResidues(zero, zero.copy())
 
     Ahat = _gamma2_partial_hat(state, ks)
     kappa_hat = _window_mode_factors(frame, ks)
@@ -162,10 +159,10 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     term1 = bilinear_phase_field(C1, frame.window, frame.window, g)
 
     # per-mode smeared-gradient pieces for the Rs subtraction and Rm
-    term2 = np.zeros((nq, npts), dtype=complex)
-    force = np.zeros(nq, dtype=complex)
+    term2 = np.zeros((g.M, g.M), dtype=complex)
+    force = np.zeros(g.M, dtype=complex)
     for a, (k, c) in enumerate(zip(ks, cs)):
-        phase_q = np.exp(1j * k * lattice.qs)
+        phase_q = np.exp(1j * k * x)  # x is the q axis of the lattice
         factor = 1j * k * c * kappa_hat[a]
         Bk = bilinear_phase_field(Ahat[:, :, a], frame.window, frame.window, g)
         term2 += factor * phase_q[:, None] * Bk
@@ -173,7 +170,7 @@ def interaction_residue_fields(state: ManyBodyState, kern: OneBodyKernel,
     pref = 1.0 / g.N
     rs = pref * (term1 - term2)
     rm = pref * (term2 - force[:, None] * b1)
-    return InteractionResidues(rs.real, rm.real, lattice)
+    return InteractionResidues(rs.real, rm.real)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +271,22 @@ def pairing_test_functions(lattice: PhaseSpaceLattice, phi_q: dict,
 
 def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
                       frame: CoherentFrame, potential: Potential,
-                      phi_q: dict, phi_p: dict):
+                      lattice: PhaseSpaceLattice, phi_q: dict, phi_p: dict):
     """Fields, pairings, L^{5/4} aggregate and consistency of one snapshot.
 
     `adot` is H a / (i hbar) of the state's coefficients
     (`SlaterFlow.time_derivative`), the one product with H the pass
-    needs, so the caller may free H before it.  `phi_q` and `phi_p` are
-    bump test-function specs (center, radius, s) on the q and p axes of
-    the natural lattice.  Returns the `SnapshotFields` for reuse and the
-    `ResidueReport`.
+    needs, so the caller may free H before it.  `lattice` is the natural
+    lattice of the state's grid, built once by the caller, so an
+    undersampled one warns once.  `phi_q` and `phi_p` are bump
+    test-function specs (center, radius, s) on its q and p axes.
+    Returns the `SnapshotFields` for reuse and the `ResidueReport`.
     """
     g = state.grid
     kern, rate = gamma1_and_rate(state, adot)
     # the Husimi field and its rate are the real parts of the transforms of
     # gamma1 and its rate; the mean-field residue takes the first whole
     b1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
-    lattice = natural_lattice(g)
     fields = SnapshotFields(
         state, PhaseSpaceField(b1.real, lattice),
         bilinear_phase_field(rate, frame.window, frame.window, g).real,

@@ -45,6 +45,28 @@ def test_from_dict_refuses_a_config_holding_d():
         harness.RunConfig.from_dict(old)
 
 
+@pytest.mark.parametrize("horizon, dt, nearest", [(0.03, 0.02, "0.02, 0.04"),
+                                                  (0.0, 0.02, "0.02"),
+                                                  (0.001, 0.002, "0.002")])
+def test_a_horizon_off_the_dt_lattice_is_refused(horizon, dt, nearest):
+    """The N-body and HF stages take horizon / dt steps and the Vlasov
+    stage ends at the horizon, so a horizon that is no positive whole
+    number of steps would end them at different times."""
+    with pytest.raises(GridError, match=f"horizons that are: {nearest}$"):
+        harness.RunConfig(horizon=horizon, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.002, float("nan")])
+def test_a_non_positive_dt_is_refused(dt):
+    with pytest.raises(GridError, match="dt > 0"):
+        harness.RunConfig(dt=dt)
+
+
+def test_a_horizon_on_the_dt_lattice_passes_despite_rounding():
+    assert 0.3 / 0.1 != 3.0
+    harness.RunConfig(horizon=0.3, dt=0.1)
+
+
 def test_decoupled_sweep_configs_are_n_major_and_leave_base():
     base = harness.RunConfig(M=32, seed=5)
     before = base.to_dict()

@@ -470,7 +470,8 @@ grid = make_grid(M=16, L=8.0, hbar=0.5, N=2)
 V = Potential.cosine(grid, [0.4, 0.15])
 orbitals = mf.hermite_orbitals(grid, 2)
 mb.propagate(mb.build_slater(grid, orbitals), V, 0.01, 3)
-mf.hartree_fock_step(mf.MeanFieldState(grid, np.array(orbitals)), V, 0.01)
+hf = mf.MeanFieldState(grid, np.array(orbitals))
+mf.hartree_fock_evolve(hf, V, 0.01, 1)
 print("scipy.special" in sys.modules)
 """
 

@@ -47,8 +47,7 @@ def test_single_orbital_cancellation_random_initial():
     for _ in range(10):
         raw = rng.standard_normal(grid.M) + 1j * rng.standard_normal(grid.M)
         orb = raw / np.sqrt(np.sum(np.abs(raw) ** 2) * grid.dx)
-        state = mf.MeanFieldState(grid, np.array([orb]))
-        U = mf.mean_field_matrix(state, V)
+        U = mf.mean_field_matrix(np.array([orb]), V)
         assert np.linalg.norm(U @ orb) * np.sqrt(grid.dx) < 1e-8
 
 
@@ -154,32 +153,31 @@ def test_hf_kick_matches_expm(diagonal, angle):
 
 
 def test_hf_evolve_is_chained_steps():
+    """n steps in one call equal n one-step calls bit for bit: the tables
+    built once per call hold nothing that changes from step to step."""
     grid = make_grid(M=64, L=12.0, hbar=1.0 / 3.0, N=3)
     V = Potential.cosine(grid, [0.4, 0.15])
     state = mf.MeanFieldState(grid, np.array(mf.hermite_orbitals(grid, 3)))
     chained = state
     for _ in range(7):
-        chained = mf.hartree_fock_step(chained, V, 0.002)
+        chained = mf.hartree_fock_evolve(chained, V, 0.002, 1)
     out = mf.hartree_fock_evolve(state, V, 0.002, 7)
     assert np.array_equal(out.orbitals, chained.orbitals)
     assert out.time == chained.time
 
 
 def test_hf_step_after_another_dt_matches_a_fresh_step():
-    """The kinetic phase built for one (grid, dt) is not reused for
-    another dt or another grid."""
+    """A step equals the same step taken after steps of another dt or on
+    another grid: no kinetic phase outlives its call."""
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     other = make_grid(M=64, L=12.0, hbar=0.25, N=2)
     V = Potential.cosine(grid, [0.4, 0.15])
     orbs = np.array(mf.hermite_orbitals(grid, 2))
     runs = [(grid, 0.002), (grid, 0.003), (other, 0.003)]
-    chained = [mf.hartree_fock_step(mf.MeanFieldState(g, orbs), V, dt)
+    chained = [mf.hartree_fock_evolve(mf.MeanFieldState(g, orbs), V, dt, 1)
                .orbitals for g, dt in runs]
-    fresh = []
-    for g, dt in runs:
-        mf._kinetic_step_factor.cache_clear()
-        fresh.append(mf.hartree_fock_step(mf.MeanFieldState(g, orbs), V, dt)
-                     .orbitals)
+    fresh = [mf.hartree_fock_evolve(mf.MeanFieldState(g, orbs), V, dt, 1)
+             .orbitals for g, dt in runs[::-1]][::-1]
     for a, b in zip(chained, fresh):
         assert np.array_equal(a, b)
     assert not np.array_equal(chained[0], chained[1])
@@ -193,7 +191,7 @@ def test_hf_aborts_on_orthonormality_loss():
     orbs[1] *= 1.001  # corrupt normalization beyond the abort threshold
     state = mf.MeanFieldState(grid, orbs)
     with pytest.raises(mf.MeanFieldError, match="orthonormality"):
-        mf.hartree_fock_step(state, V, 0.01)
+        mf.hartree_fock_evolve(state, V, 0.01, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def test_vlasov_mass_conserved_per_step(gaussian_blob):
     V = Potential.cosine(grid, [0.4])
     cfl = mf.vlasov_cfl(state, V, 1.0)
     dt = 0.5 * cfl["suggested_dt"]
-    out = mf.vlasov_step(state, V, dt)
+    out = mf.vlasov_evolve(state, V, dt, 1)
     assert abs(out.mass() - state.mass()) < 1e-8
 
 
@@ -297,7 +295,7 @@ def test_vlasov_cfl_refusal(gaussian_blob):
         V, state.force_scale))))
     assert fmax > 0.0
     with pytest.raises(mf.MeanFieldError, match="suggested dt") as refused:
-        mf.vlasov_step(state, V, dt=dt)
+        mf.vlasov_evolve(state, V, dt, 1)
     assert f"fmax={fmax:.3g})" in str(refused.value)
 
 
@@ -319,7 +317,7 @@ def test_vlasov_cfl_checks_the_applied_kick():
     start = mf.vlasov_cfl(state, V, dt)
     assert start["ok"] and start["fmax"] * dt < 0.02 * lattice.dp
     with pytest.raises(mf.MeanFieldError, match="suggested dt"):
-        mf.vlasov_step(state, V, dt)
+        mf.vlasov_evolve(state, V, dt, 1)
 
 
 @pytest.mark.parametrize("M", [64, 256])
@@ -370,12 +368,14 @@ def test_shift_transfer_matches_the_stencil_rfft(n):
 
 
 def test_vlasov_evolve_is_chained_steps(gaussian_blob):
+    """n steps in one call equal n one-step calls bit for bit, the clipped
+    mass and the time included."""
     grid, state = gaussian_blob
     V = Potential.cosine(grid, [0.4])
     dt = 0.5 * mf.vlasov_cfl(state, V, 1.0)["suggested_dt"]
     chained = state
     for _ in range(5):
-        chained = mf.vlasov_step(chained, V, dt)
+        chained = mf.vlasov_evolve(chained, V, dt, 1)
     out = mf.vlasov_evolve(state, V, dt, 5)
     assert np.array_equal(out.values, chained.values)
     assert out.clipped_mass == chained.clipped_mass
@@ -383,8 +383,9 @@ def test_vlasov_evolve_is_chained_steps(gaussian_blob):
 
 
 def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
-    """The half q-transport multiplier built for one (lattice, dt) is not
-    reused for another dt or another lattice of the same size."""
+    """A step equals the same step taken after steps of another dt or on
+    another lattice of the same size: no half q-transport multiplier
+    outlives its call."""
     grid, state = gaussian_blob
     V = Potential.cosine(grid, [0.4])
     dt = 0.5 * mf.vlasov_cfl(state, V, 1.0)["suggested_dt"]
@@ -394,11 +395,8 @@ def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
                                                 lat.hbar),
                            0.0, state.force_scale)
     runs = [(state, dt), (state, 0.5 * dt), (other, 0.5 * dt)]
-    chained = [mf.vlasov_step(s, V, h).values for s, h in runs]
-    fresh = []
-    for s, h in runs:
-        mf._half_q_transfer.cache_clear()
-        fresh.append(mf.vlasov_step(s, V, h).values)
+    chained = [mf.vlasov_evolve(s, V, h, 1).values for s, h in runs]
+    fresh = [mf.vlasov_evolve(s, V, h, 1).values for s, h in runs[::-1]][::-1]
     for a, b in zip(chained, fresh):
         assert np.array_equal(a, b)
     assert not np.array_equal(chained[0], chained[1])
@@ -473,7 +471,7 @@ def test_vlasov_rotation_period_matches_characteristics():
     variances = [q_variance(Q, vals)]
     rho1 = [rho_hat_1(state)]
     while cur.time < 4.0:  # about two and a half breathing periods
-        cur = mf.vlasov_step(cur, V, dt)
+        cur = mf.vlasov_evolve(cur, V, dt, 1)
         times.append(cur.time)
         variances.append(q_variance(Q, cur.values))
         rho1.append(rho_hat_1(cur))

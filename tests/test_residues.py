@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,8 +44,9 @@ def _snapshot(n, hbar, family="hermite"):
                             (3, 1.0 / 3.0, "plane_wave")])
 def test_consistency_defect_at_rounding_level(n, hbar, family):
     state, adot, frame, potential = _snapshot(n, hbar, family)
-    fields, report = rs.snapshot_residues(state, adot, frame, potential,
-                                          PHI_Q, PHI_P)
+    fields, report = rs.snapshot_residues(
+        state, adot, frame, potential, ps.natural_lattice(state.grid), PHI_Q,
+        PHI_P)
     assert report.consistency_defect_rel < 1e-12
     assert (fields.interaction is None) == (n == 1)
     if n == 1:
@@ -54,8 +56,9 @@ def test_consistency_defect_at_rounding_level(n, hbar, family):
 @pytest.mark.parametrize("n, hbar", POINTS[1:])
 def test_consistency_defect_sees_a_missing_meanfield_residue(n, hbar):
     state, adot, frame, potential = _snapshot(n, hbar)
-    fields, _ = rs.snapshot_residues(state, adot, frame, potential, PHI_Q,
-                                     PHI_P)
+    fields, _ = rs.snapshot_residues(
+        state, adot, frame, potential, ps.natural_lattice(state.grid), PHI_Q,
+        PHI_P)
     fields.interaction.meanfield[:] = 0.0
     lattice = fields.husimi.lattice
     cons = rs.reformulation_consistency(
@@ -97,9 +100,11 @@ def test_residue_pass_holds_no_m_cubed_array():
     state = mb.build_slater(grid, harness.build_orbitals(grid, "hermite",
                                                          None))
     adot = mb.SlaterFlow(grid, potential).time_derivative(state)
+    lattice = ps.natural_lattice(grid)
     tracemalloc.start()
     try:
-        rs.snapshot_residues(state, adot, frame, potential, PHI_Q, PHI_P)
+        rs.snapshot_residues(state, adot, frame, potential, lattice, PHI_Q,
+                             PHI_P)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -208,6 +213,7 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     (["transform", "MISSING", "--box", "12"], "cannot read snapshot"),
     (["residues", "STATE", "--box", "12", "--phi-q-radius", "6.5"],
      "crosses the periodic boundary"),
+    (["simulate", "--config", "HORIZON"], "horizons that are: 0.02, 0.04"),
 ])
 def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
                                                capsys, monkeypatch):
@@ -215,9 +221,10 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     message line on stderr, and writes no report and no run directory.
     The inputs: a valid state, a 7-byte file, a 32-byte header with a bad
     magic, a path that does not exist, a config that is no JSON, and
-    configs with a lattice size, an orbital family, a value type and a
+    configs with a lattice size, an orbital family, a value type, a
     test function (one whose support crosses the box, one with a key the
-    bump does not take) that a run refuses before any compute.  Every
+    bump does not take) and a horizon off the dt lattice that a run
+    refuses before any compute.  Every
     refusal comes before any flow is built: a `SlaterFlow` fails the
     case."""
     def no_flow(*args, **kwargs):
@@ -228,7 +235,7 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     inputs = {name: tmp_path / name
               for name in ("STATE", "SHORT", "MAGIC", "M48", "FAMILY",
                            "NOTJSON", "MISSING", "MSTR", "NFLOAT", "WIDE",
-                           "SPECKEY")}
+                           "SPECKEY", "HORIZON")}
     io.write_state(inputs["STATE"], mb.build_slater(
         grid, harness.build_orbitals(grid, "hermite", None)))
     inputs["SHORT"].write_bytes(io.MAGIC + b"\x02\x00\x01")
@@ -243,6 +250,7 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
         {"phi_q": {"center": 0.0, "radius": 6.5, "s": 3}}))
     inputs["SPECKEY"].write_text(json.dumps(
         {"phi_q": {"center": 0.0, "radius": 3.5, "s": 3, "width": 1.0}}))
+    inputs["HORIZON"].write_text(json.dumps({"horizon": 0.03, "dt": 0.02}))
     out = tmp_path / "out"
     argv = [str(inputs[a]) if a in inputs else a for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -250,6 +258,22 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     assert line.startswith(f"husimilab {argv[0]}: error: ")
     assert message in line
     assert not out.exists()
+
+
+def test_cli_residues_warns_once_on_an_undersampled_lattice(tmp_path):
+    """The command builds one natural lattice and hands it on, so an
+    undersampled one (dq = 12/16 > sqrt(1/2) at M = 16, L = 12, hbar =
+    1/2) warns once, even when every warning is shown."""
+    grid = make_grid(M=16, L=12.0, hbar=0.5, N=2)
+    state = tmp_path / "state.husi"
+    io.write_state(state, mb.build_slater(
+        grid, harness.build_orbitals(grid, "hermite", None)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["residues", str(state), "--box", "12", "--out",
+                         str(tmp_path / "residues.json")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "phase-space lattice coarser than sqrt(hbar); transform undersampled"]
 
 
 def test_run_config_rejects_unknown_keys():
