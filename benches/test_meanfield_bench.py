@@ -44,8 +44,9 @@ def test_hartree_fock_steps(benchmark, N, M):
 def test_vlasov_steps(benchmark, M):
     cfg, grid, potential, orbitals = _point(2, M)
     husimi = ps.husimi1(mb.gamma1(mb.build_slater(grid, orbitals)),
-                        harness.build_frame(grid, cfg.frame))
-    state = mf.vlasov_from_husimi(husimi, grid)
+                        harness.build_frame(grid, cfg.frame),
+                        ps.natural_lattice(grid))
+    state = mf.vlasov_from_husimi(husimi)
     dt = min(cfg.dt, 0.9 * mf.vlasov_cfl(state, potential, cfg.dt)
              ["suggested_dt"])
     out = benchmark.pedantic(mf.vlasov_evolve,

@@ -67,7 +67,7 @@ def cmd_transform(args) -> int:
     grid = state.grid
     frame = harness.build_frame(grid, args.frame)
     kern = mb.gamma1(state)
-    hus = ps.husimi1(kern, frame)
+    hus = ps.husimi1(kern, frame, ps.natural_lattice(grid))
     wig = ps.wigner1(kern)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -80,11 +80,18 @@ def cmd_transform(args) -> int:
 
 
 def cmd_residues(args) -> int:
+    amplitude = args.amplitude
+    spec = {"kind": args.potential,
+            "amplitudes": [0.4, 0.15] if amplitude is None else amplitude}
+    if args.potential == "gaussian_bump" and amplitude is not None:
+        if len(amplitude) != 1:
+            raise GridError(f"--amplitude takes one value for a "
+                            f"gaussian_bump potential, got {len(amplitude)}")
+        spec = {"kind": args.potential, "amplitude": amplitude[0]}
     state = io.read_state(args.state, L=args.box)
     grid = state.grid
     frame = harness.build_frame(grid, args.frame)
-    potential = harness.build_potential(grid, {"kind": args.potential,
-                                               "amplitudes": args.amplitude})
+    potential = harness.build_potential(grid, spec)
     phi_q = {"center": 0.0, "radius": args.phi_q_radius, "s": 3}
     phi_p = {"center": 0.0, "radius": args.phi_p_radius, "s": 3}
     # the one lattice of the command, so an undersampled one warns once;
@@ -155,7 +162,8 @@ def main(argv=None) -> int:
     p.add_argument("--box", type=float, required=True)
     p.add_argument("--frame", default="gaussian")
     p.add_argument("--potential", default="cosine")
-    p.add_argument("--amplitude", type=float, nargs="*", default=[0.4, 0.15])
+    p.add_argument("--amplitude", type=float, nargs="*", default=None,
+                   help="cosine amplitudes, or one gaussian_bump amplitude")
     p.add_argument("--phi-q-radius", type=float, default=3.5)
     p.add_argument("--phi-p-radius", type=float, default=2.0)
     p.add_argument("--out", required=True)

@@ -215,9 +215,9 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     hf0 = mf.MeanFieldState(grid, np.array(orbitals))
     hf_e0 = mf.hf_energy(hf0, potential)
     hf_end = mf.hartree_fock_evolve(hf0, potential, cfg.dt, steps)
-    _record(rows, "hf_trace_drift",
-            abs(np.real(np.trace(hf_end.omega())) * grid.dx - cfg.N),
-            1e-8, cfg, hf_end.time)
+    omega_end = hf_end.omega_kernel()
+    _record(rows, "hf_trace_drift", abs(omega_end.trace() - cfg.N), 1e-8,
+            cfg, hf_end.time)
     _record(rows, "hf_idempotency", hf_end.idempotency_defect(), 1e-8, cfg,
             hf_end.time)
     _record(rows, "hf_orthonormality", hf_end.orthonormality_defect(), 1e-8,
@@ -228,11 +228,11 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     io.write_orbitals(out / "hf_orbitals.husi", hf_end.orbitals, grid,
                       hf_end.time)
     kern_end = mb.gamma1(end)
-    hs_gap, tr_gap = mf.norm_gaps(kern_end, hf_end.omega_kernel())
+    hs_gap, tr_gap = mf.norm_gaps(kern_end, omega_end)
 
     # gamma1 of the Slater initial state is the HF orbital projector
-    husimi0 = ps.husimi1(hf0.omega_kernel(), frame)
-    vl = mf.vlasov_from_husimi(husimi0, grid)
+    vl = mf.vlasov_from_husimi(ps.husimi1(hf0.omega_kernel(), frame,
+                                          lattice))
     cfl = mf.vlasov_cfl(vl, potential, cfg.dt)
     # the fewest steps no longer than vdt; the ceiling of the rounded
     # quotient can overshoot that count by one
@@ -249,7 +249,7 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
             abs(mf.vlasov_energy(v_end, potential) - v_e0) / cfg.horizon,
             1e-4, cfg, v_end.time)
 
-    husimi_end = ps.husimi1(kern_end, frame)
+    husimi_end = ps.husimi1(kern_end, frame, lattice)
     l1, w1, renorm = mf.husimi_vlasov_distance(husimi_end, v_end)
 
     summary = {

@@ -13,9 +13,10 @@ propagator is the exact flow exp(-i t H / hbar) of the lattice
 Hamiltonian (`SlaterFlow`).  H is real symmetric and commutes with
 parity, so the flow splits each vector it takes, after one global phase,
 into real pieces in the two parity blocks, drops the pieces at rounding
-level and runs one real Chebyshev recurrence on each piece kept; a
-block's H is built when a piece first needs it.  H lives as long as the
-flow that holds it, and no cache keeps a flow.
+level and runs the Chebyshev series `chebyshev_exp`, which the
+Hartree-Fock kick of `meanfield` runs too, on each piece kept; a block's
+H is built when a piece first needs it.  H lives as long as the flow
+that holds it, and no cache keeps a flow.
 
 The level-1 reductions (norms and inner products of coefficient vectors)
 are ufunc sums, not BLAS calls: with two OpenBLAS threads on a two-core
@@ -160,17 +161,6 @@ def _perm_sign(perm) -> int:
     """(-1) to the number of inversions of perm."""
     inversions = sum(a > b for a, b in combinations(perm, 2))
     return -1 if inversions % 2 else 1
-
-
-def _check_propagation_input(state: ManyBodyState, steps: int) -> None:
-    """Refuse what the exact flow cannot take, before anything is built."""
-    if steps < 0:
-        raise GridError(f"steps must be >= 0, got {steps}; to propagate "
-                        "backward in time pass a negative dt")
-    bad = int(np.count_nonzero(~np.isfinite(state.coeffs)))
-    if bad:
-        raise PropagationError(f"non-finite input coefficients: {bad} of "
-                               f"{state.coeffs.size}")
 
 
 @lru_cache(maxsize=2)
@@ -325,15 +315,12 @@ class SlaterFlow:
     Hermite state builds, and is charged for, one block, and the
     full-basis H never exists.
     A run builds one flow in its N-body stage, which takes every product
-    with H the run needs (the trajectory, both energies and d/dt a at the
-    residue snapshot) and then drops it, so H is freed before the residue
-    pass; `propagate` builds its own.
+    with H the run needs (the flow to the residue snapshot and to the
+    end, both energies and d/dt a at the snapshot) and then drops it, so
+    H is freed before the residue pass; `propagate` builds its own.
 
-    The flow of a real piece is a Chebyshev series in its block's H,
-    scaled onto [-1, 1] by the Gershgorin bounds of the block's rows
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967): one real
-    product per term, whose even terms give the real part and odd terms
-    the imaginary part.
+    The flow of a real piece is `chebyshev_exp` in its block's H on the
+    Gershgorin bounds of the block's rows: one real product per term.
     """
 
     def __init__(self, grid: GridSpec, potential: Potential):
@@ -505,80 +492,68 @@ class SlaterFlow:
         """adot = H a / (i hbar), the coefficients' rate under the flow."""
         return self.apply(state.coeffs) / (1j * self.grid.hbar)
 
-    def trajectory(self, state: ManyBodyState, dt: float, steps: int,
-                   store_every: int) -> list[ManyBodyState]:
-        """The input, then the state every `store_every` steps of size dt
-        and after the last step, each the exact flow of the input over its
-        time, all from one Chebyshev recurrence per piece (`evolve`)."""
-        if store_every < 1:
-            raise GridError(f"store_every must be >= 1, got {store_every}")
-        _check_propagation_input(state, steps)
-        if steps == 0:
-            return [state.copy()]
-        g = state.grid
-        counts = list(range(store_every, steps, store_every)) + [steps]
-        evolved = self.evolve(state.coeffs, [dt * k for k in counts])
-        return [state.copy()] + [ManyBodyState(g, c, state.time + dt * k)
-                                 for c, k in zip(evolved, counts)]
-
     def evolve(self, c: np.ndarray, times) -> np.ndarray:
         """exp(-i t H / hbar) c for each t in `times`, row s of the
-        result at times[s], from one Chebyshev recurrence per piece of c
-        (`_chebyshev_rows`).
-
-        The phase e^{-i t centre / hbar} of each piece's series and the
-        piece's factor are applied to its rows in place, and the pieces of
-        a block are summed there before `_merge` writes each time's row of
-        the result.
-        """
-        times = np.asarray(times, dtype=float)
+        result at times[s]: one `chebyshev_exp` per piece of c, times the
+        piece's factor and summed per block for `_merge`.  Non-finite
+        coefficients raise PropagationError before any block is built."""
+        bad = int(np.count_nonzero(~np.isfinite(c)))
+        if bad:
+            raise PropagationError(f"non-finite input coefficients: {bad} "
+                                   f"of {np.size(c)}")
         parts: dict = {}
         for block, factor, u in self._split(c):
-            centre, a, J = _jacobi_anger(*block.bounds, times,
-                                         self.grid.hbar)
-            rows = _chebyshev_rows(block.H, centre, a, J, u)
-            rows *= (factor * np.exp(-1j * times * centre
-                                     / self.grid.hbar))[:, None]
+            rows = chebyshev_exp(block.H.dot, *block.bounds, u, times,
+                                 self.grid.hbar)
+            rows *= factor
             if block in parts:
-                parts[block] += rows
-            else:
-                parts[block] = rows
+                rows += parts[block]
+            parts[block] = rows
         out = np.zeros((len(times), len(c)), dtype=complex)
         for s, row in enumerate(out):
             self._merge(row, {block: z[s] for block, z in parts.items()})
         return out
 
 
-def _chebyshev_rows(H, centre: float, a: float, J: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
-    """sum_k (-i)^k (2 - delta_k0) J[k, s] T_k(a (H - centre) / 2) u for
-    each column s of J, the series of `_jacobi_anger` without its phase,
-    as row s of a complex array: H and u are real, so the even terms
-    are summed into its real part and the odd terms into its imaginary
-    part.  u serves as the first buffer of the recurrence and is
-    overwritten.  Every operation of a term writes into a buffer made
-    before the recurrence: the product H v is the only array a term
-    allocates.
+def chebyshev_exp(apply, lo: float, hi: float, u: np.ndarray, times,
+                  hbar: float) -> np.ndarray:
+    """exp(-i t H / hbar) u for each t in `times`, as row s of a complex
+    (len(times),) + u.shape array: the Jacobi-Anger series of
+    `_jacobi_anger` (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967),
+    with its phase, for a Hermitian H with spectrum in [lo, hi] given by
+    apply(v) = H v, a new array and the only one a term allocates: every
+    other operation writes into a buffer made before the recurrence, and
+    u is only read.  A real u (with a real H) sums the even terms, whose
+    (-i)^k is real, into the real part and the odd terms into the
+    imaginary part.
     """
-    rows = np.zeros((J.shape[1], len(u)), dtype=complex)
-    cur, prev, tmp = u, np.empty_like(u), np.empty_like(u)
-    for k in range(len(J)):
-        if k > 0:
-            # T_k+1 = a (H - centre) T_k - T_k-1 into the buffer of
-            # T_k-1; T_1 is half of that with T_-1 = 0
-            hv = H @ cur
-            hv -= np.multiply(cur, centre, out=tmp)
-            hv *= a
-            if k == 1:
-                np.multiply(hv, 0.5, out=prev)
-            else:
-                np.subtract(hv, prev, out=prev)
-            prev, cur = cur, prev
-        w = (2.0 - (k == 0)) * (-1) ** (k // 2) * J[k]
-        part, w = (rows.real, w) if k % 2 == 0 else (rows.imag, -w)
-        for row, w_s in zip(part, w):
-            row += np.multiply(cur, w_s, out=tmp)
-    return rows
+    times = np.ravel(times).tolist()
+    centre, a, J = _jacobi_anger(lo, hi, times, hbar)
+    weights = J.tolist()
+    out = np.zeros((len(times),) + u.shape, dtype=complex)
+    real = np.isrealobj(u)
+    # the rows that each parity of k sums into, as views made once
+    parts = (list(out.real), list(out.imag)) if real else (list(out),) * 2
+    units = (1.0, -1.0) if real else (1.0, -1j)
+    for row, w in zip(parts[0], weights[0]):
+        np.multiply(u, w, out=row)
+    tmp = np.empty_like(u)
+    prev, cur = None, u
+    for k in range(1, len(weights)):
+        nxt = apply(cur)
+        nxt -= np.multiply(cur, centre, out=tmp)
+        if k == 1:
+            nxt *= 0.5 * a  # T_-1 = 0 halves T_1
+        else:
+            nxt *= a
+            nxt -= prev
+        prev, cur = cur, nxt
+        unit = 2.0 * (-1) ** (k // 2) * units[k % 2]
+        for row, w in zip(parts[k % 2], weights[k]):
+            row += np.multiply(cur, unit * w, out=tmp)
+    for row, t in zip(out, times):
+        row *= np.exp(-1j * t * centre / hbar)
+    return out
 
 
 def _jacobi_anger(lo: float, hi: float, times, hbar: float):
@@ -666,15 +641,16 @@ def _check_hamiltonian_budget(rows: int, M: int, N: int,
 def propagate(state: ManyBodyState, potential: Potential, dt: float,
               steps: int) -> ManyBodyState:
     """The exact flow of H over time dt * steps, through a `SlaterFlow`
-    of its own, freed on return.
-
-    Non-finite coefficients are refused before anything is built.
-    """
-    _check_propagation_input(state, steps)
+    of its own, freed on return; steps = 0 returns a copy.  Non-finite
+    coefficients are refused before anything is built (`evolve`)."""
+    if steps < 0:
+        raise GridError(f"steps must be >= 0, got {steps}; to propagate "
+                        "backward in time pass a negative dt")
     if steps == 0:
         return state.copy()
-    return SlaterFlow(state.grid, potential).trajectory(state, dt, steps,
-                                                        steps)[-1]
+    T = dt * steps
+    (c,) = SlaterFlow(state.grid, potential).evolve(state.coeffs, [T])
+    return ManyBodyState(state.grid, c, state.time + T)
 
 
 # ---------------------------------------------------------------------------
@@ -774,19 +750,19 @@ def kinetic_energy(state: ManyBodyState) -> float:
                  @ _kinetic_diagonal(g, _sorted_tuples(g.M, g.N)))
 
 
-def kinetic_bound_check(trajectory, potential: Potential) -> dict:
-    """Quadratic-in-time kinetic growth bound along a trajectory.
+def kinetic_bound_check(states, potential: Potential) -> dict:
+    """Quadratic-in-time kinetic growth bound over states in time order.
 
     Uses K := 2 * kinetic_energy (the convention without the 1/2) and
     reports <K/N>(t) together with the smallest C such that
     <K/N>(t) <= <K/N>(0) + C t^2 over the sampled times.  The momentum
     scale (1/N) sum_j hbar ||grad_j psi|| is sqrt(<K/N>) by symmetry.
     """
-    times = [s.time for s in trajectory]
+    times = [s.time for s in states]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-        raise GridError("trajectory times must be strictly increasing")
-    N = trajectory[0].grid.N
-    k_over_n = [2.0 * kinetic_energy(s) / N for s in trajectory]
+        raise GridError("state times must be strictly increasing")
+    N = states[0].grid.N
+    k_over_n = [2.0 * kinetic_energy(s) / N for s in states]
     base = k_over_n[0]
     t0 = times[0]
     cs = [(k - base) / (t - t0) ** 2

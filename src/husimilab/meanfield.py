@@ -7,21 +7,21 @@ one-body Hamiltonian
     rho(x) = omega(x; x)/N,   X(x; y) = V(x - y) omega(x; y) / N,
 
 by Strang splitting (`hartree_fock_evolve`).  Each kick exp(-i dt U /
-2 hbar) is applied to the N orbitals by the Jacobi-Anger Chebyshev series
-that also drives the exact N-body flow (Tal-Ezer & Kosloff, J. Chem.
-Phys. 81 (1984) 3967), so no M x M matrix is diagonalized.
+2 hbar) is applied to the N orbitals by `manybody.chebyshev_exp`, the
+Chebyshev series that also drives the exact N-body flow, so no M x M
+matrix is diagonalized.
 
 The Vlasov solver (`vlasov_evolve`) is a Strang-split semi-Lagrangian
 scheme on the phase-space lattice (Cheng & Knorr, J. Comput. Phys. 22
 (1976) 330; Sonnendruecker et al., J. Comput. Phys. 149 (1999) 201) with
 the self-consistent force
 
-    F(q) = -force_scale * (dV/dq * rho)(q),     rho(q) = sum_p m dp,
+    F(q) = -c (dV/dq * rho)(q),     rho(q) = sum_p m dp,
 
-where force_scale = 1/(2 pi hbar N) makes the equation the exact
-residue-free limit of the reformulated phase-space identity when the
-initial datum carries the Husimi normalization (it reduces to the usual
-1/(2 pi) under the coupling hbar = 1/N).  The Vlasov state is a
+where c = 1/(2 pi hbar N) (`phasespace.force_scale`) makes the equation
+the exact residue-free limit of the reformulated phase-space identity
+when the initial datum carries the Husimi normalization (it reduces to
+the usual 1/(2 pi) under the coupling hbar = 1/N).  The Vlasov state is a
 `PhaseSpaceField`: this force and the identity's mean-field term are
 both `PhaseSpaceField.force`.
 """
@@ -34,8 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from husimilab.grid import GridError, GridSpec, Potential, _read_only
-from husimilab.manybody import OneBodyKernel, _jacobi_anger
-from husimilab.phasespace import PhaseSpaceField, PhaseSpaceLattice
+from husimilab.manybody import OneBodyKernel, chebyshev_exp
+from husimilab.phasespace import (PhaseSpaceField, PhaseSpaceLattice,
+                                  force_scale)
 
 HF_ABORT_TOL = 1e-6  # orthonormality defect at which an HF step aborts
 
@@ -131,34 +132,17 @@ def mean_field_matrix(orbitals: np.ndarray,
 
 def _apply_mean_field_exp(U: np.ndarray, orbitals: np.ndarray,
                           dt: float, hbar: float) -> np.ndarray:
-    """exp(-i dt U / hbar) applied to each orbital (row of `orbitals`).
-
-    The Chebyshev series of `manybody._jacobi_anger` on the Gershgorin
-    bounds of the Hermitian U, cut where |J_k| < 1e-18.  U is scaled and
-    shifted once, S = a (U^T - centre), so each term is one (N x M) @
-    (M x M) product on the orbital rows and one subtraction; a half kick
+    """exp(-i dt U / hbar) applied to each orbital (row of `orbitals`):
+    `chebyshev_exp` on the Gershgorin bounds of the Hermitian U, one
+    (N x M) @ (M x M) product on the orbital rows per term; a half kick
     of dt = 0.001 takes about five.  The truncated series is unitary to
-    rounding, so the kick keeps the orbitals orthonormal, and an orbital
-    with U e = 0 (one orbital's direct/exchange cancellation) comes back
-    unchanged.
+    rounding, so the kick keeps the orbitals orthonormal.
     """
     diag = U.diagonal()
-    radius = np.sum(np.abs(U), axis=1) - np.abs(diag)
-    centre, a, J = _jacobi_anger(float(np.min(diag.real - radius)),
-                                 float(np.max(diag.real + radius)), dt, hbar)
-    S = U.T * a
-    S.flat[::len(S) + 1] -= a * centre
-    prev, cur = None, orbitals
-    out = J[0, 0] * cur
-    for k in range(1, len(J)):
-        nxt = cur @ S
-        if k == 1:
-            nxt *= 0.5
-        else:
-            nxt -= prev
-        prev, cur = cur, nxt
-        out += (2.0 * (-1j) ** k * J[k, 0]) * cur
-    out *= np.exp(-1j * dt * centre / hbar)
+    radius = np.abs(U).sum(axis=1) - np.abs(diag)
+    (out,) = chebyshev_exp(lambda v: v @ U.T, float((diag.real - radius).min()),
+                           float((diag.real + radius).max()), orbitals, [dt],
+                           hbar)
     return out
 
 
@@ -188,7 +172,7 @@ def hartree_fock_evolve(state: MeanFieldState, potential: Potential,
     g = state.grid
     k = g.wavenumbers()
     kinetic = np.exp(-0.5j * dt * g.hbar * k ** 2)
-    orb, time = state.orbitals, state.time
+    orb = state.orbitals
     for _ in range(steps):
         U0 = mean_field_matrix(orb, potential)
         orb = _apply_mean_field_exp(U0, orb, 0.5 * dt, g.hbar)
@@ -199,12 +183,11 @@ def hartree_fock_evolve(state: MeanFieldState, potential: Potential,
         predicted = orb - (0.5j * dt / g.hbar) * (orb @ U1.T)
         U2 = mean_field_matrix(predicted, potential)
         orb = _apply_mean_field_exp(U2, orb, 0.5 * dt, g.hbar)
-        time += dt
         defect = float(np.max(np.abs(_gram_gap(orb, g.dx))))
         if defect > HF_ABORT_TOL:
             raise MeanFieldError(f"orthonormality defect {defect:.3e} "
                                  f"exceeds {HF_ABORT_TOL:.1e}")
-    return MeanFieldState(g, orb, time)
+    return MeanFieldState(g, orb, state.time + dt * steps)
 
 
 def hf_energy(state: MeanFieldState, potential: Potential) -> float:
@@ -277,26 +260,23 @@ def husimi_vlasov_distance(field_a: PhaseSpaceField,
 
 @dataclass
 class VlasovState(PhaseSpaceField):
-    """A Vlasov density with its time, force scale and the mass its steps
-    have clipped so far."""
+    """A Vlasov density with its time and the mass its steps have
+    clipped so far."""
 
     time: float = 0.0
-    force_scale: float = 1.0
     clipped_mass: float = 0.0
 
 
-def vlasov_from_husimi(field: PhaseSpaceField,
-                       grid: GridSpec) -> VlasovState:
+def vlasov_from_husimi(field: PhaseSpaceField) -> VlasovState:
     """Initial Vlasov datum: the one-particle Husimi field itself."""
-    scale = 1.0 / (grid.N * (2.0 * np.pi * grid.hbar))
     # a C-ordered copy: the q marginal then sums contiguous rows, so its
     # rounding does not depend on how the Husimi values were laid out
     return VlasovState(np.clip(field.values, 0.0, None).copy(),
-                       field.lattice, 0.0, scale)
+                       field.lattice)
 
 
 def vlasov_cfl(state: VlasovState, potential: Potential, dt: float) -> dict:
-    fmax = float(np.max(np.abs(state.force(potential, state.force_scale))))
+    fmax = float(np.max(np.abs(state.force(potential))))
     return _cfl(state.lattice, fmax, dt)
 
 
@@ -378,10 +358,10 @@ def vlasov_evolve(state: VlasovState, potential: Potential, dt: float,
     """
     lat = state.lattice
     half_q = _shift_transfer(len(lat.qs), lat.ps * (0.5 * dt) / lat.dq)
-    vals, time, clipped = state.values, state.time, state.clipped_mass
+    vals, clipped = state.values, state.clipped_mass
     for _ in range(steps):
         vals = _shift(vals, half_q, 0)
-        force = PhaseSpaceField(vals, lat).force(potential, state.force_scale)
+        force = PhaseSpaceField(vals, lat).force(potential)
         cfl = _cfl(lat, float(np.max(np.abs(force))), dt)
         if not cfl["ok"]:
             raise MeanFieldError(
@@ -393,8 +373,7 @@ def vlasov_evolve(state: VlasovState, potential: Potential, dt: float,
         vals = _shift(vals, half_q, 0)
         clipped += float(-np.sum(np.minimum(vals, 0.0)) * lat.cell)
         np.maximum(vals, 0.0, out=vals)
-        time += dt
-    return VlasovState(vals, lat, time, state.force_scale, clipped)
+    return VlasovState(vals, lat, state.time + dt * steps, clipped)
 
 
 def vlasov_energy(state: VlasovState, potential: Potential) -> float:
@@ -403,7 +382,7 @@ def vlasov_energy(state: VlasovState, potential: Potential) -> float:
     kinetic = float(np.sum(state.values * (lat.ps ** 2)[None, :] / 2.0)
                     * lat.cell)
     rho = state.density()
-    pair = (0.5 * state.force_scale
+    pair = (0.5 * force_scale(potential.grid)
             * float(rho @ potential.difference_table() @ rho) * lat.dq ** 2)
     return kinetic + pair
 

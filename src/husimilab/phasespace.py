@@ -143,16 +143,23 @@ class PhaseSpaceField:
         """The q marginal rho(q) = sum_p m dp."""
         return self.values.sum(axis=1) * self.lattice.dp
 
-    def force(self, potential: Potential, scale: float) -> np.ndarray:
-        """F(q) = -scale (V' * rho)(q), the lattice convolution with the
-        density; the q lattice must be the unstrided grid of V."""
+    def force(self, potential: Potential) -> np.ndarray:
+        """F(q) = -c (V' * rho)(q), the lattice convolution with the
+        density, c = `force_scale` of the grid of V; the q lattice must
+        be the unstrided grid of V."""
         lat = self.lattice
         if len(lat.qs) != potential.grid.M:
             raise GridError(f"phase-space q lattice has {len(lat.qs)} "
                             f"points; the force needs the unstrided grid of "
                             f"M={potential.grid.M}")
         gradv = potential.grad_difference_table()
-        return -scale * (gradv @ self.density()) * lat.dq
+        return -force_scale(potential.grid) * (gradv @ self.density()) * lat.dq
+
+
+def force_scale(grid: GridSpec) -> float:
+    """c = 1 / (2 pi hbar N), the scale of the mean-field force of a
+    field with the Husimi normalization (`PhaseSpaceField.force`)."""
+    return 1.0 / (grid.N * (2.0 * np.pi * grid.hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +186,13 @@ def bilinear_phase_field(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     return B[:, np.argsort(grid.momentum_lattice())]
 
 
-def husimi1(kernel: OneBodyKernel, frame: CoherentFrame) -> PhaseSpaceField:
-    """One-particle Husimi field on the natural lattice via the two-FFT
-    evaluation."""
-    g = kernel.grid
-    m = bilinear_phase_field(kernel.matrix, frame.window, frame.window, g).real
-    return PhaseSpaceField(m, natural_lattice(g))
+def husimi1(kernel: OneBodyKernel, frame: CoherentFrame,
+            lattice: PhaseSpaceLattice) -> PhaseSpaceField:
+    """One-particle Husimi field on `lattice`, the natural lattice of the
+    kernel's grid, via the two-FFT evaluation."""
+    m = bilinear_phase_field(kernel.matrix, frame.window, frame.window,
+                             kernel.grid).real
+    return PhaseSpaceField(m, lattice)
 
 
 def _coherent_state(frame: CoherentFrame, q: float, p) -> np.ndarray:

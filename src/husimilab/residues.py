@@ -221,7 +221,6 @@ def reformulation_consistency(fields: SnapshotFields, potential: Potential,
     it is at rounding level while the Husimi field has no mass on the
     box edges.
     """
-    g = fields.state.grid
     lattice = fields.husimi.lattice
     m = fields.husimi.values
     parts = {
@@ -236,8 +235,7 @@ def reformulation_consistency(fields: SnapshotFields, potential: Potential,
     }
     if fields.interaction is not None:
         # c (V' * rho) m with c = 1/(2 pi hbar N): minus the Vlasov force
-        force = fields.husimi.force(potential,
-                                    1.0 / (g.N * (2.0 * np.pi * g.hbar)))
+        force = fields.husimi.force(potential)
         parts["mean_field"] = _paired(phi_q.values, phi_p.grad,
                                       force[:, None] * m, lattice)
         parts["semiclassical_residue"] = -_paired(

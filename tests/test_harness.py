@@ -1,4 +1,5 @@
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -181,6 +182,31 @@ def test_a_one_step_run_passes_its_hard_checks(point, tmp_path):
     records = _records(harness.run_experiment(cfg, tmp_path / "run"))
     assert all(r["passed"] for r in records.values())
     assert records["consistency_defect_rel"]["t"] == 0.001
+
+
+def test_hf_and_vlasov_end_records_sit_at_the_n_body_end_time(tmp_path):
+    """Each stage's end time is its start plus dt * steps, so all end
+    records read t = 0.02; ten steps of 0.002 summed one by one would
+    read 0.020000000000000004."""
+    records = _records(harness.run_experiment(
+        harness.RunConfig(horizon=0.02), tmp_path / "run"))
+    assert {records[name]["t"] for name in (
+        "norm_drift", "hf_trace_drift", "hf_energy_drift_rate",
+        "vlasov_mass_drift", "vlasov_energy_drift_rate")} == {0.02}
+
+
+def test_an_undersampled_run_warns_once(tmp_path):
+    """The run builds one natural lattice and hands it to both Husimi
+    transforms, so an undersampled one (dq = 12/16 > sqrt(1/2) at M = 16)
+    warns once, even when every warning is shown.  The run fails its hard
+    checks on that lattice."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="hard checks failed"):
+            harness.run_experiment(harness.RunConfig(M=16, horizon=0.02),
+                                   tmp_path / "run")
+    assert [str(w.message) for w in caught] == [
+        "phase-space lattice coarser than sqrt(hbar); transform undersampled"]
 
 
 @pytest.mark.parametrize("horizon, dt, vsteps", [(0.03, 0.03, 2),

@@ -219,6 +219,20 @@ def test_nan_detection_through_merged_kicks_n3():
         mb.propagate(state, V, dt=0.01, steps=20)
 
 
+def test_evolve_refuses_a_nan_coefficient(slater_n2):
+    """The flow's own entry refuses non-finite input, before any block
+    of H is built, as the run's N-body stage calls it directly."""
+    grid, _, state = slater_n2
+    coeffs = state.coeffs.copy()
+    coeffs[5] = np.nan
+    flow = mb.SlaterFlow(grid, Potential.cosine(grid, [0.4, 0.15]))
+    with pytest.raises(mb.PropagationError,
+                       match=f"non-finite input coefficients: 1 of "
+                             f"{coeffs.size}"):
+        flow.evolve(coeffs, [0.01, 0.02])
+    assert all(block.H is None for block in flow.blocks)
+
+
 def test_hamiltonian_over_budget_rejected(monkeypatch):
     """The budget charges the parity blocks a product builds: at (3, 32)
     the Hermite state's one block holds 2495 (1 + 3 * 4) = 32435 entries
@@ -235,7 +249,7 @@ def test_hamiltonian_over_budget_rejected(monkeypatch):
     flow = mb.SlaterFlow(grid, V)
     with pytest.raises(GridError,
                        match=r"64480 stored entries \(0\.7 MiB\).*M=16"):
-        flow.trajectory(random, 0.002, 10, 10)
+        flow.evolve(random.coeffs, [0.02])
     assert all(block.H is None for block in flow.blocks)
 
 
@@ -243,14 +257,6 @@ def test_negative_step_count_rejected(slater_n2):
     grid, _, state = slater_n2
     with pytest.raises(GridError, match="negative dt"):
         mb.propagate(state, Potential.zero(grid), dt=0.01, steps=-3)
-
-
-@pytest.mark.parametrize("store_every", [0, -2])
-def test_trajectory_rejects_store_every_below_one(slater_n2, store_every):
-    grid, _, state = slater_n2
-    with pytest.raises(GridError, match="store_every"):
-        mb.SlaterFlow(grid, Potential.zero(grid)).trajectory(
-            state, dt=0.01, steps=40, store_every=store_every)
 
 
 @pytest.mark.parametrize("dt", [0.03, -0.03])
@@ -407,7 +413,7 @@ def test_propagate_matches_dense_exponential(N, M, t, state):
                                            ("random", 3, 32)])
 def test_flow_drops_only_rounding(family, N, M, monkeypatch):
     """The vectors of a run's N-body stage (the initial state, and the
-    trajectory's states at t = 0.02 and 0.04, whose energies and d/dt a
+    states it evolves to at t = 0.02 and 0.04, whose energies and d/dt a
     the stage takes): merging the pieces `_split` keeps gives each back
     to within sqrt(C(M, N)) eps ||c||.  A random-orbital state keeps all
     four pieces and builds both parity blocks; a Hermite or plane-wave
@@ -423,8 +429,8 @@ def test_flow_drops_only_rounding(family, N, M, monkeypatch):
     state = mb.build_slater(grid, harness.build_orbitals(
         grid, family, np.random.default_rng(0)))
     flow = mb.SlaterFlow(grid, V)
-    for k, c in enumerate(s.coeffs
-                          for s in flow.trajectory(state, 0.002, 20, 10)):
+    for k, c in enumerate([state.coeffs,
+                           *flow.evolve(state.coeffs, [0.02, 0.04])]):
         pieces = flow._split(c)
         parts: dict = {}
         for block, factor, u in pieces:
@@ -620,13 +626,21 @@ def test_time_derivative_matches_centered_difference_of_propagate(slater_n2):
     assert np.max(np.abs(fd - exact)) < 1e-6 * np.max(np.abs(exact))
 
 
+def _flow_states(state, potential, dt, steps, every):
+    """The state, then its exact flow at every `every`-th step of dt."""
+    times = [dt * k for k in range(every, steps + 1, every)]
+    flow = mb.SlaterFlow(state.grid, potential)
+    return [state] + [mb.ManyBodyState(state.grid, c, state.time + t)
+                      for c, t in zip(flow.evolve(state.coeffs, times),
+                                      times)]
+
+
 def test_free_kinetic_constant():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     V0 = Potential.zero(grid)
-    traj = mb.SlaterFlow(grid, V0).trajectory(state, dt=0.01, steps=40,
-                                              store_every=10)
-    report = mb.kinetic_bound_check(traj, V0)
+    report = mb.kinetic_bound_check(_flow_states(state, V0, 0.01, 40, 10),
+                                    V0)
     assert report["fitted_C"] < 1e-8
 
 
@@ -634,9 +648,8 @@ def test_kinetic_growth_bound_interacting():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
     V = Potential.gaussian_bump(grid, 0.8, 1.5)
-    traj = mb.SlaterFlow(grid, V).trajectory(
-        state, dt=0.004, steps=250, store_every=50)  # horizon t = 1
-    report = mb.kinetic_bound_check(traj, V)
+    states = _flow_states(state, V, 0.004, 250, 50)  # horizon t = 1
+    report = mb.kinetic_bound_check(states, V)
     assert np.isfinite(report["fitted_C"])
     bound = 2.0 * report["grad_v_sup"] * report["p1_max"]
     assert report["fitted_C"] <= bound

@@ -254,8 +254,7 @@ def gaussian_blob():
     lattice = ps.natural_lattice(grid)
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = np.exp(-((Q + 2.0) ** 2 + (P - 1.0) ** 2) / (2.0 * 0.5))
-    state = mf.VlasovState(vals, lattice, 0.0,
-                           1.0 / (2.0 * np.pi * grid.hbar))
+    state = mf.VlasovState(vals, lattice)
     return grid, state
 
 
@@ -291,8 +290,7 @@ def test_vlasov_cfl_refusal(gaussian_blob):
     lat = state.lattice
     half = mf._shift(state.values, mf._shift_transfer(
         len(lat.qs), lat.ps * (0.5 * dt) / lat.dq), 0)
-    fmax = float(np.max(np.abs(mf.VlasovState(half, lat).force(
-        V, state.force_scale))))
+    fmax = float(np.max(np.abs(mf.VlasovState(half, lat).force(V))))
     assert fmax > 0.0
     with pytest.raises(mf.MeanFieldError, match="suggested dt") as refused:
         mf.vlasov_evolve(state, V, dt, 1)
@@ -310,8 +308,7 @@ def test_vlasov_cfl_checks_the_applied_kick():
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = (np.exp(-(Q + 3.0) ** 2 - (P - 2.0) ** 2)
             + np.exp(-(Q - 3.0) ** 2 - (P + 2.0) ** 2))
-    state = mf.VlasovState(vals, lattice, 0.0,
-                           1.0 / (2.0 * np.pi * grid.hbar))
+    state = mf.VlasovState(vals, lattice)
     V = Potential.cosine(grid, [1e4])
     dt = 0.9 * lattice.dq / np.max(np.abs(lattice.ps))
     start = mf.vlasov_cfl(state, V, dt)
@@ -392,8 +389,7 @@ def test_vlasov_step_after_another_dt_matches_a_fresh_step(gaussian_blob):
     lat = state.lattice
     other = mf.VlasovState(state.values,
                            ps.PhaseSpaceLattice(lat.qs, 0.5 * lat.ps,
-                                                lat.hbar),
-                           0.0, state.force_scale)
+                                                lat.hbar))
     runs = [(state, dt), (state, 0.5 * dt), (other, 0.5 * dt)]
     chained = [mf.vlasov_evolve(s, V, h, 1).values for s, h in runs]
     fresh = [mf.vlasov_evolve(s, V, h, 1).values for s, h in runs[::-1]][::-1]
@@ -409,8 +405,7 @@ def test_vlasov_cfl_refuses_a_strided_lattice(gaussian_blob):
     lat = state.lattice
     strided = mf.VlasovState(state.values[::2],
                              ps.PhaseSpaceLattice(lat.qs[::2], lat.ps,
-                                                  lat.hbar),
-                             0.0, state.force_scale)
+                                                  lat.hbar))
     with pytest.raises(GridError, match="M=256"):
         mf.vlasov_cfl(strided, Potential.cosine(grid, [0.4]), 0.01)
 
@@ -446,8 +441,7 @@ def test_vlasov_rotation_period_matches_characteristics():
     V = Potential.cosine(grid, [-1.2])  # attractive pair potential
     Q, P = np.meshgrid(lattice.qs, lattice.ps, indexing="ij")
     vals = 20.0 * np.exp(-(Q - 0.9) ** 2 / 0.18 - P ** 2 / 2.0)
-    state = mf.VlasovState(vals, lattice, 0.0,
-                           1.0 / (2.0 * np.pi * grid.hbar))
+    state = mf.VlasovState(vals, lattice)
 
     def q_variance(q, weights):
         mean = np.sum(weights * q) / np.sum(weights)
@@ -478,7 +472,7 @@ def test_vlasov_rotation_period_matches_characteristics():
     times = np.array(times)
     assert np.max(np.abs(np.array(rho1) / rho1[0] - 1.0)) < 0.05
 
-    force0 = state.force(V, state.force_scale)
+    force0 = state.force(V)
     keep = vals > 1e-8 * vals.max()
     weights = vals[keep]
     n = weights.size

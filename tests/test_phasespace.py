@@ -56,7 +56,7 @@ def test_bump_frame_compact_support():
 
 def test_reproducing_kernel_peak(coherent_setup):
     grid, frame, kern = coherent_setup
-    field = ps.husimi1(kern, frame)
+    field = ps.husimi1(kern, frame, ps.natural_lattice(grid))
     lattice = field.lattice
     ia, ib = nearest(lattice.qs, CENTER_Q), nearest(lattice.ps, CENTER_P)
     assert field.values[ia, ib] == pytest.approx(field.values.max())
@@ -69,7 +69,7 @@ def test_husimi_canonical_mass_is_particle_number():
     grid = make_grid(M=64, L=12.0, hbar=0.5, N=2)
     frame = ps.gaussian_frame(grid)
     state = mb.build_slater(grid, mf.hermite_orbitals(grid, 2))
-    field = ps.husimi1(mb.gamma1(state), frame)
+    field = ps.husimi1(mb.gamma1(state), frame, ps.natural_lattice(grid))
     assert abs(field.canonical_mass() - 2.0) < 1e-4
 
 
@@ -82,14 +82,15 @@ def test_husimi_positivity_and_bound_random_states():
                    + 1j * rng.standard_normal((grid.M, 2)))
             q, _ = np.linalg.qr(raw)
             orbs = [q[:, j] / np.sqrt(grid.dx) for j in range(2)]
-            field = ps.husimi1(mb.gamma1(mb.build_slater(grid, orbs)), frame)
+            field = ps.husimi1(mb.gamma1(mb.build_slater(grid, orbs)),
+                               frame, ps.natural_lattice(grid))
             assert field.values.min() >= -1e-12
             assert field.values.max() <= 1.0 + 1e-8
 
 
 def test_fft_path_matches_direct_oracle(coherent_setup):
     grid, frame, kern = coherent_setup
-    fast = ps.husimi1(kern, frame)
+    fast = ps.husimi1(kern, frame, ps.natural_lattice(grid))
     full = fast.lattice
     lattice = ps.PhaseSpaceLattice(full.qs[::8], full.ps[::4], grid.hbar)
     slow = ps.husimi1_direct(kern, frame, lattice)
@@ -142,7 +143,7 @@ def husimi2_marginal_check(state, frame, rng, n_pairs: int = 50,
     """
     g = state.grid
     psi = state.to_grid()
-    m1 = ps.husimi1(mb.gamma1(state), frame)
+    m1 = ps.husimi1(mb.gamma1(state), frame, ps.natural_lattice(g))
     lattice = m1.lattice
 
     sym_defect = 0.0
@@ -313,7 +314,7 @@ def test_moments_gaussian_closed_form():
     q0, p0, hbar = -2.4375, 0.8, grid.hbar
     psi = mb.gaussian_orbital(grid, width=hbar, x0=q0, p0=p0)
     kern = mb.gamma1(from_grid(grid, psi))
-    field = ps.husimi1(kern, frame)
+    field = ps.husimi1(kern, frame, ps.natural_lattice(grid))
     mass, qmom, p2mom = ps.moments(field)
     mass_exact = 2.0 * np.pi * hbar
     sigma = np.sqrt(hbar)
@@ -329,9 +330,9 @@ def test_free_evolution_preserves_p2_moment():
     frame = ps.gaussian_frame(grid)
     psi = mb.gaussian_orbital(grid, width=0.8, x0=-3.0, p0=1.0)
     st = from_grid(grid, psi)
-    f0 = ps.husimi1(mb.gamma1(st), frame)
+    f0 = ps.husimi1(mb.gamma1(st), frame, ps.natural_lattice(grid))
     st2 = mb.propagate(st, Potential.zero(grid), dt=0.01, steps=100)
-    f1 = ps.husimi1(mb.gamma1(st2), frame)
+    f1 = ps.husimi1(mb.gamma1(st2), frame, ps.natural_lattice(grid))
     assert ps.moments(f1)[2] == pytest.approx(ps.moments(f0)[2], abs=1e-6)
 
 

@@ -276,6 +276,29 @@ def test_cli_residues_warns_once_on_an_undersampled_lattice(tmp_path):
         "phase-space lattice coarser than sqrt(hbar); transform undersampled"]
 
 
+def test_cli_residues_reads_a_gaussian_bump_amplitude(tmp_path):
+    """`--amplitude` sets the one amplitude of a gaussian_bump V, so two
+    amplitudes give two mean-field pairings; more than one value exits
+    2 and names the flag."""
+    grid = make_grid(M=32, L=12.0, hbar=0.5, N=2)
+    V = Potential.gaussian_bump(grid, 0.8, 1.5)
+    state = tmp_path / "state.husi"
+    io.write_state(state, mb.propagate(mb.build_slater(
+        grid, harness.build_orbitals(grid, "hermite", None)), V, 0.01, 2))
+    pairings = []
+    for amplitude in ("0.8", "2.0"):
+        out = tmp_path / f"residues_{amplitude}.json"
+        assert cli.main(["residues", str(state), "--box", "12",
+                         "--potential", "gaussian_bump", "--amplitude",
+                         amplitude, "--out", str(out)]) == 0
+        pairings.append(json.loads(out.read_text())["pairing_meanfield"])
+    assert pairings[0] != pairings[1]
+    assert cli.main(["residues", str(state), "--box", "12", "--potential",
+                     "gaussian_bump", "--amplitude", "0.8", "2.0", "--out",
+                     str(tmp_path / "two.json")]) == 2
+    assert not (tmp_path / "two.json").exists()
+
+
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(GridError, match="fd_dt"):
         harness.RunConfig.from_dict({"fd_dt": 0.002})
