@@ -11,9 +11,8 @@ pass's w2-transform of the y-diagonal of gamma2
 (2, 256); the whole residue pass `residues.snapshot_residues` (gamma1
 and its rate, the Husimi field and its rate, the residue fields and the
 paired consistency defect) with the run's default test functions at
-(2, 64) and (3, 64); `antisymmetry_defect` at (3, 64) and (4, 32); and
-the Chebyshev coefficients `_jacobi_anger` of an HF half kick and of the
-flow.
+(2, 64) and (3, 64); and the Chebyshev coefficients `_jacobi_anger` of
+an HF half kick and of the flow.
 Hermite orbitals but for the random-orbital cases (seed 0), default
 cosine V, L = 12, coupled line hbar = 1/N; the reduced density matrices
 and the energy are taken on the state propagated to t = 0.1, the run's
@@ -90,14 +89,6 @@ def test_snapshot_residues(benchmark, N, M):
                                     cfg.phi_q, cfg.phi_p),
         rounds=10, warmup_rounds=1)
     assert report.consistency_defect_rel < 1e-12
-
-
-@pytest.mark.parametrize("N, M", POINTS)
-def test_antisymmetry_defect(benchmark, N, M):
-    state, _ = _snapshot(N, M)
-    out = benchmark.pedantic(mb.antisymmetry_defect, args=(state,),
-                             rounds=10, warmup_rounds=1)
-    assert out < 1e-10
 
 
 @pytest.mark.parametrize("N, M", POINTS)

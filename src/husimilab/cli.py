@@ -80,9 +80,12 @@ def cmd_transform(args) -> int:
 
 
 def cmd_residues(args) -> int:
+    run = harness.RunConfig()  # the run's V and test functions
     amplitude = args.amplitude
-    spec = {"kind": args.potential,
-            "amplitudes": [0.4, 0.15] if amplitude is None else amplitude}
+    spec = {"kind": args.potential, "amplitudes": (
+        run.potential["amplitudes"] if amplitude is None else amplitude)}
+    if args.potential == "zero" and amplitude is not None:
+        raise GridError("--amplitude sets no zero potential; drop the flag")
     if args.potential == "gaussian_bump" and amplitude is not None:
         if len(amplitude) != 1:
             raise GridError(f"--amplitude takes one value for a "
@@ -92,8 +95,8 @@ def cmd_residues(args) -> int:
     grid = state.grid
     frame = harness.build_frame(grid, args.frame)
     potential = harness.build_potential(grid, spec)
-    phi_q = {"center": 0.0, "radius": args.phi_q_radius, "s": 3}
-    phi_p = {"center": 0.0, "radius": args.phi_p_radius, "s": 3}
+    phi_q = {**run.phi_q, "radius": args.phi_q_radius}
+    phi_p = {**run.phi_p, "radius": args.phi_p_radius}
     # the one lattice of the command, so an undersampled one warns once;
     # refused test functions exit before the flow is built
     lattice = ps.natural_lattice(grid)
@@ -162,10 +165,11 @@ def main(argv=None) -> int:
     p.add_argument("--box", type=float, required=True)
     p.add_argument("--frame", default="gaussian")
     p.add_argument("--potential", default="cosine")
-    p.add_argument("--amplitude", type=float, nargs="*", default=None,
+    p.add_argument("--amplitude", type=float, nargs="+", default=None,
                    help="cosine amplitudes, or one gaussian_bump amplitude")
-    p.add_argument("--phi-q-radius", type=float, default=3.5)
-    p.add_argument("--phi-p-radius", type=float, default=2.0)
+    run = harness.RunConfig()
+    p.add_argument("--phi-q-radius", type=float, default=run.phi_q["radius"])
+    p.add_argument("--phi-p-radius", type=float, default=run.phi_p["radius"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_residues)
 

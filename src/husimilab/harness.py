@@ -187,8 +187,6 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     mid, end, adot_mid, energy_drift = _nbody_stage(
         state0, potential, cfg.dt, steps)
     _record(rows, "norm_drift", abs(end.norm() - 1.0), 1e-10, cfg, end.time)
-    _record(rows, "antisymmetry_defect", mb.antisymmetry_defect(end), 1e-10,
-            cfg, end.time)
     _record(rows, "energy_drift", energy_drift, 1e-8, cfg, end.time)
 
     io.write_state(out / "state_initial.husi", state0)

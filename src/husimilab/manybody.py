@@ -7,13 +7,12 @@ for lattice amplitudes psi, with K over the momentum tuples
 k_1 < ... < k_N of `_sorted_tuples`; ||a|| is the lattice norm.  The
 vector is antisymmetric by construction.  gamma1, gamma2 on its
 y-diagonal, the norm and the energy a^H H a are read off it, and the M^N
-grid amplitudes are an export (`ManyBodyState.to_grid`) for the tests;
-the antisymmetry record exports (N-1)-particle slabs of them.  The
-propagator is the exact flow exp(-i t H / hbar) of the lattice
-Hamiltonian (`SlaterFlow`).  H is real symmetric and commutes with
-parity, so the flow splits each vector it takes, after one global phase,
-into real pieces in the two parity blocks, drops the pieces at rounding
-level and runs the Chebyshev series `chebyshev_exp`, which the
+grid amplitudes are an export (`ManyBodyState.to_grid`) the tests alone
+make.  The propagator is the exact flow exp(-i t H / hbar) of the
+lattice Hamiltonian (`SlaterFlow`).  H is real symmetric and commutes
+with parity, so the flow splits each vector it takes, after one global
+phase, into real pieces in the two parity blocks, drops the pieces at
+rounding level and runs the Chebyshev series `chebyshev_exp`, which the
 Hartree-Fock kick of `meanfield` runs too, on each piece kept; a block's
 H is built when a piece first needs it.  H lives as long as the flow
 that holds it, and no cache keeps a flow.
@@ -26,9 +25,9 @@ machine, `np.linalg.norm` of the C(64, 3) coefficients took 16 ms in 3 of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from math import comb, factorial, fsum
 
 import numpy as np
@@ -68,55 +67,6 @@ class ManyBodyState:
         psi = _antisymmetric_extension(g, self.coeffs / scale,
                                        g.N).reshape((g.M,) * g.N)
         return np.fft.ifftn(psi, out=psi)
-
-
-_SLABS = 8  # x_1 slabs that the antisymmetry record samples
-
-
-def antisymmetry_defect(state: ManyBodyState) -> float:
-    """Max violation of psi(swap pair) = -psi over the lattice amplitudes,
-    taken on the x_1 slabs of `_x1_slabs` at x_1 = x_u for every
-    (M / `_SLABS`)-th u, so every slab at M <= `_SLABS`; 0 for N = 1.
-
-    Pairs of coordinates 2..N are checked inside each slab, and each pair
-    (1, j) wherever x_1 and x_j both lie in the sample (`_swap_defect`),
-    so no array holds M^N values.
-    """
-    g = state.grid
-    if g.N == 1:
-        return 0.0
-    xs = np.arange(0, g.M, max(1, g.M // _SLABS))
-    return _swap_defect(_x1_slabs(state, xs), xs)
-
-
-def _x1_slabs(state: ManyBodyState, xs: np.ndarray) -> np.ndarray:
-    """psi(x_u, x_2, ..., x_N) for u in xs, shape (len(xs),) + (M,)*(N-1).
-
-    Slab u is the (N-1)-particle export of row u of F B / sqrt(N), with B
-    the one-free-axis extension and F as in `_one_body_matrix`.
-    """
-    g = state.grid
-    B = _antisymmetric_extension(g, state.coeffs, 1)
-    # k u reduced mod M, so each phase is rounded once, not M times over
-    F = np.exp(2j * np.pi / g.M * (np.outer(xs, np.arange(g.M)) % g.M))
-    rows = F @ B / np.sqrt(g.N * g.L)
-    sub = replace(g, N=g.N - 1)
-    return np.stack([ManyBodyState(sub, row).to_grid() for row in rows])
-
-
-def _swap_defect(slabs: np.ndarray, xs: np.ndarray) -> float:
-    """max |psi(sigma_ij x) + psi(x)| over the points x of `slabs`
-    (slabs[a] = psi(xs[a], ...)) whose swapped point sigma_ij x is in
-    `slabs` too: every x for a pair of coordinates 2..N, and for a pair
-    (1, j) every x with x_j in xs."""
-    inner = (np.max(np.abs(np.swapaxes(slab, i, j) + slab))
-             for slab in slabs
-             for i, j in combinations(range(slab.ndim), 2))
-    # cross[a, ..., b, ...] = psi(xs[a], ..., x_j = xs[b], ...)
-    cross = (np.max(np.abs(t + np.swapaxes(t, 0, j)))
-             for j in range(1, slabs.ndim)
-             for t in [slabs.take(xs, axis=j)])
-    return float(max(chain(inner, cross)))
 
 
 def build_slater(grid: GridSpec, orbitals) -> ManyBodyState:
@@ -163,7 +113,7 @@ def _perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _sorted_tuples(M: int, N: int) -> np.ndarray:
     """Every momentum-index tuple k_1 < ... < k_N of range(M), as a
     read-only int32 (N, C(M, N)) array in colex order: column r holds the
@@ -171,8 +121,7 @@ def _sorted_tuples(M: int, N: int) -> np.ndarray:
 
     The tuples below t, in colex order, are a prefix of those below M, so
     each size-n block is the size-(n-1) prefix of C(t, n-1) columns with
-    t appended.  Two sizes are cached: a run's N, and N - 1 for the slabs
-    of `antisymmetry_defect`.
+    t appended.  One size is cached, a run's N.
     """
     K = np.arange(M, dtype=np.int32)[None, :]
     for n in range(2, N + 1):

@@ -130,10 +130,10 @@ def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
     """Propagation, both energies and d/dt a at the residue snapshot share
     one H, which is freed before the residue pass starts; the Hermite
     state and the states it evolves to lie in one parity block, so H is
-    built on that block alone.  No step of a run exports the M^N grid
-    amplitudes: the antisymmetry record exports (N-1)-particle slabs."""
+    built on that block alone.  No step of a run exports grid
+    amplitudes."""
     cfg = harness.RunConfig()
-    counts = {"flow": 0, "block": 0, "export": 0, "slab": 0}
+    counts = {"flow": 0, "block": 0, "export": 0}
     flows, alive_at_residues = [], []
     build, export = mb.SlaterFlow.__init__, mb.ManyBodyState.to_grid
     build_block = mb.SlaterFlow._build
@@ -149,7 +149,7 @@ def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
         build_block(self, *args)
 
     def counted_export(self):
-        counts["export" if self.grid.N == cfg.N else "slab"] += 1
+        counts["export"] += 1
         return export(self)
 
     def residues_after_the_flow(*args):
@@ -162,8 +162,7 @@ def test_default_run_builds_one_flow_and_no_grid_export(tmp_path,
     monkeypatch.setattr(harness.rs, "snapshot_residues",
                         residues_after_the_flow)
     harness.run_experiment(cfg, tmp_path / "run")
-    assert counts == {"flow": 1, "block": 1, "export": 0,
-                      "slab": mb._SLABS}
+    assert counts == {"flow": 1, "block": 1, "export": 0}
     assert alive_at_residues == [False]
 
 

@@ -51,7 +51,8 @@ def test_single_orbital_slater_is_the_orbital():
 def test_slater_normalized_and_antisymmetric(slater_n2):
     _, _, state = slater_n2
     assert abs(state.norm() - 1.0) < 1e-12
-    assert mb.antisymmetry_defect(state) < 1e-12
+    psi = state.to_grid()
+    assert _grid_swap_defect(psi) < 1e-12 * np.max(np.abs(psi))
 
 
 def _grid_swap_defect(psi: np.ndarray) -> float:
@@ -60,45 +61,29 @@ def _grid_swap_defect(psi: np.ndarray) -> float:
                for i, j in combinations(range(psi.ndim), 2))
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_antisymmetry_defect_on_slabs_matches_the_grid_export(N):
-    """At M = 8 the record samples every x_1 slab: the slabs are those of
-    the grid export, and the record is its defect over every point, on a
-    random antisymmetric state that is no Slater determinant."""
-    grid = make_grid(M=8, L=6.0, hbar=1.0 / N, N=N)
-    rng = np.random.default_rng(30 + N)
-    psi = go.antisymmetrized(rng.standard_normal((8,) * N)
-                             + 1j * rng.standard_normal((8,) * N))
-    state = go.from_grid(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2)
-                                             * grid.dx ** N))
-    export = state.to_grid()
-    slabs = mb._x1_slabs(state, np.arange(8))
-    assert np.max(np.abs(slabs - export)) < 1e-14 * np.max(np.abs(export))
-    assert mb.antisymmetry_defect(state) == pytest.approx(
-        _grid_swap_defect(export), abs=1e-15)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_swap_defect_takes_every_pair_inside_the_sample(N):
-    """On amplitudes that are not antisymmetric: over every x_1 slab the
-    defect is that of the whole array; over a sample xs of slabs it is the
-    max over the points with x_1 in xs, and for a pair (1, j) also x_j."""
-    M = 8
-    psi = np.random.default_rng(40 + N).standard_normal((M,) * N)
-    assert mb._swap_defect(psi, np.arange(M)) == _grid_swap_defect(psi)
-    xs = np.array([1, 4, 6])
-    inside = np.isin(np.arange(M), xs)
-
-    def sampled(axis):
-        shape = [1] * N
-        shape[axis] = M
-        return inside.reshape(shape)
-
-    want = max(float(np.max(np.abs(np.swapaxes(psi, i, j) + psi)[
-        np.broadcast_to(sampled(0) & (sampled(j) if i == 0 else True),
-                        psi.shape)]))
-        for i, j in combinations(range(N), 2))
-    assert mb._swap_defect(psi[xs], xs) == want
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("kind", ["antisymmetrized", "hermite", "random"])
+def test_grid_export_is_antisymmetric(kind, N):
+    """The grid export changes sign under every swap of two coordinates,
+    at every lattice point: for a random antisymmetric state that is no
+    Slater determinant at M = 8, and for Hermite and random-orbital Slater
+    states at M = 16 evolved by the flow under a Gaussian bump V to
+    t = 1/2."""
+    if kind == "antisymmetrized":
+        grid = make_grid(M=8, L=6.0, hbar=1.0 / N, N=N)
+        rng = np.random.default_rng(30 + N)
+        state = go.from_grid(grid, go.antisymmetrized(
+            rng.standard_normal((8,) * N)
+            + 1j * rng.standard_normal((8,) * N)))
+    else:
+        grid = make_grid(M=16, L=8.0, hbar=1.0 / N, N=N)
+        flow = mb.SlaterFlow(grid, Potential.gaussian_bump(grid, 0.8, 1.5))
+        start = mb.build_slater(grid, harness.build_orbitals(
+            grid, kind, np.random.default_rng(N)))
+        state = mb.ManyBodyState(
+            grid, flow.evolve(start.coeffs, [0.5])[0], 0.5)
+    psi = state.to_grid()
+    assert _grid_swap_defect(psi) < 1e-12 * np.max(np.abs(psi))
 
 
 def test_slater_gamma1_matches_orbital_projector(slater_n2):
@@ -198,7 +183,6 @@ def test_energy_and_norm_conserved_interacting(slater_n2):
     out = mb.propagate(state, V, dt=1.0 / 1600, steps=1600)  # horizon t = 1
     assert abs(out.norm() - 1.0) < 1e-10
     assert abs(flow.energy(out) - flow.energy(state)) < 1e-8
-    assert mb.antisymmetry_defect(out) < 1e-10
 
 
 def test_nan_detection_reports_step():

@@ -41,6 +41,8 @@ ORACLES = (
     "OneBodyKernel.hermiticity_defect", "OneBodyKernel.occupations",
     "gaussian_orbital", "free_gaussian_evolution", "kinetic_bound_check",
     "kinetic_energy",
+    # manybody: the grid export the tests hold the coefficient kernels to
+    "ManyBodyState.to_grid",
     # meanfield
     "free_transport_exact",
     # phasespace; moments holds the Husimi transform and the free flow to

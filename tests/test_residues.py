@@ -214,6 +214,8 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     (["residues", "STATE", "--box", "12", "--phi-q-radius", "6.5"],
      "crosses the periodic boundary"),
     (["simulate", "--config", "HORIZON"], "horizons that are: 0.02, 0.04"),
+    (["residues", "STATE", "--box", "12", "--potential", "zero",
+      "--amplitude", "3"], "--amplitude"),
 ])
 def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
                                                capsys, monkeypatch):
@@ -224,7 +226,7 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     configs with a lattice size, an orbital family, a value type, a
     test function (one whose support crosses the box, one with a key the
     bump does not take) and a horizon off the dt lattice that a run
-    refuses before any compute.  Every
+    refuses before any compute, and an amplitude for a zero V.  Every
     refusal comes before any flow is built: a `SlaterFlow` fails the
     case."""
     def no_flow(*args, **kwargs):
@@ -297,6 +299,19 @@ def test_cli_residues_reads_a_gaussian_bump_amplitude(tmp_path):
                      "gaussian_bump", "--amplitude", "0.8", "2.0", "--out",
                      str(tmp_path / "two.json")]) == 2
     assert not (tmp_path / "two.json").exists()
+
+
+def test_cli_residues_amplitude_needs_a_value(tmp_path, capsys):
+    """`--amplitude` with no value is argparse's usage error: exit 2,
+    naming the flag, before the command reads its state or builds a
+    flow."""
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["residues", "STATE", "--box", "12", "--amplitude",
+                  "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "argument --amplitude" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_rejects_unknown_keys():
