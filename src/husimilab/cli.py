@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,8 @@ def _load_config(path, seed=None) -> harness.RunConfig:
         except (OSError, ValueError) as exc:
             raise GridError(f"cannot read config {path}: {exc}") from exc
         cfg = harness.RunConfig.from_dict(data)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+    # through the constructor, so the seed is checked as a config's is
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def cmd_simulate(args) -> int:
@@ -82,15 +81,17 @@ def cmd_transform(args) -> int:
 def cmd_residues(args) -> int:
     run = harness.RunConfig()  # the run's V and test functions
     amplitude = args.amplitude
-    spec = {"kind": args.potential, "amplitudes": (
-        run.potential["amplitudes"] if amplitude is None else amplitude)}
+    spec = {"kind": args.potential}
+    if args.potential == "cosine":
+        spec["amplitudes"] = (run.potential["amplitudes"] if amplitude is None
+                              else amplitude)
     if args.potential == "zero" and amplitude is not None:
         raise GridError("--amplitude sets no zero potential; drop the flag")
     if args.potential == "gaussian_bump" and amplitude is not None:
         if len(amplitude) != 1:
             raise GridError(f"--amplitude takes one value for a "
                             f"gaussian_bump potential, got {len(amplitude)}")
-        spec = {"kind": args.potential, "amplitude": amplitude[0]}
+        spec["amplitude"] = amplitude[0]
     state = io.read_state(args.state, L=args.box)
     grid = state.grid
     frame = harness.build_frame(grid, args.frame)
@@ -121,6 +122,12 @@ def cmd_fock_check(args) -> int:
 
 
 def cmd_report(args) -> int:
+    for d in args.dirs:
+        if not (Path(d) / "summary.json").is_file():
+            failed = Path(d) / "FAILED"
+            raise GridError(f"{d} holds no summary.json" + (
+                f"; its run failed: {failed.read_text().strip()}"
+                if failed.is_file() else ""))
     report = harness.aggregate_sweep(args.dirs)
     io.write_report(args.out, report)
     print(json.dumps({k: v for k, v in report.items() if k != "rows"},

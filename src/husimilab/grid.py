@@ -127,6 +127,8 @@ class Potential:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.M,):
             raise GridError("potential samples must live on the spatial grid")
+        if np.count_nonzero(~np.isfinite(values)):
+            raise GridError("potential samples must be finite")
         idx = np.arange(grid.M)
         even_defect = np.max(np.abs(values[(-idx) % grid.M] - values[idx]))
         if even_defect > 1e-12:
@@ -185,18 +187,21 @@ class Potential:
         return cls(grid, np.zeros(grid.M))
 
     @classmethod
-    def cosine(cls, grid: GridSpec, amplitudes) -> "Potential":
+    def cosine(cls, grid: GridSpec, amplitudes=(0.5,)) -> "Potential":
         """V(x) = sum_n a_n cos(2 pi n x / L); exactly band-limited."""
         x = grid.axis_points()
         vals = np.zeros(grid.M)
-        for n, a in enumerate(np.atleast_1d(amplitudes), start=1):
+        for n, a in enumerate(np.array(amplitudes, float, ndmin=1), start=1):
             vals += a * np.cos(2.0 * np.pi * n * x / grid.L)
         return cls(grid, vals)
 
     @classmethod
     def gaussian_bump(cls, grid: GridSpec, amplitude: float = 1.0,
-                      width: float = 1.0) -> "Potential":
+                      width: float = 1.5) -> "Potential":
         """Periodized Gaussian well/bump; smooth and rapidly band-limited."""
+        if not width > 0:
+            raise GridError(f"gaussian_bump width must be positive, "
+                            f"got {width!r}")
         x = grid.axis_points()
         vals = np.zeros(grid.M)
         for shift in range(-3, 4):

@@ -1,17 +1,17 @@
 """Experiment orchestration: run configs, sweeps, slope fits, reports.
 
 A run is deterministic given its config (seed included); its directory
-holds the config copy, binary snapshots, CSV exports, and canonical JSON
-records, one row per hard-checked observable.  Sweeps parallelize across
-runs, never within a report file; aggregation is a single reduce over
-completed run directories.
+holds the config copy, binary snapshots of the states and orbitals, and
+a canonical JSON summary, one row per hard-checked observable.  Sweeps
+parallelize across runs, never within a report file; aggregation is a
+single reduce over completed run directories.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
-import time as _time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -52,6 +52,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise GridError(f"seed={self.seed} is negative; need seed >= 0")
         steps = self.horizon / self.dt if self.dt > 0 else math.nan
         if not math.isfinite(steps):
             raise GridError(f"need dt > 0 and a finite horizon, got "
@@ -91,15 +93,20 @@ class RunConfig:
 
 
 def build_potential(grid, spec: dict) -> Potential:
-    kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return Potential.zero(grid)
-    if kind == "cosine":
-        return Potential.cosine(grid, spec.get("amplitudes", [0.5]))
-    if kind == "gaussian_bump":
-        return Potential.gaussian_bump(grid, spec.get("amplitude", 1.0),
-                                       spec.get("width", 1.5))
-    raise GridError(f"unknown potential kind {kind!r}")
+    """V of {"kind": a `Potential` constructor, **its keyword arguments}."""
+    kinds = {"zero": Potential.zero, "cosine": Potential.cosine,
+             "gaussian_bump": Potential.gaussian_bump}
+    kind = spec.get("kind")
+    build = kinds.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise GridError(f"potential {spec}: kind {kind!r} is not one of "
+                        + ", ".join(kinds))
+    try:
+        return build(grid, **{k: v for k, v in spec.items() if k != "kind"})
+    except (TypeError, ValueError) as exc:
+        keys = list(inspect.signature(build).parameters)[1:]
+        raise GridError(f"potential {spec}: {exc}; a {kind} spec holds "
+                        + ", ".join(["kind", *keys])) from exc
 
 
 def build_frame(grid, kind: str) -> ps.CoherentFrame:
@@ -134,12 +141,11 @@ def run_experiment(cfg: RunConfig, outdir) -> Path:
     """Execute the standard battery for one (hbar, N) point.
 
     The set-up refuses, with a `GridError` raised before the run directory
-    exists and before any compute: a lattice `make_grid` refuses, an
-    unknown potential, frame or orbital family, and a `phi_q` or `phi_p`
-    that `residues.pairing_test_functions` refuses.  The natural lattice
-    is built once, here, so an undersampled one warns once.
+    exists and before any compute: a lattice `make_grid` refuses, a refused
+    potential spec, an unknown frame or orbital family, and a `phi_q` or
+    `phi_p` that `residues.pairing_test_functions` refuses.  The natural
+    lattice is built once, here, so an undersampled one warns once.
     """
-    started = _time.time()
     grid = make_grid(M=cfg.M, L=cfg.L, hbar=cfg.hbar, N=cfg.N)
     potential = build_potential(grid, cfg.potential)
     frame = build_frame(grid, cfg.frame)
@@ -150,8 +156,8 @@ def run_experiment(cfg: RunConfig, outdir) -> Path:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _run_experiment_inner(cfg, out, started, potential, frame,
-                                     lattice, orbitals)
+        return _run_experiment_inner(cfg, out, potential, frame, lattice,
+                                     orbitals)
     except Exception as exc:
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise RuntimeError(f"run failed in {out}: {exc}") from exc
@@ -175,9 +181,8 @@ def _nbody_stage(state0: mb.ManyBodyState, potential: Potential, dt: float,
     return mid, end, flow.time_derivative(mid), drift
 
 
-def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
-                          potential: Potential, frame, lattice,
-                          orbitals) -> Path:
+def _run_experiment_inner(cfg: RunConfig, out: Path, potential: Potential,
+                          frame, lattice, orbitals) -> Path:
     grid = potential.grid
     state0 = mb.build_slater(grid, orbitals)
     rows: list[dict] = []
@@ -189,25 +194,20 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     _record(rows, "norm_drift", abs(end.norm() - 1.0), 1e-10, cfg, end.time)
     _record(rows, "energy_drift", energy_drift, 1e-8, cfg, end.time)
 
-    io.write_state(out / "state_initial.husi", state0)
-    io.write_state(out / "state_final.husi", end)
+    for name, state in (("initial", state0), ("mid", mid), ("final", end)):
+        io.write_state(out / f"state_{name}.husi", state)
 
     # ---- one residue pass at mid: Husimi invariants, residues, identity -----
     snap, report = rs.snapshot_residues(mid, adot_mid, frame, potential,
                                         lattice, cfg.phi_q, cfg.phi_p)
-    husimi_mid = snap.husimi
-    _record(rows, "husimi_min", husimi_mid.values.min(), -1e-12, cfg,
+    _record(rows, "husimi_min", snap.husimi.values.min(), -1e-12, cfg,
             mid.time, holds=operator.ge)
-    _record(rows, "husimi_max", husimi_mid.values.max(), 1.0 + 1e-8, cfg,
+    _record(rows, "husimi_max", snap.husimi.values.max(), 1.0 + 1e-8, cfg,
             mid.time, holds=operator.le)
     _record(rows, "husimi_mass_defect",
-            abs(husimi_mid.canonical_mass() - cfg.N), 1e-4, cfg, mid.time)
+            abs(snap.husimi.canonical_mass() - cfg.N), 1e-4, cfg, mid.time)
     _record(rows, "consistency_defect_rel", report.consistency_defect_rel,
             1e-12, cfg, mid.time)
-    io.write_field(out / "husimi_mid.husi", husimi_mid.values, grid, mid.time)
-    io.field_csv(out / "husimi_mid.csv", lattice.qs, lattice.ps,
-                 husimi_mid.values)
-    io.write_report(out / "residues.json", asdict(report))
 
     # ---- effective dynamics -------------------------------------------------
     hf0 = mf.MeanFieldState(grid, np.array(orbitals))
@@ -269,7 +269,6 @@ def _run_experiment_inner(cfg: RunConfig, out: Path, started: float,
     }
     io.write_report(out / "summary.json", summary)
     io.write_report(out / "config.json", cfg.to_dict())
-    (out / "timestamp.txt").write_text(f"{started}\n")
     if not summary["all_passed"]:
         failing = [r["observable"] for r in rows if not r["passed"]]
         raise RuntimeError(f"hard checks failed: {failing}")

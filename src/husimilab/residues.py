@@ -186,7 +186,6 @@ class SnapshotFields:
     `interaction` is None for N = 1, which has no pair interaction.
     """
 
-    state: ManyBodyState
     husimi: PhaseSpaceField
     husimi_rate: np.ndarray
     kinetic: np.ndarray
@@ -195,7 +194,8 @@ class SnapshotFields:
 
 @dataclass
 class ResidueReport:
-    """The record of `residues.json`; its keys are the field names."""
+    """The report of the `residues` command and the source of a run's
+    pairings; its keys are the field names."""
 
     pairing_kinetic: float
     pairing_semiclassical: float
@@ -286,7 +286,7 @@ def snapshot_residues(state: ManyBodyState, adot: np.ndarray,
     # gamma1 and its rate; the mean-field residue takes the first whole
     b1 = bilinear_phase_field(kern.matrix, frame.window, frame.window, g)
     fields = SnapshotFields(
-        state, PhaseSpaceField(b1.real, lattice),
+        PhaseSpaceField(b1.real, lattice),
         bilinear_phase_field(rate, frame.window, frame.window, g).real,
         kinetic_residue_field(kern, frame),
         interaction_residue_fields(state, kern, b1, frame, potential)

@@ -18,8 +18,8 @@ phase-space field (M q-points by N p-points, real values as complex), and
 once held N-body states as M^N grid amplitudes; `read_state` refuses it.
 The box length is not part of the format; it travels with the run
 configuration and is supplied at read time.
-JSON reports are canonical (sorted keys, compact separators), so
-identical runs produce byte-identical files modulo explicit timestamps.
+JSON reports are canonical (sorted keys, compact separators), so two
+runs of one config write byte-identical files.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _write(path, version: int, M: int, N: int, time: float, hbar: float,
     """The header, then `values` as little-endian complex128."""
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, version, 1, M, N, time, hbar))
-        fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<c16").data)
 
 
 def write_state(path, state: ManyBodyState) -> None:

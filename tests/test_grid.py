@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,22 @@ def test_potential_evenness_enforced():
     x = grid.axis_points()
     with pytest.raises(GridError, match="even"):
         Potential(grid, np.sin(2.0 * np.pi * x / grid.L))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: Potential.cosine(g, [np.nan]), "finite"),
+    (lambda g: Potential.gaussian_bump(g, np.inf), "finite"),
+    (lambda g: Potential.gaussian_bump(g, 1.0, 0.0), "width must be positive"),
+    (lambda g: Potential.gaussian_bump(g, 1.0, np.nan), "width must be"),
+])
+def test_potential_refuses_non_finite_samples_and_a_flat_width(build,
+                                                               message):
+    """A width <= 0 is refused before the bump is sampled, so no division
+    by zero warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=message):
+            build(make_grid(M=16, L=8.0))
 
 
 def test_potential_spectral_evaluation_matches_samples():

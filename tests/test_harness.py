@@ -5,9 +5,10 @@ import weakref
 import numpy as np
 import pytest
 
-from husimilab import harness
+from husimilab import cli, harness
 from husimilab import manybody as mb
 from husimilab import phasespace as ps
+from husimilab import snapshots as io
 from husimilab.grid import GridError
 
 XS = [0.5, 0.25, 0.125, 0.0625]
@@ -220,3 +221,70 @@ def test_vlasov_steps_stay_inside_the_cfl_limit(horizon, dt, vsteps,
     records = _records(harness.run_experiment(cfg, tmp_path / "run"))
     assert records["vlasov_mass_drift"]["tolerance"] == 1e-8 * vsteps
     assert records["vlasov_energy_drift_rate"]["passed"]
+
+
+RUN_FILES = ["config.json", "hf_orbitals.husi", "state_final.husi",
+             "state_initial.husi", "state_mid.husi", "summary.json"]
+
+
+@pytest.fixture(scope="module", params=[{}, {"N": 3, "hbar": 1.0 / 3.0}],
+                ids=["N2", "N3"])
+def two_runs(request, tmp_path_factory):
+    """Two runs of one horizon-0.02 config, in one process."""
+    cfg = harness.RunConfig(horizon=0.02, **request.param)
+    root = tmp_path_factory.mktemp("runs")
+    return [harness.run_experiment(cfg, root / name) for name in "ab"]
+
+
+def test_a_run_directory_holds_states_and_one_summary_byte_identical(
+        two_runs):
+    """A run keeps its N-body states at t = 0, T/2 and T, the HF orbitals,
+    the config and the summary, and nothing else; everything else is
+    derived from a stored state by the `transform` and `residues`
+    commands.  Two runs of one config write the same bytes."""
+    first, second = two_runs
+    for run in two_runs:
+        assert sorted(p.name for p in run.iterdir()) == RUN_FILES
+    for name in RUN_FILES:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_residues_of_the_stored_mid_state_reproduce_the_summary(
+        two_runs, tmp_path):
+    """The `residues` command on the residue snapshot's stored state
+    writes the run's pairings, aggregate and defects exactly."""
+    run = two_runs[0]
+    out = tmp_path / "residues.json"
+    assert cli.main(["residues", str(run / "state_mid.husi"), "--box", "12",
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    summary = json.loads((run / "summary.json").read_text())
+    pairings = summary["pairings"]
+    assert [rep["pairing_kinetic"], rep["pairing_semiclassical"],
+            rep["pairing_meanfield"], rep["l54_aggregate"],
+            rep["consistency_defect"]] == [
+        pairings["kinetic"], pairings["semiclassical"],
+        pairings["meanfield"], pairings["l54_aggregate"],
+        summary["consistency_defect"]]
+    assert rep["consistency_defect_rel"] == _records(run)[
+        "consistency_defect_rel"]["value"]
+
+
+def test_transform_of_the_stored_mid_state_reproduces_the_husimi_records(
+        two_runs, tmp_path):
+    """The `transform` command on the residue snapshot's stored state
+    writes the Husimi field whose min, max and mass defect the run
+    recorded."""
+    run = two_runs[0]
+    assert cli.main(["transform", str(run / "state_mid.husi"), "--box", "12",
+                     "--out", str(tmp_path)]) == 0
+    grid = io.read_state(run / "state_mid.husi", L=12.0).grid
+    raw = (tmp_path / "husimi.husi").read_bytes()
+    values = np.frombuffer(raw[io.HEADER.size:], dtype="<c16").real
+    husimi = ps.PhaseSpaceField(values.reshape(grid.M, grid.M),
+                                ps.natural_lattice(grid))
+    records = _records(run)
+    assert husimi.values.min() == records["husimi_min"]["value"]
+    assert husimi.values.max() == records["husimi_max"]["value"]
+    assert abs(husimi.canonical_mass() - grid.N) == records[
+        "husimi_mass_defect"]["value"]

@@ -216,6 +216,15 @@ def test_cli_simulate_then_residues_on_the_final_state(tmp_path):
     (["simulate", "--config", "HORIZON"], "horizons that are: 0.02, 0.04"),
     (["residues", "STATE", "--box", "12", "--potential", "zero",
       "--amplitude", "3"], "--amplitude"),
+    (["simulate", "--config", "AMPKEY"], "cosine spec holds kind, amplitudes"),
+    (["simulate", "--config", "NOKIND"], "kind None is not one of zero, "),
+    (["simulate", "--config", "AMPSTR"], "could not convert string to float"),
+    (["simulate", "--config", "WIDTH0"], "width must be positive, got 0"),
+    (["simulate", "--config", "SEED"], "seed=-1 is negative"),
+    (["simulate", "--seed", "-1"], "seed=-1 is negative"),
+    (["report", "NORUN"], "NORUN holds no summary.json"),
+    (["report", "FAILEDRUN"],
+     "holds no summary.json; its run failed: RuntimeError: hard checks"),
 ])
 def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
                                                capsys, monkeypatch):
@@ -225,10 +234,12 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     magic, a path that does not exist, a config that is no JSON, and
     configs with a lattice size, an orbital family, a value type, a
     test function (one whose support crosses the box, one with a key the
-    bump does not take) and a horizon off the dt lattice that a run
-    refuses before any compute, and an amplitude for a zero V.  Every
-    refusal comes before any flow is built: a `SlaterFlow` fails the
-    case."""
+    bump does not take), a horizon off the dt lattice, a potential spec
+    (a key its constructor does not take, no kind, an amplitude that is
+    no number, a zero width) and a negative seed that a run refuses
+    before any compute, an amplitude for a zero V, and run directories
+    with no summary (one empty, one whose run failed).  Every refusal
+    comes before any flow is built: a `SlaterFlow` fails the case."""
     def no_flow(*args, **kwargs):
         raise AssertionError("a SlaterFlow was built before the refusal")
 
@@ -237,7 +248,9 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     inputs = {name: tmp_path / name
               for name in ("STATE", "SHORT", "MAGIC", "M48", "FAMILY",
                            "NOTJSON", "MISSING", "MSTR", "NFLOAT", "WIDE",
-                           "SPECKEY", "HORIZON")}
+                           "SPECKEY", "HORIZON", "AMPKEY", "NOKIND",
+                           "AMPSTR", "WIDTH0", "SEED", "NORUN",
+                           "FAILEDRUN")}
     io.write_state(inputs["STATE"], mb.build_slater(
         grid, harness.build_orbitals(grid, "hermite", None)))
     inputs["SHORT"].write_bytes(io.MAGIC + b"\x02\x00\x01")
@@ -253,6 +266,16 @@ def test_cli_refused_input_exits_with_status_2(argv, message, tmp_path,
     inputs["SPECKEY"].write_text(json.dumps(
         {"phi_q": {"center": 0.0, "radius": 3.5, "s": 3, "width": 1.0}}))
     inputs["HORIZON"].write_text(json.dumps({"horizon": 0.03, "dt": 0.02}))
+    for name, spec in (("AMPKEY", {"kind": "cosine", "amplitude": [0.3]}),
+                       ("NOKIND", {"amplitudes": [0.4]}),
+                       ("AMPSTR", {"kind": "cosine", "amplitudes": ["x"]}),
+                       ("WIDTH0", {"kind": "gaussian_bump", "width": 0})):
+        inputs[name].write_text(json.dumps({"potential": spec}))
+    inputs["SEED"].write_text(json.dumps({"seed": -1}))
+    inputs["NORUN"].mkdir()
+    inputs["FAILEDRUN"].mkdir()
+    (inputs["FAILEDRUN"] / "FAILED").write_text(
+        "RuntimeError: hard checks failed: ['norm_drift']\n")
     out = tmp_path / "out"
     argv = [str(inputs[a]) if a in inputs else a for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == 2
